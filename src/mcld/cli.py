@@ -9,9 +9,10 @@ files; all numbers are serialized with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,10 @@ from . import acceptance, serialize
 from .clock_field import ClockField
 from .errors import InvalidInput, InvariantViolation
 from .events import deleted_mass_up_to, run_clocked
-from .feller import ks_two_sample
-from .frozen_percolation import fp_replica_rows, reference_replica_rows
+from .frozen_percolation import fp_mcld_compare
+from .graphical import realize
 from .mass_state import OrderedMassVector
-from .truncation import truncation_report
+from .truncation import report_from_split, split_from_realization
 
 __all__ = ["main"]
 
@@ -86,24 +87,48 @@ def _initial_state(args, seed: int) -> OrderedMassVector:
             raise InvalidInput(f"unreadable masses file: {exc}") from None
         if not isinstance(data, list):
             raise InvalidInput("masses file must hold a JSON array of numbers")
-        return _parse_masses_text(",".join(repr(float(x)) for x in data))
+        return _parse_masses_text(
+            ",".join(repr(_number(x, float, "--masses-file entry")) for x in data)
+        )
     return _parse_gen(args.gen, seed)
+
+
+def _number(text: str, convert, name: str):
+    """``convert(text)`` for a numeric argument; a float must be finite."""
+    try:
+        value = convert(text)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"bad {name} {text!r}: {exc}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidInput(f"{name} must be finite, got {text!r}")
+    return value
+
+
+def _float_list(text: str, name: str) -> tuple[float, ...]:
+    return tuple(_number(x, float, name) for x in text.split(","))
 
 
 def _seed_of(args) -> int:
     if args.seed is not None:
-        return int(args.seed, 0)
+        return _number(args.seed, partial(int, base=0), "--seed")
     env = os.environ.get("MCLD_SEED")
     if env is not None:
-        return int(env, 0)
+        return _number(env, partial(int, base=0), "MCLD_SEED")
     return 0
+
+
+def _rate(args) -> float:
+    lam = _number(args.lam, float, "--lambda")
+    if lam < 0:
+        raise InvalidInput("--lambda must be nonnegative")
+    return lam
 
 
 def _parse_grid(args) -> tuple[float, ...]:
     if args.grid is not None:
-        grid = tuple(float(x) for x in args.grid.split(","))
+        grid = _float_list(args.grid, "--grid")
     elif args.t is not None:
-        grid = (float(args.t),)
+        grid = (_number(args.t, float, "--t"),)
     else:
         raise InvalidInput("one of --t or --grid is required")
     if any(b <= a for a, b in zip(grid, grid[1:])) or any(g < 0 for g in grid):
@@ -111,11 +136,8 @@ def _parse_grid(args) -> tuple[float, ...]:
     return grid
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError as exc:
-        raise InvalidInput(f"bad integer list {text!r}: {exc}") from None
+def _int_list(text: str, name: str) -> list[int]:
+    return [_number(x, int, name) for x in text.split(",") if x != ""]
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +148,7 @@ def cmd_simulate(args) -> int:
     seed = _seed_of(args)
     initial = _initial_state(args, seed)
     grid = _parse_grid(args)
-    lam = float(args.lam)
-    if lam < 0:
-        raise InvalidInput("--lambda must be nonnegative")
+    lam = _rate(args)
     traj = run_clocked(initial, ClockField(seed), lam, t_end=grid[-1], grid=grid)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -162,19 +182,22 @@ def cmd_truncation(args) -> int:
     grid = _parse_grid(args)
     if len(grid) != 1:
         raise InvalidInput("truncation reports use a single --t")
-    lam = float(args.lam)
-    levels = _int_list(args.truncate)
+    lam = _rate(args)
+    levels = _int_list(args.truncate, "--truncate")
     if not levels:
         raise InvalidInput("--truncate requires at least one level")
-    replicas = int(args.replicas)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    replicas = _number(args.replicas, int, "--replicas")
+    if replicas < 1:
+        raise InvalidInput("--replicas must be at least 1")
     base = ClockField(seed)
     any_violation = False
-    for level in levels:
-        for r in range(replicas):
+    reports = {}
+    for r in range(replicas):
+        # one realization per replica serves every level
+        full = realize(initial, base.child(r), lam, grid[0])
+        for level in levels:
             try:
-                rep = truncation_report(initial, base.child(r), lam, grid[0], level)
+                rep = report_from_split(split_from_realization(full, level))
             except InvariantViolation as exc:
                 print(f"invariant violation at m={level} replica={r}: {exc}",
                       file=sys.stderr)
@@ -182,9 +205,11 @@ def cmd_truncation(args) -> int:
                 continue
             if not rep.holds:
                 any_violation = True
-            serialize.write_json(
-                outdir / f"report_m{level}_r{r}.json", rep.to_json_dict()
-            )
+            reports[f"report_m{level}_r{r}.json"] = rep.to_json_dict()
+    outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, payload in reports.items():
+        serialize.write_json(outdir / name, payload)
     if any_violation:
         print("sandwich violation detected", file=sys.stderr)
         return EXIT_INVARIANT
@@ -192,60 +217,21 @@ def cmd_truncation(args) -> int:
     return EXIT_OK
 
 
-def _fp_task(task) -> tuple:
-    kind, payload = task
-    if kind == "fp":
-        n, lam, u, t_list, top_r, seed, r = payload
-        return kind, n, r, fp_replica_rows(n, lam, u, t_list, top_r, seed, r), 0
-    n_ref, lam, u, t_list, top_r, seed, r, eps, m_head = payload
-    rows, level = reference_replica_rows(
-        n_ref, lam, u, t_list, top_r, seed, r, eps, m_head
-    )
-    return kind, n_ref, r, rows, level
-
-
 def cmd_fp(args) -> int:
     seed = _seed_of(args)
-    n_list = _int_list(args.n_list)
-    if not n_list:
-        raise InvalidInput("--n-list requires at least one size")
-    lam = float(args.lam)
     if args.t is None:
         raise InvalidInput("--t is required")
-    t_list = tuple(float(x) for x in args.t.split(","))
-    if any(b <= a for a, b in zip(t_list, t_list[1:])) or any(t < 0 for t in t_list):
-        raise InvalidInput("--t times must be nonnegative and strictly increasing")
-    u = float(args.u)
-    replicas = int(args.replicas)
-    top_r = int(args.top_r)
-    n_ref = int(args.n_ref) if args.n_ref else 4 * max(n_list)
-    workers = int(args.workers)
-
-    tasks = [
-        ("fp", (n, lam, u, t_list, top_r, seed, r))
-        for n in n_list
-        for r in range(replicas)
-    ]
-    tasks += [
-        ("ref", (n_ref, lam, u, t_list, top_r, seed, r, args.budget_eps, args.budget_m))
-        for r in range(replicas)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_fp_task, tasks, chunksize=8))
-    else:
-        outcomes = [_fp_task(task) for task in tasks]
-
-    samples = {n: np.zeros((replicas, len(t_list), top_r)) for n in n_list}
-    reference = np.zeros((replicas, len(t_list), top_r))
-    ref_level = 0
-    for kind, n, r, rows, level in outcomes:
-        if kind == "fp":
-            samples[n][r] = rows
-        else:
-            reference[r] = rows
-            ref_level = max(ref_level, level)
-
+    report = fp_mcld_compare(
+        _int_list(args.n_list, "--n-list"),
+        _rate(args),
+        _number(args.u, float, "--u"),
+        _float_list(args.t, "--t"),
+        replicas=_number(args.replicas, int, "--replicas"),
+        top_r=_number(args.top_r, int, "--top-r"),
+        seed=seed,
+        n_ref=_number(args.n_ref, int, "--n-ref") if args.n_ref else None,
+        workers=_number(args.workers, int, "--workers"),
+    )
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     serialize.write_json(
@@ -253,60 +239,27 @@ def cmd_fp(args) -> int:
         [
             {
                 "n": n,
-                "lambda_rescaled": lam,
-                "u": u,
-                "t_list": list(t_list),
-                "top_r": top_r,
-                "replicas": replicas,
+                "lambda_rescaled": report.lam_rescaled,
+                "u": report.u,
+                "t_list": list(report.t_list),
+                "top_r": report.top_r,
+                "replicas": report.replicas,
                 "seed": seed,
             }
-            for n in n_list
+            for n in report.n_list
         ],
     )
-    rows_out = []
-    for n in n_list:
-        for r in range(replicas):
-            for k, t in enumerate(t_list):
-                for rank in range(top_r):
-                    rows_out.append((n, r, t, rank + 1, samples[n][r, k, rank]))
+    rows_out = [
+        (n, r, t, rank + 1, report.samples[n][r, k, rank])
+        for n in report.n_list
+        for r in range(report.replicas)
+        for k, t in enumerate(report.t_list)
+        for rank in range(report.top_r)
+    ]
     serialize.write_csv(
         outdir / "samples.csv", ("n", "replica", "t", "rank", "scaled_mass"), rows_out
     )
-    ks_vs_reference = {
-        str(n): {
-            serialize.format_number(t): [
-                ks_two_sample(samples[n][:, k, rank], reference[:, k, rank])
-                for rank in range(top_r)
-            ]
-            for k, t in enumerate(t_list)
-        }
-        for n in n_list
-    }
-    ks_between = {
-        f"{a}:{b}": {
-            serialize.format_number(t): [
-                ks_two_sample(samples[a][:, k, rank], samples[b][:, k, rank])
-                for rank in range(top_r)
-            ]
-            for k, t in enumerate(t_list)
-        }
-        for a, b in zip(n_list, n_list[1:])
-    }
-    serialize.write_json(
-        outdir / "comparison.json",
-        {
-            "n_list": n_list,
-            "t_list": list(t_list),
-            "lambda_rescaled": lam,
-            "u": u,
-            "replicas": replicas,
-            "top_r": top_r,
-            "n_ref": n_ref,
-            "ref_truncation_level": ref_level,
-            "ks_vs_reference": ks_vs_reference,
-            "ks_between": ks_between,
-        },
-    )
+    serialize.write_json(outdir / "comparison.json", report.to_json_dict())
     print(f"wrote samples and comparison to {outdir}")
     return EXIT_OK
 
@@ -385,14 +338,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fp.add_argument("--n-list", required=True, help="comma-separated sizes")
     p_fp.add_argument("--lambda", dest="lam", default="1", help="rescaled rate")
     p_fp.add_argument("--u", default="0", help="critical window parameter")
-    p_fp.add_argument("--t", help="rescaled time")
+    p_fp.add_argument("--t", help="comma-separated rescaled times")
     p_fp.add_argument("--replicas", default="100")
     p_fp.add_argument("--top-r", default="3")
     p_fp.add_argument("--n-ref", help="reference graph size (default 4*max n)")
-    p_fp.add_argument("--budget-eps", type=float, default=1.2,
-                      help=argparse.SUPPRESS)
-    p_fp.add_argument("--budget-m", type=float, default=2.0,
-                      help=argparse.SUPPRESS)
     p_fp.add_argument("--workers", default=str(os.cpu_count() or 1),
                       help="parallel replica workers")
     add_common(p_fp)

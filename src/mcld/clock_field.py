@@ -41,6 +41,7 @@ double operations and ``log1p``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -220,6 +221,11 @@ def _positive_support(masses: np.ndarray) -> int:
     return int(np.searchsorted(-masses, 0.0, side="left"))
 
 
+def _check_finite_rate(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise InvalidInput(f"{what} is not finite; the clock rates overflow")
+
+
 def edge_arrivals(
     field: ClockField, masses: np.ndarray, t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,6 +241,9 @@ def edge_arrivals(
     out_j: list[np.ndarray] = []
     out_t: list[np.ndarray] = []
     if n_pos >= 2 and t > 0.0:
+        # masses are non-increasing, so m_1 bounds every pair's rate
+        m1 = float(masses[0])
+        _check_finite_rate(t * (m1 * m1), "t * m_1^2")
         for chunk in _pair_index_chunks(n_pos):
             i, j = pair_index_decode(chunk, n_pos)
             product = masses[i - 1] * masses[j - 1]
@@ -263,6 +272,7 @@ def strike_arrivals(
     n_pos = _positive_support(masses)
     if n_pos == 0 or lam <= 0.0 or t <= 0.0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    _check_finite_rate(lam * float(masses[0]), "lambda * m_1")
     v = np.arange(1, n_pos + 1, dtype=np.int64)
     times = field.vertex_exps(v) / (lam * masses[:n_pos])
     keep = times <= t

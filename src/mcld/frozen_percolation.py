@@ -9,13 +9,14 @@ loop at O(n^(2/3)) events in the critical window instead of O(n^2) clocks.
 
 Component sizes scaled by n^(-2/3) at times scaled by n^(-1/3) are
 comparable, rank by rank, to the coalescent-with-deletion run from scaled
-critical component masses; the comparison report carries two-sample KS
-statistics per rank.
+critical component masses; the comparison report of :func:`fp_mcld_compare`
+carries two-sample KS statistics per time and rank.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +28,8 @@ from .clock_field import pair_count, pair_index_decode
 from .errors import InvalidInput
 from .feller import ks_two_sample
 from .mass_state import OrderedMassVector
-from .truncation import feller_budget
+from .serialize import format_number
+from .truncation import feller_budget, tail_truncation_index
 
 __all__ = [
     "FPConfig",
@@ -256,22 +258,26 @@ def scale_trajectory(
 @dataclass(frozen=True)
 class FPCompareReport:
     n_list: tuple[int, ...]
-    t: float
+    t_list: tuple[float, ...]
     lam_rescaled: float
     u: float
     replicas: int
     top_r: int
     n_ref: int
     ref_level: int
-    samples: dict[int, np.ndarray]  # replicas x top_r scaled masses
+    samples: dict[int, np.ndarray]  # replicas x times x top_r scaled masses
     reference_samples: np.ndarray
-    ks_vs_reference: dict[int, tuple[float, ...]]
-    ks_between: dict[tuple[int, int], tuple[float, ...]]
+    # KS statistics indexed [time][rank]
+    ks_vs_reference: dict[int, tuple[tuple[float, ...], ...]]
+    ks_between: dict[tuple[int, int], tuple[tuple[float, ...], ...]]
 
     def to_json_dict(self) -> dict:
+        def by_time(table) -> dict:
+            return {format_number(t): list(row) for t, row in zip(self.t_list, table)}
+
         return {
             "n_list": list(self.n_list),
-            "t": self.t,
+            "t_list": list(self.t_list),
             "lambda_rescaled": self.lam_rescaled,
             "u": self.u,
             "replicas": self.replicas,
@@ -279,10 +285,10 @@ class FPCompareReport:
             "n_ref": self.n_ref,
             "ref_truncation_level": self.ref_level,
             "ks_vs_reference": {
-                str(n): list(v) for n, v in self.ks_vs_reference.items()
+                str(n): by_time(v) for n, v in self.ks_vs_reference.items()
             },
             "ks_between": {
-                f"{a}:{b}": list(v) for (a, b), v in self.ks_between.items()
+                f"{a}:{b}": by_time(v) for (a, b), v in self.ks_between.items()
             },
         }
 
@@ -315,29 +321,6 @@ def fp_replica_rows(
     for k, sample in enumerate(scale_trajectory(raw, n, t_list)):
         out[k] = _top_masses(sample.state, top_r)
     return out
-
-
-def fp_single_replica(
-    n: int, lam_rescaled: float, u: float, t: float, top_r: int, seed: int, r: int
-) -> np.ndarray:
-    """One frozen percolation replica: scaled top-r masses at rescaled t."""
-    return fp_replica_rows(n, lam_rescaled, u, [t], top_r, seed, r)[0]
-
-
-def fp_sample_matrix(
-    n: int,
-    lam_rescaled: float,
-    u: float,
-    t: float,
-    replicas: int,
-    top_r: int,
-    seed: int,
-) -> np.ndarray:
-    """Scaled top-r masses at rescaled time t, one row per replica."""
-    rows = np.zeros((replicas, top_r))
-    for r in range(replicas):
-        rows[r] = fp_single_replica(n, lam_rescaled, u, t, top_r, seed, r)
-    return rows
 
 
 def _aggregate_mcld_top(
@@ -432,107 +415,94 @@ def reference_replica_rows(
         level = len(masses)  # no dynamics: truncation would only drop mass
     else:
         delta = feller_budget(budget_eps, budget_M, t_list[-1], lam)
-        sq_tail = np.concatenate([np.cumsum((masses * masses)[::-1])[::-1], [0.0]])
-        level = int(np.argmax(sq_tail <= delta))
+        level = tail_truncation_index(masses, delta)
     return _aggregate_mcld_top(masses[:level], lam, t_list, rng, top_r), level
 
 
-def reference_single_replica(
-    n_ref: int,
-    lam: float,
-    u: float,
-    t: float,
-    top_r: int,
-    seed: int,
-    r: int,
-    budget_eps: float,
-    budget_M: float,
-) -> tuple[np.ndarray, int]:
-    """One reference replica at a single time."""
-    rows, level = reference_replica_rows(
-        n_ref, lam, u, [t], top_r, seed, r, budget_eps, budget_M
+def _run_task(task):
+    replica_rows, args = task
+    return replica_rows(*args)
+
+
+def _ks_table(a: np.ndarray, b: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """KS statistic per (time, rank) between two replicas x times x ranks
+    sample arrays."""
+    return tuple(
+        tuple(ks_two_sample(a[:, k, rank], b[:, k, rank]) for rank in range(a.shape[2]))
+        for k in range(a.shape[1])
     )
-    return rows[0], level
-
-
-def reference_sample_matrix(
-    n_ref: int,
-    lam: float,
-    u: float,
-    t: float,
-    replicas: int,
-    top_r: int,
-    seed: int,
-    budget_eps: float,
-    budget_M: float,
-) -> tuple[np.ndarray, int]:
-    """Coalescent-with-deletion reference: scaled critical components as the
-    initial state, truncated per the tail budget, evolved to time t.
-
-    The evolution uses the aggregated-rate sampler: the budgeted truncation
-    level runs to ~1e5 support, where the all-pairs clock construction is
-    out of its design range while the aggregated dynamics stay at ~1e3
-    events.
-    """
-    rows = np.zeros((replicas, top_r))
-    level_used = 0
-    for r in range(replicas):
-        rows[r], level = reference_single_replica(
-            n_ref, lam, u, t, top_r, seed, r, budget_eps, budget_M
-        )
-        level_used = max(level_used, level)
-    return rows, level_used
 
 
 def fp_mcld_compare(
     n_list: Sequence[int],
     lam_rescaled: float,
     u: float,
-    t: float,
+    t_list: Sequence[float],
     replicas: int,
     top_r: int,
     seed: int = 0,
     n_ref: int | None = None,
+    workers: int = 1,
     budget_eps: float = 1.2,
     budget_M: float = 2.0,
 ) -> FPCompareReport:
-    """Rank-wise two-sample KS table: each n against the others and against
-    the coalescent reference."""
+    """Rank-wise two-sample KS tables at every requested rescaled time: each
+    n against the next and against the coalescent reference.
+
+    Replicas run serially, or in ``workers`` processes; every replica draws
+    from its own keyed stream, so the report does not depend on ``workers``.
+    """
     n_list = tuple(int(n) for n in n_list)
-    if not n_list:
-        raise InvalidInput("n_list must be nonempty")
+    t_list = tuple(float(t) for t in t_list)
+    lam_rescaled, u = float(lam_rescaled), float(u)
+    if not n_list or min(n_list) < 1:
+        raise InvalidInput("n_list must be nonempty with every size at least 1")
+    if not t_list or t_list[0] < 0 or any(b <= a for a, b in zip(t_list, t_list[1:])):
+        raise InvalidInput("t_list must be nonempty, nonnegative and strictly increasing")
     if n_ref is None:
         n_ref = 4 * max(n_list)
+    for name, value, least in (
+        ("replicas", replicas, 1), ("top_r", top_r, 1), ("n_ref", n_ref, 1),
+        ("workers", workers, 1), ("seed", seed, 0),
+    ):
+        if value < least:
+            raise InvalidInput(f"{name} must be at least {least}")
+    tasks = [
+        (fp_replica_rows, (n, lam_rescaled, u, t_list, top_r, seed, r))
+        for n in n_list
+        for r in range(replicas)
+    ]
+    tasks += [
+        (reference_replica_rows,
+         (n_ref, lam_rescaled, u, t_list, top_r, seed, r, budget_eps, budget_M))
+        for r in range(replicas)
+    ]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_task, tasks, chunksize=8))
+    else:
+        outcomes = [_run_task(task) for task in tasks]
+    split = len(n_list) * replicas
+    fp_rows, ref_outcomes = outcomes[:split], outcomes[split:]
     samples = {
-        n: fp_sample_matrix(n, lam_rescaled, u, t, replicas, top_r, seed)
-        for n in n_list
+        n: np.stack(fp_rows[k * replicas : (k + 1) * replicas])
+        for k, n in enumerate(n_list)
     }
-    reference, ref_level = reference_sample_matrix(
-        n_ref, lam_rescaled, u, t, replicas, top_r, seed, budget_eps, budget_M
-    )
-    ks_vs_reference = {
-        n: tuple(
-            ks_two_sample(samples[n][:, k], reference[:, k]) for k in range(top_r)
-        )
-        for n in n_list
-    }
-    ks_between = {
-        (a, b): tuple(
-            ks_two_sample(samples[a][:, k], samples[b][:, k]) for k in range(top_r)
-        )
-        for a, b in zip(n_list, n_list[1:])
-    }
+    reference = np.stack([rows for rows, _ in ref_outcomes])
     return FPCompareReport(
         n_list=n_list,
-        t=float(t),
-        lam_rescaled=float(lam_rescaled),
-        u=float(u),
+        t_list=t_list,
+        lam_rescaled=lam_rescaled,
+        u=u,
         replicas=replicas,
         top_r=top_r,
         n_ref=n_ref,
-        ref_level=ref_level,
+        ref_level=max(level for _, level in ref_outcomes),
         samples=samples,
         reference_samples=reference,
-        ks_vs_reference=ks_vs_reference,
-        ks_between=ks_between,
+        ks_vs_reference={n: _ks_table(samples[n], reference) for n in n_list},
+        ks_between={
+            (a, b): _ks_table(samples[a], samples[b])
+            for a, b in zip(n_list, n_list[1:])
+        },
     )

@@ -18,7 +18,6 @@ __all__ = [
     "WeightedPartition",
     "ordered",
     "dist",
-    "s2_norm",
     "s2_of_partition",
     "state_of_partition",
     "truncate",
@@ -96,10 +95,6 @@ def dist(a: OrderedMassVector, b: OrderedMassVector) -> float:
         d = x - y
         diffs.append(d * d)
     return math.sqrt(math.fsum(diffs))
-
-
-def s2_norm(v: OrderedMassVector) -> float:
-    return v.norm_sq()
 
 
 @dataclass(frozen=True)

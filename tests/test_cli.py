@@ -1,6 +1,9 @@
+import hashlib
 import json
+import os
 
 import numpy as np
+import pytest
 
 from mcld import cli
 from mcld.serialize import dumps
@@ -202,15 +205,138 @@ class TestFpMatchesLibrary:
         )
         assert code == 0
         report = fp_mcld_compare(
-            n_list=[300, 600], lam_rescaled=1.0, u=0.0, t=0.5, replicas=8,
+            n_list=[300, 600], lam_rescaled=1.0, u=0.0, t_list=[0.5], replicas=8,
             top_r=2, seed=21, n_ref=1200,
         )
         comparison = json.loads((tmp_path / "comparison.json").read_text())
         key_t = format_number(0.5)
         for n in (300, 600):
             assert comparison["ks_vs_reference"][str(n)][key_t] == list(
-                report.ks_vs_reference[n]
+                report.ks_vs_reference[n][0]
             )
+
+
+class TestOutputAnchors:
+    """sha256 of every output file, pinned: a refactor must not move a byte."""
+
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (
+                "--n-list 200,400 --lambda 1 --u 0 --t 0.5 --replicas 4 --top-r 2 "
+                "--seed 13 --n-ref 800 --workers 1",
+                {
+                    "comparison.json": "3d79beb77c5c27147cba6fc3814b04904404066f212dd0271cda5b001fd035bc",
+                    "config.json": "fea9da9d0fe8f74576bb1808d347413038703b9ad3159e2e5c3cad07ab1676f1",
+                    "samples.csv": "808b1497699f1784fc6308b0941e12aa36784973135fe77c8a892e77c39e7f77",
+                },
+            ),
+            (
+                "--n-list 300,600 --lambda 1 --u 0 --t 0.3,0.6 --replicas 8 --top-r 2 "
+                "--seed 21 --n-ref 1200 --workers 2",
+                {
+                    "comparison.json": "18d28e21af87a4a7f7b979926248da503bd066ea535f4cf64aaae4636ed2c742",
+                    "config.json": "1d992d0bfae0aa44cfbf4d5b373dd0b06c323a42405704fc000ef603faf0c95f",
+                    "samples.csv": "0c6de9e2c2a9e84618fd1ee3871c65d0a3dbaf845de96e35d8ed86eae05927e3",
+                },
+            ),
+        ],
+    )
+    def test_fp_files(self, tmp_path, argv, digests):
+        assert cli.main(["fp", *argv.split(), "--out-dir", str(tmp_path)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_truncation_reports(self, tmp_path):
+        # criterion 10's truncation run, reports concatenated in name order
+        argv = (
+            "truncation --gen powerlaw:0.6:64 --lambda 1 --t 1 --truncate 16,32 "
+            "--seed 12 --replicas 5"
+        ).split()
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        names = sorted(os.listdir(tmp_path))
+        assert len(names) == 10
+        blob = b"".join((tmp_path / name).read_bytes() for name in names)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "9b42b80ae26ceca27c3648c6eb1a610baa668cd976efcc46db1017caeef6fb2a"
+        )
+
+
+BAD_NUMBER_BASES = {
+    "simulate": "simulate --masses 1,0.5 --lambda 1 --t 1",
+    "truncation": "truncation --gen powerlaw:0.6:16 --lambda 1 --t 1 --truncate 4 "
+    "--replicas 2",
+    "fp": "fp --n-list 100 --lambda 1 --u 0 --t 0.5 --replicas 2 --top-r 2 "
+    "--n-ref 200 --workers 1",
+}
+
+
+class TestCheckedNumbers:
+    @pytest.mark.parametrize(
+        "command, changes",
+        [
+            ("simulate", "--lambda abc"),
+            ("simulate", "--lambda -1"),
+            ("simulate", "--lambda nan"),
+            ("simulate", "--seed zz"),
+            ("simulate", "--t inf"),
+            ("simulate", "--grid 0.1,x"),
+            ("simulate", "--masses 1e200,1e200"),
+            ("simulate", "--masses 1e100,1e100 --lambda 1e300"),
+            ("truncation", "--replicas abc"),
+            ("truncation", "--replicas 0"),
+            ("truncation", "--lambda abc"),
+            ("truncation", "--seed zz"),
+            ("truncation", "--truncate 4,99"),
+            ("truncation", "--gen constant:1e200:4"),
+            ("fp", "--replicas 0"),
+            ("fp", "--replicas abc"),
+            ("fp", "--top-r 0"),
+            ("fp", "--top-r x"),
+            ("fp", "--u abc"),
+            ("fp", "--u inf"),
+            ("fp", "--n-ref 0"),
+            ("fp", "--n-ref 1e3"),
+            ("fp", "--workers 0"),
+            ("fp", "--workers two"),
+            ("fp", "--t 0.5,abc"),
+            ("fp", "--t 0.6,0.3"),
+            ("fp", "--seed -1"),
+            ("fp", "--lambda abc"),
+        ],
+    )
+    def test_bad_value_exits_2_without_output(self, tmp_path, capsys, command, changes):
+        argv = BAD_NUMBER_BASES[command].split()
+        changes = changes.split()
+        for flag, value in zip(changes[::2], changes[1::2]):
+            if flag in argv:
+                argv[argv.index(flag) + 1] = value
+            else:
+                argv += [flag, value]
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries", ['["a"]', "[null]", "[[1]]", "[1e999]"])
+    def test_bad_masses_file_entry(self, tmp_path, capsys, entries):
+        path = tmp_path / "masses.json"
+        path.write_text(entries)
+        out = tmp_path / "out"
+        argv = ["simulate", "--masses-file", str(path), "--t", "1", "--out-dir", str(out)]
+        assert cli.main(argv) == 2
+        assert "--masses-file entry" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(BAD_NUMBER_BASES))
+    def test_bad_env_seed(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("MCLD_SEED", "zz")
+        out = tmp_path / "out"
+        argv = BAD_NUMBER_BASES[command].split()
+        assert cli.main([*argv, "--out-dir", str(out)]) == 2
+        assert "MCLD_SEED" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSelftest:

@@ -173,6 +173,21 @@ class TestCouplingInvariant:
         assert np.array_equal(et_f[keep], et_t)
 
 
+class TestRateOverflow:
+    def test_edge_rate_overflow_rejected(self):
+        with pytest.raises(InvalidInput, match="t \\* m_1"):
+            edge_arrivals(ClockField(SEED), np.array([1e200, 1e200]), t=1.0)
+
+    def test_strike_rate_overflow_rejected(self):
+        with pytest.raises(InvalidInput, match="lambda \\* m_1"):
+            strike_arrivals(ClockField(SEED), np.array([1e300, 1.0]), lam=1e10, t=1.0)
+
+    def test_large_finite_rates_still_run(self):
+        # m_1^2 = 1e300 is finite: every pair arrives, no error
+        ei, _, et = edge_arrivals(ClockField(SEED), np.array([1e150, 1e150]), t=1.0)
+        assert len(ei) == 1 and 0.0 < et[0] <= 1.0
+
+
 class TestChildFields:
     def test_children_distinct_and_deterministic(self):
         f = ClockField(SEED)

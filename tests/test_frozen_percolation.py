@@ -344,21 +344,21 @@ class TestCompareReport:
             n_list=[2000, 4000],
             lam_rescaled=0.0,
             u=0.0,
-            t=0.0,
+            t_list=[0.0],
             replicas=60,
             top_r=1,
             seed=SEED,
             n_ref=8000,
         )
         for n in (2000, 4000):
-            assert rep.ks_vs_reference[n][0] <= 0.35
+            assert rep.ks_vs_reference[n][0][0] <= 0.35
 
     def test_small_smoke_and_determinism(self):
         kwargs = dict(
             n_list=[300, 900],
             lam_rescaled=1.0,
             u=0.0,
-            t=0.5,
+            t_list=[0.5],
             replicas=12,
             top_r=2,
             seed=SEED,
@@ -368,9 +368,32 @@ class TestCompareReport:
         rep1 = fp_mcld_compare(**kwargs)
         rep2 = fp_mcld_compare(**kwargs)
         assert rep1.ks_vs_reference == rep2.ks_vs_reference
-        assert rep1.samples[300].shape == (12, 2)
+        assert rep1.samples[300].shape == (12, 1, 2)
         for stats in rep1.ks_vs_reference.values():
-            assert all(0.0 <= s <= 1.0 for s in stats)
+            assert all(0.0 <= s <= 1.0 for s in stats[0])
         assert (300, 900) in rep1.ks_between
         d = rep1.to_json_dict()
         assert d["n_list"] == [300, 900]
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"n_list": []},
+            {"n_list": [0]},
+            {"t_list": []},
+            {"t_list": [-0.1]},
+            {"t_list": [0.5, 0.5]},
+            {"replicas": 0},
+            {"top_r": 0},
+            {"n_ref": 0},
+            {"workers": 0},
+            {"seed": -1},
+        ],
+    )
+    def test_bad_arguments_rejected(self, override):
+        kwargs = dict(
+            n_list=[100], lam_rescaled=1.0, u=0.0, t_list=[0.5], replicas=2,
+            top_r=1, seed=SEED, n_ref=200,
+        )
+        with pytest.raises(InvalidInput):
+            fp_mcld_compare(**{**kwargs, **override})
