@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from mcld.clock_field import ClockField
+from mcld.clock_field import ClockField, pair_count, pair_index_decode
 
 _LATTICE = 2.0 ** 52
 
@@ -38,14 +38,17 @@ class StubClockField(ClockField):
         self._vertices = {i: _hash_for_exp(x) for i, x in (vertex_exps or {}).items()}
 
     def _pair_hash(self, i, j):
+        # same contract as ClockField._pair_hash: broadcast i against j and
+        # return the broadcast shape
+        i, j = np.broadcast_arrays(i, j)
         default = _hash_for_exp(1e9)
         return np.array(
             [
                 self._pairs.get((int(a), int(b)), default)
-                for a, b in zip(np.atleast_1d(i), np.atleast_1d(j))
+                for a, b in zip(i.ravel(), j.ravel())
             ],
             dtype=np.uint64,
-        )
+        ).reshape(i.shape)
 
     def _vertex_hash(self, i):
         default = _hash_for_exp(1e9)
@@ -53,6 +56,22 @@ class StubClockField(ClockField):
             [self._vertices.get(int(a), default) for a in np.atleast_1d(i)],
             dtype=np.uint64,
         )
+
+
+def all_pairs_edge_arrivals(field, masses, t):
+    """Oracle for ``edge_arrivals``: every positive-support pair in one array,
+    in row-major order by linear index, through the same two float tests."""
+    masses = np.asarray(masses, dtype=np.float64)
+    n_pos = int(np.count_nonzero(masses > 0.0))
+    i, j = pair_index_decode(np.arange(pair_count(n_pos), dtype=np.int64), n_pos)
+    product = masses[i - 1] * masses[j - 1]
+    h = field._pair_hash(i.astype(np.uint64), j.astype(np.uint64))
+    u = ((h >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0 ** -52
+    rough = u <= t * product
+    i, j, u, product = i[rough], j[rough], u[rough], product[rough]
+    times = -np.log1p(-u) / product
+    keep = times <= t
+    return i[keep], j[keep], times[keep]
 
 
 def brute_components(vertices, edges) -> list[frozenset[int]]:

@@ -1,8 +1,15 @@
+import hashlib
 import math
+import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mcld import clock_field
 from mcld.clock_field import (
     ClockField,
     EventClockView,
@@ -12,6 +19,9 @@ from mcld.clock_field import (
     strike_arrivals,
 )
 from mcld.errors import InvalidInput
+from mcld.feller import power_law_reference
+
+from helpers import all_pairs_edge_arrivals
 
 SEED = 20260808
 
@@ -183,8 +193,11 @@ class TestRateOverflow:
             strike_arrivals(ClockField(SEED), np.array([1e300, 1.0]), lam=1e10, t=1.0)
 
     def test_large_finite_rates_still_run(self):
-        # m_1^2 = 1e300 is finite: every pair arrives, no error
-        ei, _, et = edge_arrivals(ClockField(SEED), np.array([1e150, 1e150]), t=1.0)
+        # m_1^2 = 1e300 is finite: every pair arrives, with no error and no
+        # warning (an unclipped row bound t * m_1 * m_2 * 2**52 would overflow)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ei, _, et = edge_arrivals(ClockField(SEED), np.array([1e150, 1e150]), t=1.0)
         assert len(ei) == 1 and 0.0 < et[0] <= 1.0
 
 
@@ -195,6 +208,89 @@ class TestChildFields:
         assert a.seed != b.seed
         assert f.child(0).seed == a.seed
         assert a.unit_pair_exp(1, 2) != b.unit_pair_exp(1, 2)
+
+
+@st.composite
+def hostile_arrival_cases(draw, log_rate_lo=-3.0, log_rate_hi=3.0):
+    """(masses, t): non-increasing masses with ties, zero tails and
+    magnitudes from 1e-150 to 1e150, and t up to the finite-rate limit.
+
+    Unless t is pushed to that limit, t * m_1 * m_k lies between
+    10**log_rate_lo and 10**log_rate_hi for a drawn vertex k.
+    """
+    pool = draw(st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=5))
+    logs = draw(st.lists(st.sampled_from(pool), max_size=40))
+    zeros = draw(st.integers(0, 4))
+    masses = np.array(sorted((10.0 ** x for x in logs), reverse=True) + [0.0] * zeros)
+    if not logs:
+        return masses, draw(st.floats(0.0, 10.0))
+    m1 = float(masses[0])
+    limit = sys.float_info.max / (m1 * m1)
+    while not math.isfinite(limit * (m1 * m1)):
+        limit = math.nextafter(limit, 0.0)
+    if not draw(st.booleans()):
+        return masses, limit
+    mk = float(masses[draw(st.integers(0, len(logs) - 1))])
+    t = 10.0 ** draw(st.floats(log_rate_lo, log_rate_hi)) / (m1 * mk)
+    return masses, min(t, limit)
+
+
+class _LowLatticeField(ClockField):
+    """Pair hashes on the lattice points 0..15 with arbitrary low 12 bits, so
+    that pair thresholds of a few lattice steps meet the row bound exactly."""
+
+    __slots__ = ()
+
+    def _pair_hash(self, i, j):
+        h = super()._pair_hash(i, j)
+        return ((h >> np.uint64(60)) << np.uint64(12)) | (h & np.uint64(0xFFF))
+
+
+def _assert_matches_oracle(field, masses, t, tile):
+    # small tiles force several tiles per call and a ragged last one
+    with mock.patch.object(clock_field, "_TILE_PAIRS", tile):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = edge_arrivals(field, masses, t)
+    want = all_pairs_edge_arrivals(field, masses, t)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+_TILES = st.sampled_from([1, 2, 3, 7, 16, 45, 1 << 15])
+_LOG_LATTICE_STEP = -52 * math.log10(2.0)
+
+
+class TestRowTiledEnumeration:
+    @settings(max_examples=300, deadline=None)
+    @given(case=hostile_arrival_cases(), seed=st.integers(0, 2 ** 64 - 1), tile=_TILES)
+    @example(case=(np.array([2.0]), 1.0), seed=1, tile=1 << 15)
+    @example(case=(np.array([1e150, 1e150, 0.0]), 1.0), seed=2, tile=1)
+    @example(case=(np.full(9, 0.5), 20.0), seed=3, tile=7)
+    def test_equals_all_pairs_oracle(self, case, seed, tile):
+        _assert_matches_oracle(ClockField(seed), *case, tile)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=hostile_arrival_cases(_LOG_LATTICE_STEP - 1.0, _LOG_LATTICE_STEP + 1.3),
+        seed=st.integers(0, 2 ** 64 - 1),
+        tile=_TILES,
+    )
+    def test_row_bound_boundary_equals_oracle(self, case, seed, tile):
+        _assert_matches_oracle(_LowLatticeField(seed), *case, tile)
+
+    def test_reference_replica_pinned(self):
+        # sha256 of (i, j, time) for criterion 7's support, recorded from the
+        # linear-index enumeration that row tiling replaced
+        masses = np.asarray(power_law_reference(0.6, 4096).masses, dtype=np.float64)
+        ei, ej, et = edge_arrivals(ClockField(808).child(0), masses, 1.0)
+        digest = hashlib.sha256()
+        for arr, dtype in ((ei, "<i8"), (ej, "<i8"), (et, "<f8")):
+            digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        assert len(ei) == 2236
+        assert digest.hexdigest() == (
+            "24b2865bd5eb03cf84bb051322c26a457489c98111efd78b4a39967259dbc452"
+        )
 
 
 class TestPairEnumeration:
@@ -224,6 +320,15 @@ class TestCorruptionHook:
         first = f.unit_pair_exp(1, 2)
         second = f.unit_pair_exp(1, 2)
         assert first != second
+
+    def test_corrupted_field_salts_two_dimensional_hashes(self):
+        rows = np.arange(1, 4, dtype=np.uint64)[:, None]
+        cols = np.arange(2, 7, dtype=np.uint64)[None, :]
+        sound = ClockField(SEED)._pair_hash(rows, cols)
+        corrupted = ClockField(SEED, _corrupt=True)._pair_hash(rows, cols)
+        assert sound.shape == corrupted.shape == (3, 5)
+        # the first salt is mix64(0) = 0; every later one changes its hash
+        assert np.count_nonzero(sound != corrupted) == sound.size - 1
 
     def test_normal_field_is_pure(self):
         f = ClockField(SEED)
