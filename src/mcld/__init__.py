@@ -5,7 +5,7 @@ and the finite-n frozen percolation pre-limit with its rescaling."""
 
 from .clock_field import ClockField, EventClockView
 from .errors import InvalidInput, InvariantViolation
-from .events import deleted_mass_up_to, run_clocked, run_gillespie
+from .events import deleted_mass_up_to, run_clocked
 from .feller import coupled_distance, feller_sweep, ks_two_sample, power_law_reference
 from .frozen_percolation import (
     FPConfig,

@@ -1,4 +1,4 @@
-"""Forward event-driven simulators.
+"""Forward event engine and the package's one union-find.
 
 ``run_clocked`` replays the same exponential clocks as the fixed-horizon
 construction, processing edge arrivals and lightning strikes in one global
@@ -6,15 +6,15 @@ time order (ties: time, then edges before strikes, then lexicographic
 indices).  Deletion marks the component's root burnt; members observe the
 flag lazily, so no un-union is ever needed.
 
-``run_gillespie`` is an independent aggregated-rate sampler over component
-weights, used only for distributional cross-checks against the clocked
-engine.
+``_UnionFind`` is the disjoint-set forest behind every partition in the
+package: static grouping, this engine and the frozen percolation run.
+``deleted_mass_up_to`` reads the deleted mass off an event log.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import InvalidInput
 from .mass_state import OrderedMassVector, ordered
 from .trajectory import Event, Trajectory
 
-__all__ = ["run_clocked", "run_gillespie", "deleted_mass_up_to"]
+__all__ = ["run_clocked", "deleted_mass_up_to"]
 
 _EDGE, _STRIKE = 0, 1  # tie rank: edges apply before strikes at equal times
 
@@ -49,17 +49,23 @@ def _grid_or_default(grid, t_end: float) -> tuple[float, ...]:
     return out
 
 
-class _MergeBurnForest:
-    """Union-find over alive vertices with weights, burnt flags, min labels."""
+_SAME = -1  # what _UnionFind.union returns when the labels share a root
 
-    __slots__ = ("parent", "weight", "burnt", "minlabel")
 
-    def __init__(self, masses: Sequence[float]):
-        n = len(masses)
-        self.parent = list(range(n + 1))
-        self.weight = [0.0] + [float(m) for m in masses]
-        self.burnt = [False] * (n + 1)
-        self.minlabel = list(range(n + 1))
+class _UnionFind:
+    """Disjoint-set forest with path compression and union by weight.
+
+    The package's one union-find.  Static grouping passes unit weights,
+    ``run_clocked`` the vertex masses, ``run_fp`` the initial component
+    sizes with their first vertices as roots.  Labels index ``weight``
+    directly, so 1-based callers leave slot 0 unused.
+    """
+
+    __slots__ = ("parent", "weight")
+
+    def __init__(self, weight: list, parent: list[int] | None = None):
+        self.weight = weight
+        self.parent = list(range(len(weight))) if parent is None else parent
 
     def find(self, v: int) -> int:
         parent = self.parent
@@ -70,12 +76,19 @@ class _MergeBurnForest:
             parent[v], v = root, parent[v]
         return root
 
-    def alive_component_weights(self) -> list[float]:
-        return [
-            self.weight[v]
-            for v in range(1, len(self.parent))
-            if self.parent[v] == v and not self.burnt[v]
-        ]
+    def union(self, a: int, b: int) -> int:
+        """Merge the blocks of ``a`` and ``b``: the heavier root (on a tie,
+        ``a``'s) absorbs the other.  Returns the absorbed root, or ``_SAME``
+        when ``a`` and ``b`` already share a root."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return _SAME
+        weight = self.weight
+        if weight[ra] < weight[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        weight[ra] += weight[rb]
+        return rb
 
 
 def run_clocked(
@@ -106,29 +119,30 @@ def run_clocked(
     queue.extend((t, _STRIKE, int(v), 0) for t, v in zip(st.tolist(), sv.tolist()))
     queue.sort()
 
-    forest = _MergeBurnForest(arr.tolist())
+    n = len(arr)
+    forest = _UnionFind([0.0] + arr.tolist())
+    find, parent, weight = forest.find, forest.parent, forest.weight
+    burnt = [False] * (n + 1)
+    minlabel = list(range(n + 1))
     events: list[Event] = []
     states: list[OrderedMassVector] = []
     pos = 0
 
     def apply_event(time: float, kind: int, a: int, b: int) -> None:
         if kind == _EDGE:
-            ra, rb = forest.find(a), forest.find(b)
-            if ra == rb or forest.burnt[ra] or forest.burnt[rb]:
+            ra, rb = find(a), find(b)
+            if ra == rb or burnt[ra] or burnt[rb]:
                 return
-            ids = (forest.minlabel[ra], forest.minlabel[rb])
-            if forest.weight[ra] < forest.weight[rb]:
-                ra, rb = rb, ra
-            forest.parent[rb] = ra
-            forest.weight[ra] += forest.weight[rb]
-            forest.minlabel[ra] = min(forest.minlabel[ra], forest.minlabel[rb])
-            ev = Event(time, "merge", (min(ids), max(ids)), forest.weight[ra])
+            ids = (minlabel[ra], minlabel[rb])
+            root = parent[forest.union(ra, rb)]
+            minlabel[root] = min(ids)
+            ev = Event(time, "merge", (min(ids), max(ids)), weight[root])
         else:
-            root = forest.find(a)
-            if forest.burnt[root]:
+            root = find(a)
+            if burnt[root]:
                 return
-            forest.burnt[root] = True
-            ev = Event(time, "delete", (forest.minlabel[root],), forest.weight[root])
+            burnt[root] = True
+            ev = Event(time, "delete", (minlabel[root],), weight[root])
         events.append(ev)
         for obs in observers:
             obs(ev)
@@ -137,88 +151,17 @@ def run_clocked(
         while pos < len(queue) and queue[pos][0] <= g:
             apply_event(*queue[pos])
             pos += 1
-        states.append(ordered(forest.alive_component_weights()))
+        states.append(
+            ordered(
+                weight[v]
+                for v in range(1, n + 1)
+                if parent[v] == v and not burnt[v]
+            )
+        )
     # event log always covers the full horizon, not just the last grid point
     while pos < len(queue):
         apply_event(*queue[pos])
         pos += 1
-
-    return Trajectory(
-        initial=initial,
-        times=grid_t,
-        states=tuple(states),
-        events=tuple(events),
-        horizon=float(t_end),
-    )
-
-
-def run_gillespie(
-    masses, rng_stream, lam: float, t_end: float, grid=None
-) -> Trajectory:
-    """Aggregated-rate sampler: holding times from the total event rate.
-
-    Merge rate of a weight pair is the product of the weights; deletion rate
-    of a component is ``lam`` times its weight.  Independent of the clock
-    field; components are tracked anonymously, so event ids are synthetic
-    (initial components are numbered by rank, merges keep the smaller id).
-    """
-    initial = _as_state(masses)
-    grid_t = _grid_or_default(grid, t_end)
-    rng = (
-        rng_stream
-        if isinstance(rng_stream, np.random.Generator)
-        else np.random.default_rng(rng_stream)
-    )
-    if lam < 0:
-        raise InvalidInput("deletion rate must be nonnegative")
-
-    weights = list(initial.masses)
-    ids = list(range(1, len(weights) + 1))
-    events: list[Event] = []
-    states: list[OrderedMassVector] = []
-    now = 0.0
-    gi = 0
-
-    def snapshot_until(limit: float) -> None:
-        nonlocal gi
-        while gi < len(grid_t) and grid_t[gi] < limit:
-            states.append(ordered(weights))
-            gi += 1
-
-    while True:
-        w1 = math.fsum(weights)
-        w2 = math.fsum(w * w for w in weights)
-        merge_rate = max((w1 * w1 - w2) / 2.0, 0.0)
-        delete_rate = lam * w1
-        total = merge_rate + delete_rate
-        if total <= 0.0:
-            break
-        now += rng.exponential(1.0 / total)
-        if now > t_end:
-            now = t_end
-            break
-        snapshot_until(now)
-        probs = np.asarray(weights) / w1
-        if rng.uniform() * total < merge_rate:
-            # restart both draws on a collision: redrawing only the second
-            # index would bias pairs toward heavy components
-            while True:
-                a = int(rng.choice(len(weights), p=probs))
-                b = int(rng.choice(len(weights), p=probs))
-                if a != b:
-                    break
-            a, b = min(a, b), max(a, b)
-            merged = weights[a] + weights[b]
-            ida, idb = ids[a], ids[b]
-            weights[a] = merged
-            ids[a] = min(ida, idb)
-            del weights[b], ids[b]
-            events.append(Event(now, "merge", (min(ida, idb), max(ida, idb)), merged))
-        else:
-            a = int(rng.choice(len(weights), p=probs))
-            events.append(Event(now, "delete", (ids[a],), weights[a]))
-            del weights[a], ids[a]
-    snapshot_until(math.inf)
 
     return Trajectory(
         initial=initial,

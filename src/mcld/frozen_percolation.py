@@ -26,6 +26,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .clock_field import pair_count, pair_index_decode
 from .errors import InvalidInput
+from .events import _SAME, _UnionFind
 from .feller import ks_two_sample
 from .mass_state import OrderedMassVector
 from .serialize import format_number
@@ -147,24 +148,19 @@ def run_fp(
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    _, first_idx = np.unique(labels, return_index=True)
-    parent = first_idx[labels].astype(np.int64).tolist()
-    size = np.bincount(labels, minlength=len(first_idx)).astype(np.int64)
+    # each component's first vertex is its root and holds its size
+    _, roots, inverse, counts = np.unique(
+        labels, return_index=True, return_inverse=True, return_counts=True
+    )
     sizes = [0] * n
-    for rep, s in zip(first_idx.tolist(), size.tolist()):
-        sizes[rep] = s
+    for r, s in zip(roots.tolist(), counts.tolist()):
+        sizes[r] = s
+    forest = _UnionFind(sizes, parent=roots[inverse].tolist())
+    find, parent = forest.find, forest.parent
     burnt = [False] * n
-    live_roots = set(first_idx.tolist())
+    live_roots = set(roots.tolist())
     alive = n
     lam = config.lightning_rate
-
-    def find(v: int) -> int:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
 
     def draw_alive() -> int:
         while True:
@@ -205,15 +201,11 @@ def run_fp(
             v2 = draw_alive()
             while v2 == v1:
                 v2 = draw_alive()
-            r1, r2 = find(v1), find(v2)
-            if r1 == r2:
+            absorbed = forest.union(v1, v2)
+            if absorbed == _SAME:
                 continue  # intra-component arrival: no-op for components
-            if sizes[r1] < sizes[r2]:
-                r1, r2 = r2, r1
-            parent[r2] = r1
-            sizes[r1] += sizes[r2]
-            live_roots.discard(r2)
-            events.append((now, "merge", sizes[r1]))
+            live_roots.discard(absorbed)
+            events.append((now, "merge", sizes[parent[absorbed]]))
         else:
             v = draw_alive()
             root = find(v)
@@ -326,7 +318,8 @@ def fp_replica_rows(
 def _aggregate_mcld_top(
     weights: np.ndarray, lam: float, t_list, rng: np.random.Generator, top_r: int
 ) -> np.ndarray:
-    """Aggregated-rate coalescent-with-deletion sampler, O(support) per event.
+    """The package's only aggregated-rate coalescent-with-deletion sampler,
+    O(support) per event.
 
     Law-identical to the clocked engines (merge rate = product of weights,
     deletion rate = lam times weight) but needs no pair clocks, so it stays

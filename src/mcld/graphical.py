@@ -22,6 +22,7 @@ import numpy as np
 from . import events as _events
 from .clock_field import ClockField, edge_arrivals, strike_arrivals
 from .errors import InvalidInput
+from .events import _UnionFind
 from .mass_state import OrderedMassVector, ordered
 from .trajectory import Trajectory
 
@@ -49,40 +50,11 @@ def _masses_array(masses) -> np.ndarray:
     return arr
 
 
-class _UnionFind:
-    """Array union-find with path compression and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))  # 1-based labels; slot 0 unused
-        self.size = [1] * (n + 1)
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 def _components_from_edges(
     n: int, edge_i: np.ndarray, edge_j: np.ndarray, members: np.ndarray | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Connected components over vertex labels, enumerated by least unused label."""
-    uf = _UnionFind(n)
+    uf = _UnionFind([1] * (n + 1))
     for a, b in zip(edge_i.tolist(), edge_j.tolist()):
         uf.union(a, b)
     groups: dict[int, list[int]] = {}
@@ -92,6 +64,16 @@ def _components_from_edges(
     comps = [tuple(sorted(g)) for g in groups.values()]
     comps.sort(key=lambda c: c[0])
     return tuple(comps)
+
+
+def _component_weights(masses, comps) -> list[float]:
+    """Exactly rounded total mass of each component of 1-based labels."""
+    return [math.fsum(masses[v - 1] for v in c) for c in comps]
+
+
+def _component_s2(masses, comps) -> float:
+    """Sum of squared component weights."""
+    return math.fsum(w * w for w in _component_weights(masses, comps))
 
 
 def _strike_order(strike_v: np.ndarray, strike_t: np.ndarray) -> list[tuple[float, int]]:
@@ -157,7 +139,7 @@ class GraphRealization:
         return len(self.masses)
 
     def component_weight(self, comp: tuple[int, ...]) -> float:
-        return math.fsum(self.masses[v - 1] for v in comp)
+        return _component_weights(self.masses, (comp,))[0]
 
 
 def _assemble(
@@ -179,8 +161,7 @@ def _assemble(
     surv = _components_from_edges(
         n, edge_i[keep], edge_j[keep], members=np.flatnonzero(intact_mask)
     )
-    weights = [math.fsum(masses[v - 1] for v in comp) for comp in surv]
-    state = ordered(weights)
+    state = ordered(_component_weights(masses, surv))
     return GraphRealization(
         horizon=float(t),
         lam=float(lam),
@@ -261,7 +242,7 @@ def lightning_recursion(
     inside = np.isin(ei, comp_arr) & np.isin(ej, comp_arr)
     ei_c, ej_c, et_c = ei[inside], ej[inside], et[inside]
     n = len(arr)
-    uf = _UnionFind(n)
+    uf = _UnionFind([1] * (n + 1))
     for a, b in zip(ei_c.tolist(), ej_c.tolist()):
         uf.union(a, b)
     root = uf.find(comp[0])
@@ -315,9 +296,7 @@ def s2_growth_estimate(masses, clocks: ClockField, t: float, replicas: int) -> S
         raise InvalidInput("need at least one replica")
     samples = []
     for r in range(replicas):
-        comps = build_graph(arr, clocks.child(r), t)
-        weights = [math.fsum(arr[v - 1] for v in c) for c in comps]
-        samples.append(math.fsum(w * w for w in weights))
+        samples.append(_component_s2(arr, build_graph(arr, clocks.child(r), t)))
     mean = math.fsum(samples) / replicas
     if replicas > 1:
         var = math.fsum((s - mean) ** 2 for s in samples) / (replicas - 1)

@@ -17,10 +17,11 @@ import numpy as np
 
 from .clock_field import ClockField
 from .errors import InvalidInput, InvariantViolation
+from .events import _UnionFind
 from .graphical import (
     GraphRealization,
+    _component_s2,
     _components_from_edges,
-    _UnionFind,
     realize,
     truncated_realization,
 )
@@ -71,11 +72,6 @@ class SplitRealization:
     @property
     def n(self) -> int:
         return self.full.n
-
-
-def _component_s2(masses: tuple[float, ...], comps) -> float:
-    weights = [math.fsum(masses[v - 1] for v in c) for c in comps]
-    return math.fsum(w * w for w in weights)
 
 
 def split(masses, clocks: ClockField, lam: float, t: float, m: int) -> SplitRealization:
@@ -409,7 +405,7 @@ def bipartite_s2_samples(
     for r in range(replicas):
         exps = base.child(r).pair_exps(li, rj)
         present = exps <= thresholds
-        uf = _UnionFind(nl + nr)
+        uf = _UnionFind([1] * (nl + nr + 1))
         for u, v in zip(li[present].tolist(), rj[present].tolist()):
             uf.union(u, v)
         weights: dict[int, float] = {}

@@ -346,9 +346,18 @@ class TestSelftest:
         results = json.loads((tmp_path / "selftest.json").read_text())
         assert results["all_passed"] is True
 
-    def test_corrupted_prf_fails_pathwise(self):
-        code = cli.main(["selftest", "--suite", "quick", "--corrupt-clock-prf"])
+    def test_corrupted_prf_fails_pathwise(self, tmp_path):
+        code = cli.main(
+            [
+                "selftest", "--suite", "quick", "--corrupt-clock-prf",
+                "--out-dir", str(tmp_path),
+            ]
+        )
         assert code == 1
+        results = json.loads((tmp_path / "selftest.json").read_text())
+        assert results["all_passed"] is False
+        passed = {c["name"]: c["passed"] for c in results["criteria"]}
+        assert passed["1-pathwise-equivalence"] is False
 
 
 class TestParsing:

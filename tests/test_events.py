@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.stats
 
 from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
-from mcld.events import deleted_mass_up_to, run_clocked, run_gillespie
+from mcld.events import deleted_mass_up_to, run_clocked
 from mcld.graphical import state_at
 from mcld.mass_state import ordered
 
@@ -144,94 +142,10 @@ class TestEventCounts:
             prev = count
 
 
-class TestGillespie:
-    def test_negative_rate_rejected(self):
-        with pytest.raises(InvalidInput):
-            run_gillespie(ordered([1.0]), 3, lam=-1.0, t_end=1.0)
-
-    def test_absorbing_single_component_no_deletion(self):
-        traj = run_gillespie(ordered([3.0]), 5, lam=0.0, t_end=10.0)
-        assert traj.events == ()
-        assert traj.states[-1].masses == (3.0,)
-
-    def test_first_event_rates_from_two_components(self):
-        # state (2,1), lam=0.5: total rate 3.5, P(merge) = 2/3.5
-        rng = np.random.default_rng(99)
-        merges = 0
-        trials = 4000
-        for _ in range(trials):
-            traj = run_gillespie(ordered([2.0, 1.0]), rng, lam=0.5, t_end=50.0)
-            assert traj.events, "rates guarantee an event by t=50"
-            if traj.events[0].kind == "merge":
-                merges += 1
-        p = 2.0 / 3.5
-        sem = math.sqrt(p * (1 - p) / trials)
-        assert abs(merges / trials - p) <= 4 * sem
-
-    def test_merge_pair_law_with_asymmetric_weights(self):
-        # state (3,2,1), lam=0: pair rates 6, 3, 2 over a total of 11
-        rng = np.random.default_rng(314)
-        counts = {(3.0, 2.0): 0, (3.0, 1.0): 0, (2.0, 1.0): 0}
-        trials = 6000
-        for _ in range(trials):
-            traj = run_gillespie(ordered([3.0, 2.0, 1.0]), rng, lam=0.0, t_end=100.0)
-            merged = traj.events[0].weight
-            pair = {5.0: (3.0, 2.0), 4.0: (3.0, 1.0), 3.0: (2.0, 1.0)}[merged]
-            counts[pair] += 1
-        observed = np.array([counts[(3.0, 2.0)], counts[(3.0, 1.0)], counts[(2.0, 1.0)]])
-        expected = np.array([6.0, 3.0, 2.0]) / 11.0 * trials
-        chi = scipy.stats.chisquare(observed, expected)
-        assert chi.pvalue > 0.01
-
-    def test_holding_time_distribution(self):
-        # first event time from (2,1), lam=0.5 is Exp(3.5)
-        rng = np.random.default_rng(123)
-        times = []
-        for _ in range(3000):
-            traj = run_gillespie(ordered([2.0, 1.0]), rng, lam=0.5, t_end=50.0)
-            times.append(traj.events[0].time)
-        stat = scipy.stats.kstest(times, scipy.stats.expon(scale=1 / 3.5).cdf)
-        assert stat.pvalue > 0.01
-
-    def test_mass_balance(self):
-        traj = run_gillespie(ordered([1.0, 1.0, 1.0]), 17, lam=1.0, t_end=5.0)
-        phi = deleted_mass_up_to(traj, 5.0)
-        assert traj.states[-1].total_mass() + phi == pytest.approx(3.0, abs=1e-9)
-
-
-def _state_key(state):
-    return tuple(round(m, 9) for m in state.masses)
-
-
 class TestClockedVsGillespieLaw:
-    def test_distributions_agree_at_fixed_time(self):
-        # initial (1,1,1), lam=1, t=0.3; the reachable mass multisets are
-        # few, so compare the two samplers' category frequencies
-        v = ordered([1.0, 1.0, 1.0])
-        replicas = 20_000
-        base = ClockField(SEED + 7)
-        counts_clocked: dict[tuple, int] = {}
-        for r in range(replicas):
-            s = run_clocked(v, base.child(r), 1.0, 0.3).states[-1]
-            k = _state_key(s)
-            counts_clocked[k] = counts_clocked.get(k, 0) + 1
-        rng = np.random.default_rng(SEED)
-        counts_g: dict[tuple, int] = {}
-        for _ in range(replicas):
-            s = run_gillespie(v, rng, 1.0, 0.3).states[-1]
-            k = _state_key(s)
-            counts_g[k] = counts_g.get(k, 0) + 1
-        keys = sorted(set(counts_clocked) | set(counts_g))
-        assert len(keys) <= 12
-        a = np.array([counts_clocked.get(k, 0) for k in keys])
-        b = np.array([counts_g.get(k, 0) for k in keys])
-        tv = 0.5 * np.abs(a / replicas - b / replicas).sum()
-        assert tv <= 0.03
-        # chi-square on categories with enough mass
-        table = np.vstack([a, b])
-        keep = table.sum(axis=0) >= 10
-        chi = scipy.stats.chi2_contingency(table[:, keep])
-        assert chi.pvalue > 0.01
+    """The clocked engine's first-event law against the channel rates an
+    aggregated-rate (Gillespie) sampler draws from; the package's own
+    aggregated sampler is checked in test_frozen_percolation."""
 
     def test_clocked_first_event_rates(self):
         # masses (2,1): edge rate 2, strike rates 1 and 0.5

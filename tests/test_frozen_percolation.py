@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
+from mcld.events import run_clocked
 from mcld.frozen_percolation import (
     FPConfig,
     FPTrajectory,
+    _aggregate_mcld_top,
     fp_mcld_compare,
     gnp_component_labels,
     run_fp,
     sample_critical_er,
     scale_trajectory,
 )
+from mcld.mass_state import ordered
 
 from helpers import brute_components
 
@@ -94,6 +98,16 @@ class TestRunFp:
         config = FPConfig(n=n, lightning_rate=0.05, u=0.0, horizon=3.0, seed=SEED)
         raw = run_fp(config, labels, [config.raw_horizon])
         assert raw.deleted_total + int(raw.sizes[0].sum()) == n
+
+    def test_partition_labels_need_not_be_contiguous(self):
+        # only the partition matters: any label values name the same run
+        labels = sample_critical_er(300, 0.0, SEED)
+        config = self.config(300, 0.02, horizon=2.0)
+        times = [config.raw_horizon]
+        dense = run_fp(config, labels, times)
+        sparse = run_fp(config, 7 * labels + 3, times)
+        assert sparse.events == dense.events
+        assert np.array_equal(sparse.sizes[0], dense.sizes[0])
 
     def test_component_law_matches_static_gnp_when_deletion_free(self):
         # from the empty graph, the component process at raw time s has the
@@ -290,14 +304,12 @@ class TestScaledSquaredNormBounded:
 
 
 class TestAggregatedReferenceSampler:
-    def test_matches_clocked_engine_in_law(self):
-        # initial (1,1,1), lam=1, t=0.3: same comparison as the gillespie
-        # cross-check, but for the dust-scale aggregated sampler
-        from mcld.clock_field import ClockField
-        from mcld.events import run_clocked
-        from mcld.frozen_percolation import _aggregate_mcld_top
-        from mcld.mass_state import ordered
+    """``_aggregate_mcld_top`` is the package's only aggregated-rate sampler;
+    these pin its rates and its law against the clocked engine."""
 
+    def test_matches_clocked_engine_in_law(self):
+        # initial (1,1,1), lam=1, t=0.3: the reachable mass multisets are
+        # few, so compare category frequencies with the clocked engine
         reps = 8000
         weights = np.array([1.0, 1.0, 1.0])
         rng = np.random.default_rng(188)
@@ -312,15 +324,16 @@ class TestAggregatedReferenceSampler:
             s = run_clocked(ordered(weights), base.child(r), 1.0, 0.3).states[-1]
             counts_b[s.masses] = counts_b.get(s.masses, 0) + 1
         keys = sorted(set(counts_a) | set(counts_b))
+        assert len(keys) <= 12
         a = np.array([counts_a.get(k, 0) for k in keys])
         b = np.array([counts_b.get(k, 0) for k in keys])
+        tv = 0.5 * np.abs(a - b).sum() / reps
+        assert tv <= 0.03
         keep = (a + b) >= 10
         chi = scipy.stats.chi2_contingency(np.vstack([a[keep], b[keep]]))
         assert chi.pvalue > 0.01
 
     def test_merge_pair_law_asymmetric(self):
-        from mcld.frozen_percolation import _aggregate_mcld_top
-
         # (3,2,1) run just long enough for one event, lam=0: first merge has
         # pair law 6:3:2; read the outcome off the surviving multiset
         rng = np.random.default_rng(77)
@@ -334,6 +347,75 @@ class TestAggregatedReferenceSampler:
         expected = np.array([6.0, 3.0, 2.0]) / 11.0 * trials
         chi = scipy.stats.chisquare(observed, expected)
         assert chi.pvalue > 0.01
+
+    def test_first_event_channel_law(self):
+        # (2,1), lam=0.5: merge, delete-2 and delete-1 at rates 2 : 1 : 0.5.
+        # A single event leaves (3), (1) or (2); a second one leaves (), so
+        # the state at s has an exact five-way law built from those rates
+        s, trials = 0.3, 4000
+        rng = np.random.default_rng(99)
+        outcomes = {(2.0, 1.0): 0, (3.0,): 0, (1.0,): 0, (2.0,): 0, (): 0}
+        for _ in range(trials):
+            top = _aggregate_mcld_top(np.array([2.0, 1.0]), 0.5, [s], rng, 2)[0]
+            outcomes[tuple(top[top > 0].tolist())] += 1
+
+        def first_only(rate, after):
+            # first event through a channel of this rate before s (total
+            # rate 3.5), then no event at the remaining rate ``after``
+            return rate * math.exp(-after * s) * -math.expm1(-(3.5 - after) * s) / (
+                3.5 - after
+            )
+
+        law = [
+            math.exp(-3.5 * s),
+            first_only(2.0, 1.5),  # merge, then (3) burns at rate 1.5
+            first_only(1.0, 0.5),  # the 2 burns, then (1) burns at rate 0.5
+            first_only(0.5, 1.0),  # the 1 burns, then (2) burns at rate 1.0
+        ]
+        law.append(1.0 - sum(law))
+        chi = scipy.stats.chisquare(
+            list(outcomes.values()), np.array(law) * trials
+        )
+        assert chi.pvalue > 0.01
+
+    def test_holding_time_law(self):
+        # first event time from (2,1), lam=0.5 is Exp(3.5): the state is
+        # still (2,1) at s with probability exp(-3.5 s)
+        times, trials = [0.05, 0.2, 0.5], 4000
+        rng = np.random.default_rng(123)
+        unchanged = np.zeros(len(times))
+        for _ in range(trials):
+            rows = _aggregate_mcld_top(np.array([2.0, 1.0]), 0.5, times, rng, 2)
+            unchanged += [row.tolist() == [2.0, 1.0] for row in rows]
+        for s, hits in zip(times, unchanged):
+            p = math.exp(-3.5 * s)
+            sem = math.sqrt(p * (1.0 - p) / trials)
+            assert abs(hits / trials - p) <= 4.0 * sem
+
+    def test_absorbing_single_component_no_deletion(self):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        rows = _aggregate_mcld_top(np.array([3.0]), 0.0, [1.0, 10.0], rng, 2)
+        assert rows.tolist() == [[3.0, 0.0], [3.0, 0.0]]
+        assert rng.bit_generator.state == before  # no event was drawn
+
+    def test_rank1_law_matches_clocked_engine_at_dust_scale(self):
+        # power-law support of 64 masses, lam=1, t=1: two-sample KS on the
+        # largest surviving mass, aggregated sampler against clocked engine
+        weights = 0.6 * np.arange(1, 65, dtype=np.float64) ** -0.6
+        reps = 3000
+        rng = np.random.default_rng(2024)
+        aggregated = [
+            _aggregate_mcld_top(weights, 1.0, [1.0], rng, 1)[0, 0]
+            for _ in range(reps)
+        ]
+        base, start = ClockField(2024), ordered(weights)
+        clocked = []
+        for r in range(reps):
+            state = run_clocked(start, base.child(r), 1.0, 1.0).states[-1]
+            clocked.append(state.masses[0] if len(state) else 0.0)
+        ks = scipy.stats.ks_2samp(aggregated, clocked)
+        assert ks.pvalue > 0.01
 
 
 class TestCompareReport:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
 from mcld.feller import power_law_reference
 from mcld.graphical import (
+    _components_from_edges,
     build_graph,
     lightning_recursion,
     realize,
@@ -48,6 +51,44 @@ class TestBuildGraph:
         }
         got = {frozenset(c) for c in build_graph(masses, f, 1.5)}
         assert got == expected
+
+
+@st.composite
+def grouping_cases(draw):
+    """Vertex count, an edge list with repeats, and either no member list or
+    a shuffled union of whole components (a set closed under the edges)."""
+    n = draw(st.integers(1, 30))
+    vertex = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    edges = [(min(p), max(p)) for p in pairs if p[0] != p[1]]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=n))
+    if not draw(st.booleans()):
+        return n, edges, None
+    blocks = brute_components(range(1, n + 1), edges)
+    kept = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    members = sorted(v for b, k in zip(blocks, kept) if k for v in b)
+    return n, edges, draw(st.permutations(members))
+
+
+class TestComponentsFromEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(case=grouping_cases())
+    def test_matches_brute_force_exactly(self, case):
+        n, edges, members = case
+        vertices = sorted(range(1, n + 1) if members is None else members)
+        inside = set(vertices)  # closed: an edge is inside if one end is
+        comps = brute_components(vertices, [e for e in edges if e[0] in inside])
+        expected = tuple(sorted(tuple(sorted(c)) for c in comps))
+        got = _components_from_edges(
+            n,
+            np.array([a for a, _ in edges], dtype=np.int64),
+            np.array([b for _, b in edges], dtype=np.int64),
+            members=None if members is None else np.array(members, dtype=np.int64),
+        )
+        # sorted tuples, ordered by least label
+        assert got == expected
+        assert all(type(v) is int for c in got for v in c)
 
 
 class TestLightningRecursion:
