@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -5,6 +7,7 @@ import scipy.stats
 from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
 from mcld.events import deleted_mass_up_to, run_clocked
+from mcld.frozen_percolation import _aggregate_mcld_top
 from mcld.graphical import state_at
 from mcld.mass_state import ordered
 
@@ -142,10 +145,66 @@ class TestEventCounts:
             prev = count
 
 
+class TestGillespie:
+    """The aggregated-rate (Gillespie) sampler ``_aggregate_mcld_top``; its
+    other rate checks are in test_frozen_percolation."""
+
+    def test_merge_pair_law_with_asymmetric_weights(self):
+        # state (3,2,1), lam=0: pair rates 6, 3, 2 over a total of 11. One
+        # merge leaves (5,1), (4,2) or (3,3), whose next merge rates are 5, 8
+        # and 9; a second merge leaves (6). The state at s has an exact law.
+        s, trials = 0.1, 6000
+        rng = np.random.default_rng(314)
+        outcomes = {(3.0, 2.0, 1.0): 0, (5.0, 1.0): 0, (4.0, 2.0): 0, (3.0, 3.0): 0, (6.0,): 0}
+        for _ in range(trials):
+            top = _aggregate_mcld_top(np.array([3.0, 2.0, 1.0]), 0.0, [s], rng, 3)[0]
+            outcomes[tuple(top[top > 0].tolist())] += 1
+
+        def first_only(rate, after):
+            # the first merge is this pair's before s, then no merge at ``after``
+            return rate * math.exp(-after * s) * -math.expm1(-(11.0 - after) * s) / (
+                11.0 - after
+            )
+
+        law = [math.exp(-11.0 * s), first_only(6.0, 5.0), first_only(3.0, 8.0), first_only(2.0, 9.0)]
+        law.append(1.0 - sum(law))
+        chi = scipy.stats.chisquare(list(outcomes.values()), np.array(law) * trials)
+        assert chi.pvalue > 0.01
+
+
 class TestClockedVsGillespieLaw:
-    """The clocked engine's first-event law against the channel rates an
-    aggregated-rate (Gillespie) sampler draws from; the package's own
-    aggregated sampler is checked in test_frozen_percolation."""
+    """The clocked engine against the aggregated-rate (Gillespie) sampler
+    ``_aggregate_mcld_top``: the channel rates it draws from, and its law."""
+
+    def test_distributions_agree_at_fixed_time(self):
+        # initial (2,1,1), lam=0.5, t=0.4: asymmetric masses, so the pair law
+        # matters; the reachable mass multisets are few, so compare the two
+        # samplers' category frequencies
+        v = ordered([2.0, 1.0, 1.0])
+        replicas = 20_000
+        base = ClockField(SEED + 7)
+        counts_clocked: dict[tuple, int] = {}
+        for r in range(replicas):
+            k = run_clocked(v, base.child(r), 0.5, 0.4).states[-1].masses
+            counts_clocked[k] = counts_clocked.get(k, 0) + 1
+        rng = np.random.default_rng(SEED)
+        weights = np.array(v.masses)
+        counts_g: dict[tuple, int] = {}
+        for _ in range(replicas):
+            top = _aggregate_mcld_top(weights, 0.5, [0.4], rng, 3)[0]
+            k = tuple(top[top > 0].tolist())
+            counts_g[k] = counts_g.get(k, 0) + 1
+        keys = sorted(set(counts_clocked) | set(counts_g))
+        assert len(keys) <= 12
+        a = np.array([counts_clocked.get(k, 0) for k in keys])
+        b = np.array([counts_g.get(k, 0) for k in keys])
+        tv = 0.5 * np.abs(a / replicas - b / replicas).sum()
+        assert tv <= 0.03
+        # chi-square on categories with enough mass
+        table = np.vstack([a, b])
+        keep = table.sum(axis=0) >= 10
+        chi = scipy.stats.chi2_contingency(table[:, keep])
+        assert chi.pvalue > 0.01
 
     def test_clocked_first_event_rates(self):
         # masses (2,1): edge rate 2, strike rates 1 and 0.5
