@@ -3,36 +3,20 @@ multiplicative coalescent with linear deletion: graphical and event-driven
 engines over a shared exponential clock field, truncation sandwich bounds,
 and the finite-n frozen percolation pre-limit with its rescaling."""
 
-from .clock_field import ClockField, EventClockView
+from .clock_field import ClockField
 from .errors import InvalidInput, InvariantViolation
 from .events import deleted_mass_up_to, run_clocked
 from .feller import coupled_distance, feller_sweep, ks_two_sample, power_law_reference
-from .frozen_percolation import (
-    FPConfig,
-    fp_mcld_compare,
-    run_fp,
-    sample_critical_er,
-    scale_trajectory,
-)
+from .frozen_percolation import FPConfig, fp_mcld_compare, run_fp, sample_critical_er
 from .graphical import (
     GraphRealization,
-    build_graph,
-    lightning_recursion,
     realize,
     s2_growth_estimate,
     state_at,
     trajectory,
     truncated_realization,
 )
-from .mass_state import (
-    OrderedMassVector,
-    WeightedPartition,
-    compare_via_s2,
-    dist,
-    ordered,
-    s2_of_partition,
-    truncate,
-)
+from .mass_state import OrderedMassVector, dist, ordered, truncate
 from .multigraph import ComponentMultigraph, classify_bad_bruteforce
 from .trajectory import Event, Trajectory
 from .truncation import (

@@ -80,13 +80,13 @@ def _timed(fn):
 # criteria 1 and 9: pathwise equivalence and trajectory sanity
 
 
-def _pathwise_case(k: int, clock_factory) -> dict:
+def _pathwise_case(k: int, corrupt: bool) -> dict:
     rng = np.random.default_rng([SEED_PATHWISE, k])
     support = int(rng.integers(1, 51))
     masses = ordered(rng.uniform(0.0, 1.0, support) + 1e-9)
     lam = (0.0, 0.5, 2.0)[k % 3]
     t = (0.2, 1.0)[k % 2]
-    field = clock_factory(SEED_PATHWISE * 1000 + k)
+    field = ClockField(SEED_PATHWISE * 1000 + k, _corrupt=corrupt)
 
     traj_probe = run_clocked(masses, field, lam, t)
     event_times = sorted({e.time for e in traj_probe.events})
@@ -127,8 +127,7 @@ def _pathwise_case(k: int, clock_factory) -> dict:
 
 @lru_cache(maxsize=2)
 def _pathwise_bundle(corrupt: bool = False) -> tuple[dict, ...]:
-    factory = (lambda s: ClockField(s, _corrupt=True)) if corrupt else ClockField
-    return tuple(_pathwise_case(k, factory) for k in range(1000))
+    return tuple(_pathwise_case(k, corrupt) for k in range(1000))
 
 
 @_timed

@@ -62,7 +62,7 @@ def _parse_gen(rule: str, seed: int) -> OrderedMassVector:
             rng = np.random.default_rng([seed, 0xEEC])
             draws = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
             return OrderedMassVector(tuple(draws))
-    except (ValueError, InvalidInput) as exc:
+    except (ValueError, OverflowError, InvalidInput) as exc:
         raise InvalidInput(f"bad generator rule {rule!r}: {exc}") from None
     raise InvalidInput(
         f"unknown generator rule {rule!r}; expected powerlaw:EXP:N, "
@@ -97,7 +97,7 @@ def _number(text: str, convert, name: str):
     """``convert(text)`` for a numeric argument; a float must be finite."""
     try:
         value = convert(text)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"bad {name} {text!r}: {exc}") from None
     if isinstance(value, float) and not math.isfinite(value):
         raise InvalidInput(f"{name} must be finite, got {text!r}")

@@ -50,8 +50,6 @@ same float tests, in the same row-major order, as a plain all-pairs scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -59,7 +57,6 @@ from .errors import InvalidInput
 
 __all__ = [
     "ClockField",
-    "EventClockView",
     "edge_arrivals",
     "strike_arrivals",
     "pair_count",
@@ -149,55 +146,6 @@ class ClockField:
 
     def vertex_exps(self, i: np.ndarray) -> np.ndarray:
         return _to_unit_exp(self._vertex_hash(i.astype(np.uint64)))
-
-    def unit_pair_exp(self, i: int, j: int) -> float:
-        if i == j:
-            raise InvalidInput("pair clocks require two distinct indices")
-        if i < 1 or j < 1:
-            raise InvalidInput("vertex indices are 1-based positive integers")
-        lo, hi = (i, j) if i < j else (j, i)
-        out = self.pair_exps(
-            np.array([lo], dtype=np.uint64), np.array([hi], dtype=np.uint64)
-        )
-        return float(out[0])
-
-    def unit_vertex_exp(self, i: int) -> float:
-        if i < 1:
-            raise InvalidInput("vertex indices are 1-based positive integers")
-        return float(self.vertex_exps(np.array([i], dtype=np.uint64))[0])
-
-
-@dataclass(frozen=True)
-class EventClockView:
-    """Scalar arrival times for a fixed mass assignment and deletion rate.
-
-    ``masses[k]`` is the mass of vertex ``k+1``.  Zero-mass vertices never
-    connect and are never struck (their clocks are at infinity), which is
-    exactly what realizes truncated initial states under the shared field.
-    """
-
-    masses: Sequence[float]
-    lam: float
-    field: ClockField
-
-    def _mass(self, i: int) -> float:
-        if i < 1:
-            raise InvalidInput("vertex indices are 1-based positive integers")
-        return self.masses[i - 1] if i <= len(self.masses) else 0.0
-
-    def edge_time(self, i: int, j: int) -> float:
-        if i == j:
-            raise InvalidInput("edge times require two distinct vertices")
-        product = self._mass(i) * self._mass(j)
-        if product == 0.0:
-            return float("inf")
-        return self.field.unit_pair_exp(i, j) / product
-
-    def strike_time(self, i: int) -> float:
-        rate = self.lam * self._mass(i)
-        if rate == 0.0:
-            return float("inf")
-        return self.field.unit_vertex_exp(i) / rate
 
 
 def pair_count(n: int) -> int:

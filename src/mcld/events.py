@@ -14,7 +14,6 @@ package: static grouping, this engine and the frozen percolation run.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -97,7 +96,6 @@ def run_clocked(
     lam: float,
     t_end: float,
     grid=None,
-    observers: Iterable[Callable[[Event], None]] = (),
 ) -> Trajectory:
     """Simulate forward to ``t_end``, recording states on ``grid``.
 
@@ -108,7 +106,6 @@ def run_clocked(
     initial = _as_state(masses)
     grid_t = _grid_or_default(grid, t_end)
     arr = np.asarray(initial.masses, dtype=np.float64)
-    observers = tuple(observers)
 
     ei, ej, et = edge_arrivals(clocks, arr, t_end)
     sv, st = strike_arrivals(clocks, arr, lam, t_end)
@@ -136,16 +133,13 @@ def run_clocked(
             ids = (minlabel[ra], minlabel[rb])
             root = parent[forest.union(ra, rb)]
             minlabel[root] = min(ids)
-            ev = Event(time, "merge", (min(ids), max(ids)), weight[root])
+            events.append(Event(time, "merge", (min(ids), max(ids)), weight[root]))
         else:
             root = find(a)
             if burnt[root]:
                 return
             burnt[root] = True
-            ev = Event(time, "delete", (minlabel[root],), weight[root])
-        events.append(ev)
-        for obs in observers:
-            obs(ev)
+            events.append(Event(time, "delete", (minlabel[root],), weight[root]))
 
     for g in grid_t:
         while pos < len(queue) and queue[pos][0] <= g:

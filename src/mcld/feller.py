@@ -46,11 +46,9 @@ def power_law_reference(
     return ordered(float(i) ** (-exponent) for i in range(1, support + 1))
 
 
-def coupled_distance(
-    initial_a, initial_b, lam: float, t: float, seed: int, clock_factory=ClockField
-) -> float:
+def coupled_distance(initial_a, initial_b, lam: float, t: float, seed: int) -> float:
     """Distance at time t between two runs sharing one clock field."""
-    field = clock_factory(seed)
+    field = ClockField(seed)
     state_a = realize(initial_a, field, lam, t).state
     state_b = realize(initial_b, field, lam, t).state
     return dist(state_a, state_b)
@@ -65,22 +63,6 @@ class CouplingReport:
     distances: dict[int, tuple[float, ...]]
     quantiles: dict[int, tuple[float, float]]  # (median, 0.9-quantile)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_list": list(self.n_list),
-            "replicas": self.replicas,
-            "seeds": list(self.seeds),
-            "quantiles": {
-                str(n): {"p50": q[0], "p90": q[1]} for n, q in self.quantiles.items()
-            },
-        }
-
-    def csv_rows(self):
-        """Raw distances as rows (n, replica, distance)."""
-        for n in self.n_list:
-            for r, d in enumerate(self.distances[n]):
-                yield (n, r, d)
-
     def exceedance(self, n: int, threshold: float) -> float:
         """Empirical probability that the coupled distance exceeds threshold."""
         samples = self.distances[n]
@@ -94,7 +76,6 @@ def feller_sweep(
     replicas: int,
     reference: OrderedMassVector | None = None,
     seed: int = 0,
-    clock_factory=ClockField,
 ) -> CouplingReport:
     """Coupled distances between a reference state and its truncations.
 
@@ -112,7 +93,7 @@ def feller_sweep(
         )
     if replicas < 1:
         raise InvalidInput("need at least one replica")
-    base = clock_factory(seed)
+    base = ClockField(seed)
     samples: dict[int, list[float]] = {n: [] for n in n_list}
     child_seeds = []
     for r in range(replicas):

@@ -28,18 +28,15 @@ from .clock_field import pair_count, pair_index_decode
 from .errors import InvalidInput
 from .events import _SAME, _UnionFind
 from .feller import ks_two_sample
-from .mass_state import OrderedMassVector
 from .serialize import format_number
 from .truncation import feller_budget, tail_truncation_index
 
 __all__ = [
     "FPConfig",
     "FPTrajectory",
-    "ScaledSample",
     "gnp_component_labels",
     "sample_critical_er",
     "run_fp",
-    "scale_trajectory",
     "FPCompareReport",
     "fp_mcld_compare",
 ]
@@ -49,7 +46,6 @@ __all__ = [
 class FPConfig:
     n: int
     lightning_rate: float  # per vertex per unit raw time
-    u: float  # critical-window parameter of the initial graph
     horizon: float  # rescaled time horizon
     seed: int
 
@@ -226,28 +222,6 @@ def run_fp(
 
 
 @dataclass(frozen=True)
-class ScaledSample:
-    t: float  # rescaled time
-    state: OrderedMassVector
-
-
-def scale_trajectory(
-    raw: FPTrajectory, n: int, rescaled_times: Sequence[float]
-) -> list[ScaledSample]:
-    """Map raw component counts to rescaled masses at the requested times."""
-    scale = n ** (-2.0 / 3.0)
-    out = []
-    for t in rescaled_times:
-        tau = n ** (-1.0 / 3.0) * float(t)
-        match = [k for k, rt in enumerate(raw.times) if abs(rt - tau) <= 1e-12]
-        if not match:
-            raise InvalidInput(f"raw trajectory does not cover rescaled time {t}")
-        masses = raw.sizes[match[0]].astype(np.float64) * scale
-        out.append(ScaledSample(t=float(t), state=OrderedMassVector(tuple(masses))))
-    return out
-
-
-@dataclass(frozen=True)
 class FPCompareReport:
     n_list: tuple[int, ...]
     t_list: tuple[float, ...]
@@ -285,13 +259,6 @@ class FPCompareReport:
         }
 
 
-def _top_masses(state: OrderedMassVector, top_r: int) -> np.ndarray:
-    out = np.zeros(top_r)
-    head = state.masses[:top_r]
-    out[: len(head)] = head
-    return out
-
-
 def fp_replica_rows(
     n: int, lam_rescaled: float, u: float, t_list, top_r: int, seed: int, r: int
 ) -> np.ndarray:
@@ -301,7 +268,6 @@ def fp_replica_rows(
     config = FPConfig(
         n=n,
         lightning_rate=lam_rescaled * n ** (-1.0 / 3.0),
-        u=u,
         horizon=t_list[-1],
         seed=seed,
     )
@@ -310,8 +276,8 @@ def fp_replica_rows(
     raw_times = [n ** (-1.0 / 3.0) * t for t in t_list]
     raw = run_fp(config, labels, raw_times, top=top_r, rng=rng)
     out = np.zeros((len(t_list), top_r))
-    for k, sample in enumerate(scale_trajectory(raw, n, t_list)):
-        out[k] = _top_masses(sample.state, top_r)
+    for k, sizes in enumerate(raw.sizes):
+        out[k, : len(sizes)] = sizes * n ** (-2.0 / 3.0)
     return out
 
 
@@ -460,6 +426,11 @@ def fp_mcld_compare(
     ):
         if value < least:
             raise InvalidInput(f"{name} must be at least {least}")
+    for n in (*n_list, n_ref):
+        if pair_count(n) >= 2 ** 53:
+            raise InvalidInput(
+                f"size {n} is too large: its pair count n(n-1)/2 must stay below 2**53"
+            )
     tasks = [
         (fp_replica_rows, (n, lam_rescaled, u, t_list, top_r, seed, r))
         for n in n_list

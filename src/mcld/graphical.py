@@ -30,8 +30,6 @@ __all__ = [
     "GraphRealization",
     "realize",
     "truncated_realization",
-    "build_graph",
-    "lightning_recursion",
     "state_at",
     "trajectory",
     "S2Growth",
@@ -138,9 +136,6 @@ class GraphRealization:
     def n(self) -> int:
         return len(self.masses)
 
-    def component_weight(self, comp: tuple[int, ...]) -> float:
-        return _component_weights(self.masses, (comp,))[0]
-
 
 def _assemble(
     masses: np.ndarray,
@@ -215,45 +210,6 @@ def truncated_realization(real: GraphRealization, m: int) -> GraphRealization:
     )
 
 
-def build_graph(masses, clocks: ClockField, t: float) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the clock graph at horizon ``t`` (no deletion)."""
-    if t < 0:
-        raise InvalidInput("horizon must be nonnegative")
-    arr = _masses_array(masses)
-    ei, ej, _ = edge_arrivals(clocks, arr, t)
-    return _components_from_edges(len(arr), ei, ej)
-
-
-def lightning_recursion(
-    component, masses, clocks: ClockField, lam: float, t: float
-) -> frozenset[int]:
-    """Intact subset of one connected component after replaying its strikes.
-
-    The component must be connected in the clock graph at horizon ``t``;
-    strikes outside the component cannot touch it, so the replay is local.
-    """
-    arr = _masses_array(masses)
-    comp = sorted(set(int(v) for v in component))
-    if not comp or comp[0] < 1 or comp[-1] > len(arr):
-        raise InvalidInput("component labels must lie within the support")
-    ei, ej, et = edge_arrivals(clocks, arr, t)
-    members = set(comp)
-    comp_arr = np.asarray(comp, dtype=np.int64)
-    inside = np.isin(ei, comp_arr) & np.isin(ej, comp_arr)
-    ei_c, ej_c, et_c = ei[inside], ej[inside], et[inside]
-    n = len(arr)
-    uf = _UnionFind([1] * (n + 1))
-    for a, b in zip(ei_c.tolist(), ej_c.tolist()):
-        uf.union(a, b)
-    root = uf.find(comp[0])
-    if any(uf.find(v) != root for v in comp[1:]):
-        raise InvalidInput("the given vertex set is not connected at this horizon")
-    sv, st_arr = strike_arrivals(clocks, arr, lam, t)
-    local = [(ts, v) for ts, v in _strike_order(sv, st_arr) if v in members]
-    intact_mask = _intact_after_strikes(n, ei_c, ej_c, et_c, local)
-    return frozenset(v for v in comp if intact_mask[v])
-
-
 def state_at(masses, clocks: ClockField, lam: float, t: float) -> OrderedMassVector:
     """State of the process at horizon ``t``: ordered survivor weights."""
     return realize(masses, clocks, lam, t).state
@@ -285,6 +241,8 @@ def s2_growth_estimate(masses, clocks: ClockField, t: float, replicas: int) -> S
     Refuses unless the initial squared norm is at most 1/(2t), the regime in
     which the doubling bound applies.
     """
+    if t < 0:
+        raise InvalidInput("horizon must be nonnegative")
     arr = _masses_array(masses)
     s2_0 = float(np.sum(arr * arr))
     if t > 0 and s2_0 > 1.0 / (2.0 * t) + 1e-12:
@@ -296,7 +254,8 @@ def s2_growth_estimate(masses, clocks: ClockField, t: float, replicas: int) -> S
         raise InvalidInput("need at least one replica")
     samples = []
     for r in range(replicas):
-        samples.append(_component_s2(arr, build_graph(arr, clocks.child(r), t)))
+        ei, ej, _ = edge_arrivals(clocks.child(r), arr, t)
+        samples.append(_component_s2(arr, _components_from_edges(len(arr), ei, ej)))
     mean = math.fsum(samples) / replicas
     if replicas > 1:
         var = math.fsum((s - mean) ** 2 for s in samples) / (replicas - 1)

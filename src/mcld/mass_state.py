@@ -1,4 +1,4 @@
-"""Ordered mass vectors, the l2 metric between them, and squared-norm sums.
+"""Ordered mass vectors and the l2 metric between them.
 
 States are non-increasing sequences of nonnegative masses with finite
 support; the squared l2 norm of the component weights (``s2``) is the
@@ -9,20 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import InvalidInput
 
-__all__ = [
-    "OrderedMassVector",
-    "WeightedPartition",
-    "ordered",
-    "dist",
-    "s2_of_partition",
-    "state_of_partition",
-    "truncate",
-    "compare_via_s2",
-]
+__all__ = ["OrderedMassVector", "ordered", "dist", "truncate"]
 
 
 @dataclass(frozen=True)
@@ -66,9 +57,6 @@ class OrderedMassVector:
         return list(self.masses)
 
 
-EMPTY = OrderedMassVector(())
-
-
 def ordered(values: Iterable[float]) -> OrderedMassVector:
     """Decreasing rearrangement of a nonnegative sequence.
 
@@ -97,56 +85,8 @@ def dist(a: OrderedMassVector, b: OrderedMassVector) -> float:
     return math.sqrt(math.fsum(diffs))
 
 
-@dataclass(frozen=True)
-class WeightedPartition:
-    """Disjoint blocks of vertex labels with a mass attached to every vertex."""
-
-    blocks: tuple[frozenset[int], ...]
-    vertex_masses: Mapping[int, float]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for block in self.blocks:
-            if seen & block:
-                raise InvalidInput("partition blocks must be pairwise disjoint")
-            seen |= block
-        for v in seen:
-            if v not in self.vertex_masses:
-                raise InvalidInput(f"vertex {v} has no mass assigned")
-
-    def block_weights(self) -> list[float]:
-        return [
-            math.fsum(self.vertex_masses[v] for v in sorted(block))
-            for block in self.blocks
-        ]
-
-
-def s2_of_partition(p: WeightedPartition) -> float:
-    """Sum of squared block weights."""
-    return math.fsum(w * w for w in p.block_weights())
-
-
-def state_of_partition(p: WeightedPartition) -> OrderedMassVector:
-    """Decreasing rearrangement of the block weights."""
-    return ordered(p.block_weights())
-
-
 def truncate(v: OrderedMassVector, m: int) -> OrderedMassVector:
     """Keep the first ``m`` entries; truncating past the support is the identity."""
     if m < 0:
         raise InvalidInput("truncation index must be nonnegative")
     return OrderedMassVector(v.masses[:m])
-
-
-def compare_via_s2(v_small_s2: float, v_big_s2: float) -> float:
-    """Distance bound sqrt(s2_big - s2_small) for nested weighted graphs.
-
-    Valid only when the caller knows the smaller graph is contained in the
-    bigger one, which forces the s2 ordering checked here.
-    """
-    if v_big_s2 < v_small_s2:
-        raise InvalidInput(
-            f"s2 ordering violated ({v_big_s2} < {v_small_s2}); "
-            "the graphs cannot be nested"
-        )
-    return math.sqrt(v_big_s2 - v_small_s2)

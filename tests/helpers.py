@@ -4,8 +4,11 @@ package's own graph machinery so they can serve as oracles)."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from mcld.clock_field import ClockField, pair_count, pair_index_decode
 
@@ -58,6 +61,47 @@ class StubClockField(ClockField):
         )
 
 
+def unit_pair_exp(field, i: int, j: int) -> float:
+    """Scalar pair clock of ``{i, j}``, in either order, via ``field.pair_exps``."""
+    lo, hi = min(i, j), max(i, j)
+    return float(field.pair_exps(np.array([lo]), np.array([hi]))[0])
+
+
+def unit_vertex_exp(field, i: int) -> float:
+    """Scalar vertex clock of ``i`` via ``field.vertex_exps``."""
+    return float(field.vertex_exps(np.array([i]))[0])
+
+
+@dataclass(frozen=True)
+class EventClockView:
+    """Scalar arrival times for a fixed mass assignment and deletion rate,
+    one clock at a time: the reference for the batch tables of
+    ``edge_arrivals`` and ``strike_arrivals``.
+
+    ``masses[k]`` is the mass of vertex ``k+1``.  Zero-mass vertices, and
+    vertices beyond the support, never connect and are never struck.
+    """
+
+    masses: Sequence[float]
+    lam: float
+    field: ClockField
+
+    def _mass(self, i: int) -> float:
+        return self.masses[i - 1] if i <= len(self.masses) else 0.0
+
+    def edge_time(self, i: int, j: int) -> float:
+        product = self._mass(i) * self._mass(j)
+        if product == 0.0:
+            return math.inf
+        return unit_pair_exp(self.field, i, j) / product
+
+    def strike_time(self, i: int) -> float:
+        rate = self.lam * self._mass(i)
+        if rate == 0.0:
+            return math.inf
+        return unit_vertex_exp(self.field, i) / rate
+
+
 def all_pairs_edge_arrivals(field, masses, t):
     """Oracle for ``edge_arrivals``: every positive-support pair in one array,
     in row-major order by linear index, through the same two float tests."""
@@ -101,3 +145,21 @@ def brute_components(vertices, edges) -> list[frozenset[int]]:
 def ordered_weights(masses: dict[int, float], comps) -> tuple[float, ...]:
     weights = sorted((sum(masses[v] for v in c) for c in comps), reverse=True)
     return tuple(w for w in weights if w > 0)
+
+
+@st.composite
+def hostile_masses(draw, max_support=25):
+    """Non-increasing masses with ties and zero tails: a few magnitudes from
+    1e-150 to 1e150 (some near 1, where clocks ring inside unit horizons),
+    each repeated, then up to four zeros."""
+    exponent = st.one_of(st.floats(-1.0, 1.0), st.floats(-150.0, 150.0))
+    pool = draw(st.lists(exponent, min_size=1, max_size=5))
+    logs = draw(st.lists(st.sampled_from(pool), max_size=max_support))
+    zeros = draw(st.integers(0, 4))
+    return sorted((10.0 ** x for x in logs), reverse=True) + [0.0] * zeros
+
+
+# deletion rates and horizons for the hostile-mass property tests; every
+# product t * m_1 * m_1 and lam * m_1 stays finite for masses up to 1e150
+HOSTILE_LAMBDAS = st.sampled_from([0.0, 0.5, 2.0])
+HOSTILE_HORIZONS = st.sampled_from([1e-300, 0.3, 1.0, 5.0])

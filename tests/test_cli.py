@@ -1,9 +1,13 @@
 import hashlib
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcld import cli
 from mcld.serialize import dumps
@@ -289,6 +293,7 @@ class TestCheckedNumbers:
             ("truncation", "--seed zz"),
             ("truncation", "--truncate 4,99"),
             ("truncation", "--gen constant:1e200:4"),
+            ("truncation", "--gen powerlaw:-1000:5"),
             ("fp", "--replicas 0"),
             ("fp", "--replicas abc"),
             ("fp", "--top-r 0"),
@@ -303,6 +308,8 @@ class TestCheckedNumbers:
             ("fp", "--t 0.6,0.3"),
             ("fp", "--seed -1"),
             ("fp", "--lambda abc"),
+            ("fp", "--n-list 10000000000000000000000"),
+            ("fp", "--n-ref 134217729"),
         ],
     )
     def test_bad_value_exits_2_without_output(self, tmp_path, capsys, command, changes):
@@ -319,7 +326,11 @@ class TestCheckedNumbers:
         assert "Traceback" not in err and err.startswith("error:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("entries", ['["a"]', "[null]", "[[1]]", "[1e999]"])
+    @pytest.mark.parametrize(
+        "entries",
+        ['["a"]', "[null]", "[[1]]", "[1e999]",
+         pytest.param(f"[1{'0' * 400}]", id="[400-digit integer]")],
+    )
     def test_bad_masses_file_entry(self, tmp_path, capsys, entries):
         path = tmp_path / "masses.json"
         path.write_text(entries)
@@ -337,6 +348,75 @@ class TestCheckedNumbers:
         assert cli.main([*argv, "--out-dir", str(out)]) == 2
         assert "MCLD_SEED" in capsys.readouterr().err
         assert not out.exists()
+
+
+_BIG = "1" + "0" * 29  # a 30-digit integer
+_HOSTILE = ["nan", "inf", "1e400", "-1", "0", _BIG, "", "abc"]
+# plain values half the time, so that runs also get past their first argument
+_token = st.one_of(st.sampled_from(["1", "3"]), st.sampled_from(_HOSTILE))
+_support = st.sampled_from(["0", "1", "5", "8", "-1", "", "abc", "1e400"])
+_rule_number = st.sampled_from(["-1000", "1e200", "1e400", "nan", "-1", "0.6", _BIG, ""])
+_gen_rule = st.one_of(
+    st.builds(
+        "{}:{}:{}".format,
+        st.sampled_from(["powerlaw", "constant"]), _rule_number, _support,
+    ),
+    st.builds("uniform:{}".format, _support),
+    st.sampled_from(["powerlaw:1", "constant", "", "nope:1:2", "uniform:1:2"]),
+)
+
+
+def _joined(max_size):
+    return st.lists(_token, max_size=max_size).map(",".join)
+
+
+def _sorted_list(values, max_size, reverse):
+    # well-formed lists too, so that runs reach the engines
+    return st.lists(
+        st.sampled_from(values), max_size=max_size, unique=not reverse
+    ).map(lambda xs: ",".join(sorted(xs, key=float, reverse=reverse)))
+
+
+_masses = st.one_of(
+    _joined(8), _sorted_list([_BIG, "3", "1", "0.5", "1e-150", "0"], 8, True)
+)
+_grid = st.one_of(_joined(4), _sorted_list(["0", "0.5", "1", "3", _BIG], 4, False))
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """``simulate`` or ``truncation`` with every value drawn from hostile
+    tokens; generator supports stay at 8 or less."""
+    command = draw(st.sampled_from(["simulate", "truncation"]))
+    source = draw(st.sampled_from(["--masses", "--gen"]))
+    argv = [command, source, draw(_masses if source == "--masses" else _gen_rule)]
+    argv += ["--lambda", draw(_token)]
+    if command == "truncation" or draw(st.booleans()):
+        argv += ["--t", draw(_token)]
+    else:
+        argv += ["--grid", draw(_grid)]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(_token)]
+    if command == "truncation":
+        argv += ["--truncate", draw(_joined(3).filter(bool))]
+        # a 30-digit replica count is valid input asking for unbounded work
+        argv += ["--replicas", draw(_token.filter(lambda t: t != _BIG))]
+    return argv
+
+
+class TestCliFuzz:
+    # derandomized: the same 200 argument lists on every run
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(argv=fuzzed_argv())
+    @example(argv=["simulate", "--gen", "powerlaw:-1000:5", "--t", "1"])
+    def test_exit_code_contract(self, argv):
+        # 0 or 2, never an exception; a refused run leaves no out-dir
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code = cli.main([*argv, "--out-dir", str(out)])
+            assert code in (0, 2), argv
+            if code == 2:
+                assert not out.exists(), argv
 
 
 class TestSelftest:

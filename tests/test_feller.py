@@ -116,14 +116,6 @@ class TestFellerSweep:
             assert big.distances[n] == small.distances[n]
             assert big.quantiles[n] == small.quantiles[n]
 
-    def test_report_json_shape(self):
-        ref = power_law_reference(0.6, 16)
-        report = feller_sweep([4, 8], 1.0, 0.5, replicas=3, reference=ref, seed=1)
-        d = report.to_json_dict()
-        assert d["n_list"] == [4, 8]
-        assert set(d["quantiles"]) == {"4", "8"}
-        assert set(d["quantiles"]["4"]) == {"p50", "p90"}
-
 
 class TestCriterion7Ladder:
     """Criterion 7's reference: power law 0.6 on support 4096, threshold 0.2."""

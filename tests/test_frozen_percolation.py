@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from mcld import frozen_percolation
 from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
 from mcld.events import run_clocked
@@ -13,9 +15,9 @@ from mcld.frozen_percolation import (
     _aggregate_mcld_top,
     fp_mcld_compare,
     gnp_component_labels,
+    fp_replica_rows,
     run_fp,
     sample_critical_er,
-    scale_trajectory,
 )
 from mcld.mass_state import ordered
 
@@ -77,14 +79,12 @@ class TestSampleCriticalEr:
 
 class TestRunFp:
     def config(self, n, lam, horizon=1.0, seed=SEED):
-        return FPConfig(n=n, lightning_rate=lam, u=0.0, horizon=horizon, seed=seed)
+        return FPConfig(n=n, lightning_rate=lam, horizon=horizon, seed=seed)
 
     def test_single_vertex_deleted_at_exponential_time(self):
         times = []
         for s in range(3000):
-            config = FPConfig(
-                n=1, lightning_rate=0.8, u=0.0, horizon=50.0, seed=s
-            )
+            config = FPConfig(n=1, lightning_rate=0.8, horizon=50.0, seed=s)
             traj = run_fp(config, np.zeros(1, dtype=np.int64), [], rng=np.random.default_rng(s))
             if traj.events:
                 times.append(traj.events[0][0])
@@ -95,7 +95,7 @@ class TestRunFp:
     def test_mass_conservation(self):
         n = 500
         labels = sample_critical_er(n, 0.0, SEED)
-        config = FPConfig(n=n, lightning_rate=0.05, u=0.0, horizon=3.0, seed=SEED)
+        config = FPConfig(n=n, lightning_rate=0.05, horizon=3.0, seed=SEED)
         raw = run_fp(config, labels, [config.raw_horizon])
         assert raw.deleted_total + int(raw.sizes[0].sum()) == n
 
@@ -119,7 +119,7 @@ class TestRunFp:
         largest_dyn = []
         for r in range(reps):
             config = FPConfig(
-                n=n, lightning_rate=0.0, u=0.0, horizon=s * n ** (1 / 3.0), seed=r
+                n=n, lightning_rate=0.0, horizon=s * n ** (1 / 3.0), seed=r
             )
             raw = run_fp(config, singletons, [s], rng=np.random.default_rng([1, r]))
             largest_dyn.append(int(raw.sizes[0][0]))
@@ -143,9 +143,7 @@ class TestRunFp:
         counts = {"merge": 0, 3: 0, 2: 0, 1: 0}
         reps = 8000
         for r in range(reps):
-            config = FPConfig(
-                n=6, lightning_rate=lam, u=0.0, horizon=1000.0, seed=r
-            )
+            config = FPConfig(n=6, lightning_rate=lam, horizon=1000.0, seed=r)
             raw = run_fp(config, labels, [], rng=np.random.default_rng([3, r]))
             assert raw.events
             t0, kind, size = raw.events[0]
@@ -174,7 +172,7 @@ class TestRunFp:
         for group in by_label.values():
             init_edges.extend(zip(group, group[1:]))  # spanning path
         lam = 0.02
-        config = FPConfig(n=n, lightning_rate=lam, u=0.5, horizon=4.0, seed=SEED)
+        config = FPConfig(n=n, lightning_rate=lam, horizon=4.0, seed=SEED)
         record = [config.raw_horizon * k / 4 for k in range(1, 5)]
         raw = run_fp(config, labels, record, rng=np.random.default_rng([5, SEED]))
         oracle = _fullgraph_fp(
@@ -242,49 +240,45 @@ def _fullgraph_fp(n, lam, labels, init_edges, record, rng, horizon):
 
 
 class TestScaleTrajectory:
+    """``fp_replica_rows`` scales the recorded component sizes by n^(-2/3),
+    one row per rescaled time, zero-padded to ``top_r``."""
+
     def test_formula(self):
-        n = 10 ** 6
+        n = 8 ** 3
         raw = FPTrajectory(
             n=n,
-            times=(10 ** -2,),
-            sizes=(np.array([10 ** 4], dtype=np.int64),),
+            times=(n ** (-1.0 / 3.0),),
+            sizes=(np.array([64, 32], dtype=np.int64),),
             events=(),
             deleted_total=0,
         )
-        sample = scale_trajectory(raw, n, [1.0])[0]
-        assert sample.t == 1.0
-        assert sample.state.masses[0] == pytest.approx(1.0, rel=1e-12)
+        with mock.patch.object(frozen_percolation, "run_fp", return_value=raw):
+            rows = fp_replica_rows(n, 1.0, 0.0, [1.0], 3, SEED, 0)
+        assert rows.shape == (1, 3)
+        assert rows[0] == pytest.approx([1.0, 0.5, 0.0], rel=1e-12)
 
     def test_time_zero(self):
-        raw = FPTrajectory(
-            n=8,
-            times=(0.0,),
-            sizes=(np.array([3, 2, 1], dtype=np.int64),),
-            events=(),
-            deleted_total=0,
-        )
-        sample = scale_trajectory(raw, 8, [0.0])[0]
-        assert sample.state.masses == tuple(
-            np.array([3.0, 2.0, 1.0]) * 8 ** (-2.0 / 3.0)
-        )
+        # no time passes: the row is the scaled initial critical components
+        n, seed, r = 500, SEED, 3
+        labels = sample_critical_er(n, 0.0, np.random.default_rng([seed, n, r]))
+        want = component_sizes(labels)[:4] * n ** (-2.0 / 3.0)
+        rows = fp_replica_rows(n, 1.0, 0.0, [0.0], 4, seed, r)
+        assert np.array_equal(rows[0], want)
 
     def test_ordering_preserved(self):
-        raw = FPTrajectory(
-            n=27,
-            times=(1.0,),
-            sizes=(np.array([5, 5, 2], dtype=np.int64),),
-            events=(),
-            deleted_total=0,
-        )
-        state = scale_trajectory(raw, 27, [27 ** (1.0 / 3.0)])[0].state
-        assert state.masses[0] == state.masses[1] >= state.masses[2]
+        # several times, and more ranks than components survive
+        rows = fp_replica_rows(27, 2.0, 0.0, [0.0, 1.0, 3.0], 40, SEED, 0)
+        assert rows.shape == (3, 40)
+        assert np.all(rows[:, :-1] >= rows[:, 1:])
+        assert np.all(rows[:, -1] == 0.0)
+        sizes = rows * 27 ** (2.0 / 3.0)
+        assert np.allclose(sizes, np.round(sizes), rtol=0.0, atol=1e-9)
 
     def test_uncovered_time_rejected(self):
-        raw = FPTrajectory(
-            n=8, times=(0.5,), sizes=(np.array([8]),), events=(), deleted_total=0
-        )
+        # a recording time the run does not reach is refused, not extrapolated
+        config = FPConfig(n=8, lightning_rate=1.0, horizon=1.0, seed=SEED)
         with pytest.raises(InvalidInput):
-            scale_trajectory(raw, 8, [99.0])
+            run_fp(config, np.arange(8), [config.raw_horizon * 2.0])
 
 
 class TestScaledSquaredNormBounded:

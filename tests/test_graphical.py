@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcld.clock_field import ClockField
+from mcld.clock_field import ClockField, edge_arrivals
 from mcld.errors import InvalidInput
 from mcld.feller import power_law_reference
 from mcld.graphical import (
     _components_from_edges,
-    build_graph,
-    lightning_recursion,
     realize,
     s2_growth_estimate,
     state_at,
@@ -17,39 +15,48 @@ from mcld.graphical import (
 )
 from mcld.mass_state import ordered
 
-from helpers import StubClockField, brute_components
+from helpers import (
+    HOSTILE_HORIZONS,
+    HOSTILE_LAMBDAS,
+    StubClockField,
+    brute_components,
+    hostile_masses,
+)
 
 SEED = 31415
 
 
+def graph_components(masses, field, t):
+    """Components of the clock graph at horizon ``t``, with no deletion."""
+    return realize(masses, field, 0.0, t).components
+
+
 class TestBuildGraph:
     def test_no_edges_at_time_zero(self):
-        comps = build_graph(ordered([1.0] * 4), ClockField(SEED), 0.0)
+        comps = graph_components(ordered([1.0] * 4), ClockField(SEED), 0.0)
         assert comps == ((1,), (2,), (3,), (4,))
 
     def test_threshold_crossing(self):
         f = StubClockField(pair_exps={(1, 2): 0.5})
         masses = ordered([1.0, 1.0])
-        assert build_graph(masses, f, 0.4) == ((1,), (2,))
-        assert build_graph(masses, f, 0.6) == ((1, 2),)
+        assert graph_components(masses, f, 0.4) == ((1,), (2,))
+        assert graph_components(masses, f, 0.6) == ((1, 2),)
 
     def test_connectivity_is_transitive(self):
         f = StubClockField(pair_exps={(1, 2): 0.1, (2, 3): 0.2})
-        comps = build_graph(ordered([1.0] * 3), f, 1.0)
+        comps = graph_components(ordered([1.0] * 3), f, 1.0)
         assert comps == ((1, 2, 3),)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force_components(self, seed):
         f = ClockField(seed)
         masses = ordered(np.random.default_rng(seed).uniform(0.2, 1.0, 12).tolist())
-        from mcld.clock_field import edge_arrivals
-
         ei, ej, _ = edge_arrivals(f, np.asarray(masses.masses), 1.5)
         expected = {
             c
             for c in brute_components(range(1, 13), list(zip(ei.tolist(), ej.tolist())))
         }
-        got = {frozenset(c) for c in build_graph(masses, f, 1.5)}
+        got = {frozenset(c) for c in graph_components(masses, f, 1.5)}
         assert got == expected
 
 
@@ -92,42 +99,34 @@ class TestComponentsFromEdges:
 
 
 class TestLightningRecursion:
+    """Strike replay: a strike burns the struck vertex's component in the
+    graph as it stood at the strike time, among intact vertices."""
+
     def test_no_strikes_returns_component(self):
         f = StubClockField(pair_exps={(1, 2): 0.5})
-        intact = lightning_recursion((1, 2), ordered([1.0, 1.0]), f, 0.0, 0.6)
-        assert intact == frozenset({1, 2})
+        assert realize(ordered([1.0, 1.0]), f, 0.0, 0.6).intact == {1, 2}
 
     def test_strike_before_edge_burns_one_vertex(self):
         # hand trace: the strike at 0.3 removes vertex 2 alone because the
         # edge only arrives at 0.5
         f = StubClockField(pair_exps={(1, 2): 0.5}, vertex_exps={2: 0.3})
-        intact = lightning_recursion((1, 2), ordered([1.0, 1.0]), f, 1.0, 0.6)
-        assert intact == frozenset({1})
+        assert realize(ordered([1.0, 1.0]), f, 1.0, 0.6).intact == {1}
 
     def test_strike_after_edge_burns_both(self):
         f = StubClockField(pair_exps={(1, 2): 0.5}, vertex_exps={2: 0.55})
-        intact = lightning_recursion((1, 2), ordered([1.0, 1.0]), f, 1.0, 0.6)
-        assert intact == frozenset()
-
-    def test_disconnected_input_rejected(self):
-        f = StubClockField()
-        with pytest.raises(InvalidInput):
-            lightning_recursion((1, 2), ordered([1.0, 1.0]), f, 1.0, 0.6)
-
-    def test_labels_outside_support_rejected(self):
-        f = StubClockField()
-        with pytest.raises(InvalidInput):
-            lightning_recursion((1, 9), ordered([1.0, 1.0]), f, 1.0, 0.6)
+        assert realize(ordered([1.0, 1.0]), f, 1.0, 0.6).intact == frozenset()
 
     def test_strike_on_already_burnt_vertex_is_noop(self):
-        # vertex 3 joins 2 only at time 0.4; strike at 2 (t=0.1) burns {2},
-        # later strike at 3 (t=0.5) burns {3}; vertex 1 joins nobody
+        # the strike at 2 (t=0.2) burns {2, 3}, joined at 0.1; the edge (3, 4)
+        # arrives at 0.4, after 3 burnt, so the strike at 3 (t=0.5) lands on a
+        # burnt vertex and must not reach 4 through that edge
         f = StubClockField(
-            pair_exps={(2, 3): 0.4},
-            vertex_exps={2: 0.1, 3: 0.5},
+            pair_exps={(2, 3): 0.1, (3, 4): 0.4}, vertex_exps={2: 0.2, 3: 0.5}
         )
-        intact = lightning_recursion((2, 3), ordered([1.0, 1.0, 1.0]), f, 1.0, 1.0)
-        assert intact == frozenset()
+        real = realize(ordered([1.0] * 4), f, 1.0, 1.0)
+        assert sorted(real.strike_vertex.tolist()) == [2, 3]
+        assert real.intact == {1, 4}
+        assert real.state.masses == (1.0, 1.0)
 
 
 class TestStateAt:
@@ -138,7 +137,7 @@ class TestStateAt:
     def test_deletion_free_reduces_to_component_weights(self):
         f = ClockField(SEED)
         v = ordered([1.0, 0.7, 0.4, 0.2])
-        comps = build_graph(v, f, 1.2)
+        comps = graph_components(v, f, 1.2)
         weights = [sum(v.masses[i - 1] for i in c) for c in comps]
         assert state_at(v, f, 0.0, 1.2) == ordered(weights)
 
@@ -199,6 +198,32 @@ class TestRealizationInvariants:
         trunc = truncated_realization(full, 2)
         assert {3, 4} <= trunc.intact
         assert trunc.state == state_at(ordered([1.0, 0.8]), f, 1.0, 1.0)
+
+
+class TestPrefixCoupling:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        masses=hostile_masses(),
+        lam=HOSTILE_LAMBDAS,
+        t=HOSTILE_HORIZONS,
+        seed=st.integers(0, 2 ** 64 - 1),
+    )
+    def test_truncation_equals_realization_of_zeroed_tail(self, masses, lam, t, seed):
+        # under the shared field, filtering the full run's tables to labels
+        # <= m is the run from x with x[m:] = 0, on every field, at every m
+        f = ClockField(seed)
+        full = realize(masses, f, lam, t)
+        for m in range(len(masses) + 1):
+            zeroed = masses[:m] + [0.0] * (len(masses) - m)
+            got, want = truncated_realization(full, m), realize(zeroed, f, lam, t)
+            for name in ("edge_i", "edge_j", "edge_time", "strike_vertex", "strike_time"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert got.masses == want.masses
+            assert got.components == want.components
+            assert got.intact == want.intact
+            assert got.survivor_components == want.survivor_components
+            assert got.state == want.state
 
 
 class TestS2Growth:

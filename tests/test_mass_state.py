@@ -5,16 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcld.errors import InvalidInput
-from mcld.mass_state import (
-    OrderedMassVector,
-    WeightedPartition,
-    compare_via_s2,
-    dist,
-    ordered,
-    s2_of_partition,
-    state_of_partition,
-    truncate,
-)
+from mcld.graphical import _component_s2, _component_weights
+from mcld.mass_state import OrderedMassVector, dist, ordered, truncate
 
 from helpers import brute_components, ordered_weights
 
@@ -76,54 +68,38 @@ class TestDist:
 
 
 class TestS2:
+    """Sum of squared component weights, as truncation reads it off a
+    realization: masses are indexed by 1-based vertex labels."""
+
     def test_two_blocks(self):
-        p = WeightedPartition(
-            blocks=(frozenset({1, 2}), frozenset({3})),
-            vertex_masses={1: 2.0, 2: 1.0, 3: 1.0},
+        assert _component_s2([2.0, 1.0, 1.0], ((1, 2), (3,))) == pytest.approx(
+            10.0, abs=1e-12
         )
-        assert s2_of_partition(p) == pytest.approx(10.0, abs=1e-12)
 
     def test_singletons(self):
-        masses = {k: float(k) for k in range(1, 6)}
-        p = WeightedPartition(
-            blocks=tuple(frozenset({k}) for k in masses), vertex_masses=masses
-        )
-        assert s2_of_partition(p) == pytest.approx(sum(k * k for k in masses))
+        masses = [float(k) for k in range(1, 6)]
+        comps = tuple((k,) for k in range(1, 6))
+        assert _component_s2(masses, comps) == pytest.approx(sum(k * k for k in masses))
 
     def test_single_block(self):
-        p = WeightedPartition(
-            blocks=(frozenset({1, 2, 3, 4}),),
-            vertex_masses={k: 1.0 for k in range(1, 5)},
-        )
-        assert s2_of_partition(p) == pytest.approx(16.0)
-
-    def test_disjointness_enforced(self):
-        with pytest.raises(InvalidInput):
-            WeightedPartition(
-                blocks=(frozenset({1, 2}), frozenset({2, 3})),
-                vertex_masses={1: 1.0, 2: 1.0, 3: 1.0},
-            )
+        assert _component_s2([1.0] * 4, ((1, 2, 3, 4),)) == pytest.approx(16.0)
 
     @given(
         st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=2, max_size=10),
         st.data(),
     )
     def test_merging_two_blocks_adds_twice_the_product(self, values, data):
-        masses = {k + 1: v for k, v in enumerate(values)}
-        blocks = [frozenset({k}) for k in masses]
+        blocks = [(k,) for k in range(1, len(values) + 1)]
         a = data.draw(st.integers(min_value=0, max_value=len(blocks) - 1))
         b = data.draw(st.integers(min_value=0, max_value=len(blocks) - 1))
         if a == b:
             return
-        pa = WeightedPartition(blocks=tuple(blocks), vertex_masses=masses)
         merged = [blk for k, blk in enumerate(blocks) if k not in (a, b)]
-        merged.append(blocks[a] | blocks[b])
-        pb = WeightedPartition(blocks=tuple(merged), vertex_masses=masses)
-        wa = sum(masses[v] for v in blocks[a])
-        wb = sum(masses[v] for v in blocks[b])
-        assert s2_of_partition(pb) - s2_of_partition(pa) == pytest.approx(
-            2 * wa * wb, rel=1e-9
-        )
+        merged.append(tuple(sorted(blocks[a] + blocks[b])))
+        wa, wb = values[a], values[b]
+        assert _component_s2(values, merged) - _component_s2(
+            values, blocks
+        ) == pytest.approx(2 * wa * wb, rel=1e-9)
 
 
 class TestTruncate:
@@ -143,15 +119,28 @@ class TestTruncate:
 
 
 class TestCompareViaS2:
+    """For a graph G inside G' on the same weighted vertices, the states are
+    at most sqrt(s2(G') - s2(G)) apart."""
+
+    @staticmethod
+    def nested_states(masses, edges_small, edges_big):
+        vertices = sorted(masses)
+        small = ordered(ordered_weights(masses, brute_components(vertices, edges_small)))
+        big = ordered(ordered_weights(masses, brute_components(vertices, edges_big)))
+        return small, big
+
     def test_equal(self):
-        assert compare_via_s2(10.0, 10.0) == 0.0
+        # an edge to a zero-mass vertex moves neither s2 nor the state
+        small, big = self.nested_states({1: 2.0, 2: 0.0}, [], [(1, 2)])
+        assert math.sqrt(big.norm_sq() - small.norm_sq()) == 0.0
+        assert dist(small, big) == 0.0
 
     def test_gap_of_four(self):
-        assert compare_via_s2(10.0, 14.0) == 2.0
-
-    def test_order_violation(self):
-        with pytest.raises(InvalidInput):
-            compare_via_s2(14.0, 10.0)
+        # (1,1,1,1) -> (2,2): s2 goes 4 -> 8 and the bound 2 is attained
+        masses = {v: 1.0 for v in range(1, 5)}
+        small, big = self.nested_states(masses, [], [(1, 2), (3, 4)])
+        assert math.sqrt(big.norm_sq() - small.norm_sq()) == 2.0
+        assert dist(small, big) == 2.0
 
     def test_hand_enumerated_nested_graph_pair(self):
         # masses (2,1,1); no edges vs the single edge {1,2}: s2 goes 6 -> 10,
@@ -164,7 +153,7 @@ class TestCompareViaS2:
         s2_small = sum(w * w for w in state_small)
         s2_big = sum(w * w for w in state_big)
         assert (s2_small, s2_big) == (6.0, 10.0)
-        bound = compare_via_s2(s2_small, s2_big)
+        bound = math.sqrt(s2_big - s2_small)
         assert bound == 2.0
         actual = dist(state_small, state_big)
         assert actual == pytest.approx(math.sqrt(2), abs=1e-12)
@@ -192,18 +181,14 @@ class TestCompareViaS2:
             ordered_weights(masses, brute_components(vertices, sub | extra))
         )
         lhs = dist(small, big)
-        rhs = compare_via_s2(
-            min(small.norm_sq(), big.norm_sq()), max(small.norm_sq(), big.norm_sq())
-        )
+        rhs = math.sqrt(abs(big.norm_sq() - small.norm_sq()))
         assert lhs <= rhs + 1e-9
 
 
 def test_state_of_partition_matches_ordered_weights():
-    p = WeightedPartition(
-        blocks=(frozenset({1, 3}), frozenset({2})),
-        vertex_masses={1: 0.5, 2: 2.0, 3: 1.0},
-    )
-    assert state_of_partition(p).masses == (2.0, 1.5)
+    # a realization's state is the decreasing rearrangement of its block weights
+    weights = _component_weights([0.5, 2.0, 1.0], ((1, 3), (2,)))
+    assert ordered(weights).masses == (2.0, 1.5)
 
 
 def test_canonical_trailing_zeros():
