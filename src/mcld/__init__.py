@@ -13,7 +13,6 @@ from .graphical import (
     realize,
     s2_growth_estimate,
     state_at,
-    trajectory,
     truncated_realization,
 )
 from .mass_state import OrderedMassVector, dist, ordered, truncate
@@ -23,12 +22,10 @@ from .truncation import (
     SplitRealization,
     TruncationReport,
     bipartite_bound,
-    classify_bad,
     component_multigraph,
     feller_budget,
     good_component_check,
     sandwich_graphs,
-    split,
     truncation_bound,
     truncation_report,
 )

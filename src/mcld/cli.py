@@ -179,9 +179,9 @@ def cmd_simulate(args) -> int:
 def cmd_truncation(args) -> int:
     seed = _seed_of(args)
     initial = _initial_state(args, seed)
-    grid = _parse_grid(args)
-    if len(grid) != 1:
-        raise InvalidInput("truncation reports use a single --t")
+    t = _number(args.t, float, "--t")
+    if t < 0:
+        raise InvalidInput("--t must be nonnegative")
     lam = _rate(args)
     levels = _int_list(args.truncate, "--truncate")
     if not levels:
@@ -194,7 +194,7 @@ def cmd_truncation(args) -> int:
     reports = {}
     for r in range(replicas):
         # one realization per replica serves every level
-        full = realize(initial, base.child(r), lam, grid[0])
+        full = realize(initial, base.child(r), lam, t)
         for level in levels:
             try:
                 rep = report_from_split(split_from_realization(full, level))
@@ -327,8 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("truncation", help="sandwich reports per level and seed")
     add_state_args(p_tr)
     p_tr.add_argument("--lambda", dest="lam", default="1", help="deletion rate")
-    p_tr.add_argument("--t", help="time horizon")
-    p_tr.add_argument("--grid", help=argparse.SUPPRESS)
+    p_tr.add_argument("--t", required=True, help="time horizon")
     p_tr.add_argument("--truncate", required=True, help="comma-separated levels")
     p_tr.add_argument("--replicas", default="1")
     add_common(p_tr)
@@ -351,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("--suite", choices=("quick", "full"), default="quick")
     p_st.add_argument("--corrupt-clock-prf", action="store_true",
                       help=argparse.SUPPRESS)  # negative-control test hook
-    p_st.add_argument("--seed", help=argparse.SUPPRESS)
     p_st.add_argument("--out-dir", default=None, help="where to write results JSON")
     p_st.set_defaults(func=cmd_selftest)
 

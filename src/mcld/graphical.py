@@ -19,19 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import events as _events
 from .clock_field import ClockField, edge_arrivals, strike_arrivals
 from .errors import InvalidInput
 from .events import _UnionFind
 from .mass_state import OrderedMassVector, ordered
-from .trajectory import Trajectory
 
 __all__ = [
     "GraphRealization",
     "realize",
     "truncated_realization",
     "state_at",
-    "trajectory",
     "S2Growth",
     "s2_growth_estimate",
 ]
@@ -51,7 +48,14 @@ def _masses_array(masses) -> np.ndarray:
 def _components_from_edges(
     n: int, edge_i: np.ndarray, edge_j: np.ndarray, members: np.ndarray | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """Connected components over vertex labels, enumerated by least unused label."""
+    """Components of the subgraph spanned by ``members`` (default: every label
+    1..n), enumerated by least label; an edge with an end outside ``members``
+    is dropped."""
+    if members is not None:
+        inside = np.zeros(n + 1, dtype=bool)
+        inside[members] = True
+        keep = inside[edge_i] & inside[edge_j]
+        edge_i, edge_j = edge_i[keep], edge_j[keep]
     uf = _UnionFind([1] * (n + 1))
     for a, b in zip(edge_i.tolist(), edge_j.tolist()):
         uf.union(a, b)
@@ -112,7 +116,8 @@ def _intact_after_strikes(
 
 @dataclass(frozen=True)
 class GraphRealization:
-    """Everything the fixed-horizon construction produces for one seed.
+    """One seed's fixed-horizon construction: the edge and strike tables, the
+    intact set left by the strike replay, and the state at the horizon.
 
     Vertex labels are 1-based over the full stored support, including any
     zero-mass tail (such vertices are isolated, never struck, and stay
@@ -127,9 +132,7 @@ class GraphRealization:
     edge_time: np.ndarray
     strike_vertex: np.ndarray
     strike_time: np.ndarray
-    components: tuple[tuple[int, ...], ...]
     intact: frozenset[int]
-    survivor_components: tuple[tuple[int, ...], ...]
     state: OrderedMassVector
 
     @property
@@ -148,14 +151,11 @@ def _assemble(
     strike_t: np.ndarray,
 ) -> GraphRealization:
     n = len(masses)
-    comps = _components_from_edges(n, edge_i, edge_j)
     intact_mask = _intact_after_strikes(
         n, edge_i, edge_j, edge_t, _strike_order(strike_v, strike_t)
     )
-    keep = intact_mask[edge_i] & intact_mask[edge_j]
-    surv = _components_from_edges(
-        n, edge_i[keep], edge_j[keep], members=np.flatnonzero(intact_mask)
-    )
+    survivors = np.flatnonzero(intact_mask)
+    surv = _components_from_edges(n, edge_i, edge_j, members=survivors)
     state = ordered(_component_weights(masses, surv))
     return GraphRealization(
         horizon=float(t),
@@ -166,9 +166,7 @@ def _assemble(
         edge_time=edge_t,
         strike_vertex=strike_v,
         strike_time=strike_t,
-        components=comps,
-        intact=frozenset(np.flatnonzero(intact_mask).tolist()),
-        survivor_components=surv,
+        intact=frozenset(survivors.tolist()),
         state=state,
     )
 
@@ -213,19 +211,6 @@ def truncated_realization(real: GraphRealization, m: int) -> GraphRealization:
 def state_at(masses, clocks: ClockField, lam: float, t: float) -> OrderedMassVector:
     """State of the process at horizon ``t``: ordered survivor weights."""
     return realize(masses, clocks, lam, t).state
-
-
-def trajectory(masses, clocks: ClockField, lam: float, time_grid) -> Trajectory:
-    """States on a strictly increasing grid plus the full event log.
-
-    Delegates to the forward event engine, which is pathwise-equal to the
-    fixed-horizon construction because both consume the same clocks under
-    the same event order.
-    """
-    grid = tuple(float(g) for g in time_grid)
-    if not grid:
-        raise InvalidInput("time grid must be nonempty")
-    return _events.run_clocked(masses, clocks, lam, t_end=grid[-1], grid=grid)
 
 
 @dataclass(frozen=True)

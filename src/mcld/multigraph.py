@@ -70,26 +70,10 @@ def _adjacency(cm: ComponentMultigraph) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def _component_labels(cm: ComponentMultigraph, adj) -> list[int]:
-    label = [-1] * cm.n_vertices
-    current = 0
-    for start in range(cm.n_vertices):
-        if label[start] != -1:
-            continue
-        label[start] = current
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w, _ in adj[u]:
-                if label[w] == -1:
-                    label[w] = current
-                    stack.append(w)
-        current += 1
-    return label
-
-
-def _non_bridge_edges(cm: ComponentMultigraph, adj) -> set[int]:
-    """Edge ids lying on a circuit (iterative lowpoint computation).
+def _non_bridge_edges(cm: ComponentMultigraph, adj) -> tuple[set[int], list[int]]:
+    """Edge ids lying on a circuit (iterative lowpoint computation), and each
+    vertex's component label: the vertex the search of its component started
+    from.
 
     Parallel edges are distinct ids, so a doubled edge shows up as a back
     edge for its twin and neither is reported as a bridge.
@@ -97,6 +81,7 @@ def _non_bridge_edges(cm: ComponentMultigraph, adj) -> set[int]:
     n = cm.n_vertices
     disc = [-1] * n
     low = [0] * n
+    label = list(range(n))  # a search start labels itself
     bridges: set[int] = set()
     counter = 0
     for start in range(n):
@@ -115,6 +100,7 @@ def _non_bridge_edges(cm: ComponentMultigraph, adj) -> set[int]:
                     continue
                 if disc[w] == -1:
                     disc[w] = low[w] = counter
+                    label[w] = start
                     counter += 1
                     stack.append((w, eid, 0))
                 else:
@@ -127,18 +113,17 @@ def _non_bridge_edges(cm: ComponentMultigraph, adj) -> set[int]:
                     if low[u] > disc[parent]:
                         bridges.add(pe)
     all_ids = set(range(len(cm.edges)))
-    return all_ids - bridges
+    return all_ids - bridges, label
 
 
 def classify_bad(cm: ComponentMultigraph) -> frozenset[int]:
     """Lower ids from which an edge-simple walk reaches damage."""
     adj = _adjacency(cm)
-    label = _component_labels(cm, adj)
+    non_bridge, label = _non_bridge_edges(cm, adj)
     damage_count = [0] * cm.n_vertices
     for v in range(cm.n_vertices):
         if cm.damaged(v):
             damage_count[label[v]] += 1
-    non_bridge = _non_bridge_edges(cm, adj)
     flat = cm.flat_edges()
     on_circuit = [False] * cm.n_vertices
     for eid in non_bridge:

@@ -33,9 +33,9 @@ __all__ = [
     "SplitRealization",
     "SandwichGraphs",
     "TruncationReport",
-    "split",
+    "split_from_realization",
+    "report_from_split",
     "component_multigraph",
-    "classify_bad",
     "sandwich_graphs",
     "good_component_check",
     "truncation_report",
@@ -74,25 +74,15 @@ class SplitRealization:
         return self.full.n
 
 
-def split(masses, clocks: ClockField, lam: float, t: float, m: int) -> SplitRealization:
-    """Run the full and level-m truncated processes under the same clocks."""
-    full = realize(masses, clocks, lam, t)
-    return split_from_realization(full, m)
-
-
 def split_from_realization(full: GraphRealization, m: int) -> SplitRealization:
-    """Same as :func:`split` when the full realization is already available."""
+    """The level-m truncated run under the full run's clocks, and the full
+    graph's components spanned on the labels ``[1, m]`` and ``(m, n]``."""
     if m < 0 or m > full.n:
         raise InvalidInput(f"truncation level must be in [0, {full.n}]")
     trunc = truncated_realization(full, m)
-    lower = tuple(c for c in trunc.components if c[0] <= m)
-    upper_mask = full.edge_i > m
-    upper = _components_from_edges(
-        full.n,
-        full.edge_i[upper_mask],
-        full.edge_j[upper_mask],
-        members=np.arange(m + 1, full.n + 1, dtype=np.int64),
-    )
+    labels = np.arange(1, full.n + 1, dtype=np.int64)
+    lower = _components_from_edges(full.n, full.edge_i, full.edge_j, members=labels[:m])
+    upper = _components_from_edges(full.n, full.edge_i, full.edge_j, members=labels[m:])
     alpha = _component_s2(full.masses, lower)
     beta = _component_s2(full.masses, upper)
     return SplitRealization(
@@ -140,13 +130,6 @@ def component_multigraph(sr: SplitRealization) -> ComponentMultigraph:
     )
 
 
-def classify_bad(sr: SplitRealization, cm: ComponentMultigraph) -> frozenset[int]:
-    """Indices of bad lower components (edge-simple walk reaches damage)."""
-    if cm.n_lower != len(sr.lower_components) or cm.n_upper != len(sr.upper_components):
-        raise InvalidInput("multigraph does not match the split realization")
-    return _classify_multigraph(cm)
-
-
 # ---------------------------------------------------------------------------
 # sandwich graphs
 
@@ -161,19 +144,11 @@ class SandwichGraphs:
 
 def _s2_spanned(full: GraphRealization, vertices: frozenset[int]) -> float:
     members = np.array(sorted(vertices), dtype=np.int64)
-    keep = np.isin(full.edge_i, members) & np.isin(full.edge_j, members)
-    comps = _components_from_edges(
-        full.n, full.edge_i[keep], full.edge_j[keep], members=members
-    )
+    comps = _components_from_edges(full.n, full.edge_i, full.edge_j, members=members)
     return _component_s2(full.masses, comps)
 
 
-def sandwich_graphs(
-    sr: SplitRealization,
-    bad: frozenset[int],
-    intact_full: frozenset[int],
-    intact_trunc: frozenset[int],
-) -> SandwichGraphs:
+def sandwich_graphs(sr: SplitRealization, bad: frozenset[int]) -> SandwichGraphs:
     """Inner and outer spanned subgraphs bracketing both survivor graphs.
 
     Outer: good components cut to the truncated run's intact set, bad
@@ -181,6 +156,7 @@ def sandwich_graphs(
     good components cut to the truncated run's intact set.  Raises when the
     bracketing inclusions fail, since that can only be a construction bug.
     """
+    intact_full, intact_trunc = sr.full.intact, sr.truncated.intact
     m = sr.level
     v_hat: set[int] = set()
     v_check: set[int] = set(range(m + 1, sr.n + 1))
@@ -210,12 +186,7 @@ def sandwich_graphs(
     )
 
 
-def good_component_check(
-    sr: SplitRealization,
-    bad: frozenset[int],
-    intact_full: frozenset[int],
-    intact_trunc: frozenset[int],
-) -> list[int]:
+def good_component_check(sr: SplitRealization, bad: frozenset[int]) -> list[int]:
     """Good components must meet both intact sets identically; returns the
     indices that violate this (expected empty)."""
     violations = []
@@ -223,7 +194,7 @@ def good_component_check(
         if idx in bad:
             continue
         members = set(comp)
-        if members & intact_trunc != members & intact_full:
+        if members & sr.truncated.intact != members & sr.full.intact:
             violations.append(idx)
     return violations
 
@@ -245,6 +216,7 @@ class TruncationReport:
     distance: float
     bound_terms: tuple[float, float] | None
     holds: bool
+    bad: frozenset[int]
 
     def to_json_dict(self) -> dict:
         return {
@@ -264,16 +236,17 @@ def truncation_report(
     masses, clocks: ClockField, lam: float, t: float, m: int
 ) -> TruncationReport:
     """End-to-end sandwich computation for one seed and one level."""
-    sr = split(masses, clocks, lam, t, m)
-    return report_from_split(sr)
+    return report_from_split(split_from_realization(realize(masses, clocks, lam, t), m))
 
 
 def report_from_split(sr: SplitRealization) -> TruncationReport:
-    cm = component_multigraph(sr)
-    bad = classify_bad(sr, cm)
-    sw = sandwich_graphs(sr, bad, sr.full.intact, sr.truncated.intact)
+    """Sandwich report of one split; its lower components are classified once,
+    and the bad set is kept on the report."""
+    bad = _classify_multigraph(component_multigraph(sr))
+    sw = sandwich_graphs(sr, bad)
 
-    s2_h = _s2_spanned(sr.full, sr.full.intact)
+    # the graph spanned on the full run's intact set is its survivor graph
+    s2_h = sr.full.state.norm_sq()
     s2_hm = _s2_spanned(sr.full, sr.truncated.intact)
     for mid, label in ((s2_h, "survivor"), (s2_hm, "truncated-intact spanned")):
         if not (sw.s2_hat - SANDWICH_TOL <= mid <= sw.s2_check + SANDWICH_TOL):
@@ -300,6 +273,7 @@ def report_from_split(sr: SplitRealization) -> TruncationReport:
         distance=distance,
         bound_terms=terms,
         holds=bool(distance <= 3.0 * math.sqrt(gap) + SANDWICH_TOL),
+        bad=bad,
     )
 
 
@@ -464,7 +438,7 @@ def frozen_split_gap_samples(
     alpha = beta = None
     for r in range(replicas):
         field = _SplitResampleField(frozen, frozen.child(r), m)
-        sr = split(masses, field, lam, t, m)
+        sr = split_from_realization(realize(masses, field, lam, t), m)
         if alpha is None:
             alpha, beta = sr.alpha, sr.beta
             if t * t * alpha * beta > 0.5:

@@ -265,6 +265,20 @@ class TestOutputAnchors:
             "9b42b80ae26ceca27c3648c6eb1a610baa668cd976efcc46db1017caeef6fb2a"
         )
 
+    def test_readme_truncation_reports(self, tmp_path):
+        # the README's truncation example: every level, 60 reports in name order
+        argv = (
+            "truncation --gen powerlaw:0.6:512 --lambda 1 --t 1 --truncate 16,64,256 "
+            "--replicas 20 --seed 3"
+        ).split()
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        names = sorted(os.listdir(tmp_path))
+        assert len(names) == 60
+        blob = b"".join((tmp_path / name).read_bytes() for name in names)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "9f86da7782bbf5a0ffbbaf8f2ce55a038c0e36f468f654fff8635e9b313a1a5b"
+        )
+
 
 BAD_NUMBER_BASES = {
     "simulate": "simulate --masses 1,0.5 --lambda 1 --t 1",
@@ -443,6 +457,20 @@ class TestSelftest:
 class TestParsing:
     def test_unknown_command_exit_2(self):
         assert cli.main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # selftest takes no --seed; truncation takes one --t and no --grid
+            "selftest --suite quick --seed 1",
+            "truncation --masses 1,0.5 --t 1 --grid 1 --truncate 1",
+            "truncation --masses 1,0.5 --truncate 1",
+        ],
+    )
+    def test_unknown_or_missing_option_exit_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert cli.main([*argv.split(), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_grid_must_increase(self, tmp_path):
         code = cli.main(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mcld.clock_field import ClockField, edge_arrivals
 from mcld.errors import InvalidInput
+from mcld.events import run_clocked
 from mcld.feller import power_law_reference
 from mcld.graphical import (
     _components_from_edges,
@@ -28,7 +29,8 @@ SEED = 31415
 
 def graph_components(masses, field, t):
     """Components of the clock graph at horizon ``t``, with no deletion."""
-    return realize(masses, field, 0.0, t).components
+    real = realize(masses, field, 0.0, t)
+    return _components_from_edges(real.n, real.edge_i, real.edge_j)
 
 
 class TestBuildGraph:
@@ -168,7 +170,8 @@ class TestRealizationInvariants:
         real = realize(v, f, 2.0, 1.0)
         arr = np.asarray(real.masses)
         s2_graph = sum(
-            sum(arr[i - 1] for i in c) ** 2 for c in real.components
+            sum(arr[i - 1] for i in c) ** 2
+            for c in _components_from_edges(real.n, real.edge_i, real.edge_j)
         )
         assert real.state.norm_sq() <= s2_graph + 1e-12
 
@@ -187,9 +190,13 @@ class TestRealizationInvariants:
             if sv not in before.intact:
                 assert removed == set()
                 continue
-            comp_of_strike = next(
-                set(c) for c in before.survivor_components if sv in c
+            survivors = _components_from_edges(
+                before.n,
+                before.edge_i,
+                before.edge_j,
+                members=np.array(sorted(before.intact), dtype=np.int64),
             )
+            comp_of_strike = next(set(c) for c in survivors if sv in c)
             assert removed == comp_of_strike
 
     def test_zero_mass_tail_vertices_stay_intact(self):
@@ -220,9 +227,7 @@ class TestPrefixCoupling:
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert got.masses == want.masses
-            assert got.components == want.components
             assert got.intact == want.intact
-            assert got.survivor_components == want.survivor_components
             assert got.state == want.state
 
 
@@ -251,18 +256,14 @@ class TestS2Growth:
 
 class TestTrajectoryDelegation:
     def test_grid_of_zero(self):
-        from mcld.graphical import trajectory
-
         v = ordered([1.0, 0.5])
-        traj = trajectory(v, ClockField(SEED), 1.0, [0.0])
+        traj = run_clocked(v, ClockField(SEED), 1.0, 0.0, grid=[0.0])
         assert traj.states[0] == v
 
     def test_states_match_state_at_on_grid(self):
-        from mcld.graphical import trajectory
-
         v = power_law_reference(0.6, 24)
         f = ClockField(SEED)
         grid = [0.2, 0.7, 1.3]
-        traj = trajectory(v, f, 1.0, grid)
+        traj = run_clocked(v, f, 1.0, grid[-1], grid=grid)
         for g, st in zip(grid, traj.states):
             assert st == state_at(v, f, 1.0, g)

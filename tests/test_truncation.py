@@ -6,19 +6,17 @@ import pytest
 from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
 from mcld.feller import power_law_reference
-from mcld.graphical import realize
+from mcld.graphical import _components_from_edges, realize
 from mcld.mass_state import ordered
 from mcld.truncation import (
     bipartite_bound,
     bipartite_s2_samples,
-    classify_bad,
     component_multigraph,
     feller_budget,
     frozen_split_gap_samples,
     good_component_check,
     report_from_split,
     sandwich_graphs,
-    split,
     split_from_realization,
     tail_truncation_index,
     truncation_bound,
@@ -33,13 +31,13 @@ SEED = 1618
 class TestSplit:
     def test_level_equal_to_support_has_empty_upper(self):
         v = ordered([1.0, 0.8, 0.5])
-        sr = split(v, ClockField(SEED), 1.0, 1.0, 3)
+        sr = split_from_realization(realize(v, ClockField(SEED), 1.0, 1.0), 3)
         assert sr.upper_components == ()
         assert sr.beta == 0.0
 
     def test_level_zero_has_empty_lower(self):
         v = ordered([1.0, 0.8, 0.5])
-        sr = split(v, ClockField(SEED), 1.0, 1.0, 0)
+        sr = split_from_realization(realize(v, ClockField(SEED), 1.0, 1.0), 0)
         assert sr.lower_components == ()
         assert sr.alpha == 0.0
 
@@ -50,13 +48,14 @@ class TestSplit:
         v = power_law_reference(0.6, 40)
         full = realize(v, ClockField(seed), 1.0, 1.0)
         arr = np.asarray(full.masses)
-        s2_full = sum(sum(arr[i - 1] for i in c) ** 2 for c in full.components)
+        comps = _components_from_edges(full.n, full.edge_i, full.edge_j)
+        s2_full = sum(sum(arr[i - 1] for i in c) ** 2 for c in comps)
         sr = split_from_realization(full, 20)
         assert sr.alpha + sr.beta <= s2_full + 1e-9
 
     def test_lower_components_partition_prefix(self):
         v = power_law_reference(0.6, 30)
-        sr = split(v, ClockField(SEED + 1), 1.0, 1.0, 12)
+        sr = split_from_realization(realize(v, ClockField(SEED + 1), 1.0, 1.0), 12)
         seen = sorted(v for c in sr.lower_components for v in c)
         assert seen == list(range(1, 13))
         seen_up = sorted(v for c in sr.upper_components for v in c)
@@ -66,17 +65,16 @@ class TestSplit:
 class TestSandwich:
     def test_no_strikes_full_level_gives_zero_gap(self):
         v = ordered([1.0, 0.8, 0.5, 0.3])
-        sr = split(v, ClockField(SEED), 0.0, 1.0, 4)
-        cm = component_multigraph(sr)
-        bad = classify_bad(sr, cm)
+        sr = split_from_realization(realize(v, ClockField(SEED), 0.0, 1.0), 4)
+        bad = report_from_split(sr).bad
         assert bad == frozenset()
-        sw = sandwich_graphs(sr, bad, sr.full.intact, sr.truncated.intact)
+        sw = sandwich_graphs(sr, bad)
         assert sw.s2_check - sw.s2_hat == 0.0
 
     def test_full_level_with_strikes_gives_zero_gap(self):
         # no upper vertices: the bipartite graph has no edges, nothing is bad
         v = ordered([1.0, 0.8, 0.5, 0.3])
-        sr = split(v, ClockField(SEED + 2), 2.0, 1.0, 4)
+        sr = split_from_realization(realize(v, ClockField(SEED + 2), 2.0, 1.0), 4)
         rep = report_from_split(sr)
         assert rep.gap == 0.0
         assert rep.distance == 0.0
@@ -110,16 +108,15 @@ class TestSandwich:
             },
             vertex_exps={1: 0.5 * 1.0},
         )
-        sr = split(masses, f, 1.0, 1.0, 2)
+        sr = split_from_realization(realize(masses, f, 1.0, 1.0), 2)
         assert sr.full.intact == frozenset()
         assert sr.truncated.intact == frozenset({3})
         cm = component_multigraph(sr)
         assert cm.damaged_lower == (True,)
         assert cm.damaged_upper == (False,)
-        bad = classify_bad(sr, cm)
-        assert bad == frozenset()
-        assert good_component_check(sr, bad, sr.full.intact, sr.truncated.intact) == []
         rep = report_from_split(sr)
+        assert rep.bad == frozenset()
+        assert good_component_check(sr, rep.bad) == []
         assert rep.holds
 
     @pytest.mark.parametrize("seed", range(60))
@@ -127,11 +124,9 @@ class TestSandwich:
         rng = np.random.default_rng(seed)
         support = int(rng.integers(4, 40))
         v = ordered(rng.uniform(0.05, 1.0, support).tolist())
-        sr = split(v, ClockField(seed * 7 + 1), 1.0, 1.0, support // 2)
-        bad = classify_bad(sr, component_multigraph(sr))
-        assert (
-            good_component_check(sr, bad, sr.full.intact, sr.truncated.intact) == []
-        )
+        full = realize(v, ClockField(seed * 7 + 1), 1.0, 1.0)
+        sr = split_from_realization(full, support // 2)
+        assert good_component_check(sr, report_from_split(sr).bad) == []
 
 
 class TestTruncationReportShape:
