@@ -9,6 +9,7 @@ cached per process.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -402,6 +403,7 @@ def criterion_fp_scaling():
         top_r=3,
         seed=SEED_FP,
         n_ref=320_000,
+        workers=min(2, os.cpu_count() or 1),  # the report does not depend on it
     )
     ks_small = report.ks_vs_reference[20_000][0][0]
     ks_large = report.ks_vs_reference[80_000][0][0]

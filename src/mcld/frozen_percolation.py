@@ -65,7 +65,11 @@ def gnp_component_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarr
 
     The edge count is binomial over all pairs; the edge set is then a
     uniform subset of that size, collected as the first distinct draws of a
-    with-replacement stream (which is exactly uniform over subsets).
+    with-replacement stream (which is exactly uniform over subsets).  The
+    stream comes in batches.  A sort finds the values repeated within a
+    batch (almost never any), so only their positions need a stable
+    first-occurrence pass; a sorted copy of the values kept so far drops
+    the draws of earlier batches.
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidInput(f"edge probability {p} outside [0, 1]")
@@ -73,24 +77,27 @@ def gnp_component_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarr
         return np.arange(n, dtype=np.int64)
     total = pair_count(n)
     k = int(rng.binomial(total, p))
-    seen: set[int] = set()
-    chosen: list[int] = []
-    while len(chosen) < k:
-        batch = rng.integers(0, total, size=(k - len(chosen)) + 16)
-        for e in batch.tolist():
-            if e not in seen:
-                seen.add(e)
-                chosen.append(e)
-                if len(chosen) == k:
-                    break
-    if chosen:
-        i, j = pair_index_decode(np.asarray(chosen, dtype=np.int64), n)
-        graph = coo_matrix(
-            (np.ones(len(chosen)), (i - 1, j - 1)), shape=(n, n)
-        )
-        _, labels = connected_components(graph, directed=False)
-    else:
-        labels = np.arange(n, dtype=np.int64)
+    chosen = np.empty(k, dtype=np.int64)
+    filled = 0
+    # kept values, sorted, closed by ``total``, which no draw takes
+    seen = np.array([total], dtype=np.int64)
+    while filled < k:
+        batch = rng.integers(0, total, size=(k - filled) + 16)
+        s = np.sort(batch)
+        repeated = s[1:][s[1:] == s[:-1]]
+        keep = seen[np.searchsorted(seen, batch)] != batch
+        at = np.flatnonzero(np.isin(batch, repeated))
+        _, first = np.unique(batch[at], return_index=True)
+        keep[np.delete(at, first)] = False
+        new = batch[keep][: k - filled]
+        chosen[filled : filled + len(new)] = new
+        filled += len(new)
+        if len(new) and filled < k:  # the next batch must not take these again
+            new.sort()
+            seen = np.insert(seen, np.searchsorted(seen, new), new)
+    i, j = pair_index_decode(chosen, n)
+    graph = coo_matrix((np.ones(k), (i - 1, j - 1)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
     return labels.astype(np.int64)
 
 
@@ -285,7 +292,7 @@ def _aggregate_mcld_top(
     weights: np.ndarray, lam: float, t_list, rng: np.random.Generator, top_r: int
 ) -> np.ndarray:
     """The package's only aggregated-rate coalescent-with-deletion sampler,
-    O(support) per event.
+    O(support - lowest changed index) per event.
 
     Law-identical to the clocked engines (merge rate = product of weights,
     deletion rate = lam times weight) but needs no pair clocks, so it stays
@@ -293,6 +300,11 @@ def _aggregate_mcld_top(
     all-pairs construction quadratic.  Merge pairs restart both draws on a
     collision, keeping the pair law proportional to the weight product.
     Returns the top weights at each requested time, one row per time.
+
+    Dead entries hold exactly 0.0, so the prefix sums of ``w`` are those of
+    the alive weights.  They are kept across events and redone from the
+    lowest index an event wrote, continuing from the sum before it: the same
+    additions in the same order as a full ``cumsum``.
     """
     t_list = [float(t) for t in t_list]
     w = weights.astype(np.float64).copy()
@@ -302,6 +314,10 @@ def _aggregate_mcld_top(
     now = 0.0
     rows = np.zeros((len(t_list), top_r))
     next_rec = 0
+    # prefix[0] is -0.0, which adds nothing: -0.0 + x is x for every x
+    prefix = np.full(len(w) + 1, -0.0)
+    cum = prefix[1:]
+    low = 0  # lowest index of w written since cum was last redone
 
     def snapshot() -> np.ndarray:
         out = np.sort(w[alive])[::-1]
@@ -309,7 +325,7 @@ def _aggregate_mcld_top(
         head[: min(top_r, len(out))] = out[:top_r]
         return head
 
-    def pick(cum: np.ndarray) -> int:
+    def pick() -> int:
         x = rng.uniform(0.0, cum[-1])
         k = int(np.searchsorted(cum, x, side="right"))
         while k >= len(alive) or not alive[k]:
@@ -328,22 +344,26 @@ def _aggregate_mcld_top(
             next_rec += 1
         if now > t_list[-1]:
             break
-        cum = np.cumsum(np.where(alive, w, 0.0))
+        tail = w[low:].copy()
+        tail[0] += prefix[low]
+        np.cumsum(tail, out=cum[low:])
         if rng.uniform() * total < merge_rate:
             while True:
-                a, b = pick(cum), pick(cum)
+                a, b = pick(), pick()
                 if a != b:
                     break
             w2 += 2.0 * w[a] * w[b]
             w[a] += w[b]
             alive[b] = False
             w[b] = 0.0
+            low = min(a, b)
         else:
-            a = pick(cum)
+            a = pick()
             w1 -= w[a]
             w2 -= w[a] * w[a]
             alive[a] = False
             w[a] = 0.0
+            low = a
     while next_rec < len(t_list):
         rows[next_rec] = snapshot()
         next_rec += 1

@@ -9,6 +9,8 @@ from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from mcld.clock_field import ClockField, pair_count, pair_index_decode
 
@@ -116,6 +118,93 @@ def all_pairs_edge_arrivals(field, masses, t):
     times = -np.log1p(-u) / product
     keep = times <= t
     return i[keep], j[keep], times[keep]
+
+
+def set_loop_gnp_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Oracle for ``gnp_component_labels``: the same batched draws, with the
+    first distinct values collected one at a time through a Python set."""
+    if n == 1 or p == 0.0:
+        return np.arange(n, dtype=np.int64)
+    total = pair_count(n)
+    k = int(rng.binomial(total, p))
+    seen: set[int] = set()
+    chosen: list[int] = []
+    while len(chosen) < k:
+        batch = rng.integers(0, total, size=(k - len(chosen)) + 16)
+        for e in batch.tolist():
+            if e not in seen:
+                seen.add(e)
+                chosen.append(e)
+                if len(chosen) == k:
+                    break
+    if not chosen:
+        return np.arange(n, dtype=np.int64)
+    i, j = pair_index_decode(np.asarray(chosen, dtype=np.int64), n)
+    graph = coo_matrix((np.ones(len(chosen)), (i - 1, j - 1)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    return labels.astype(np.int64)
+
+
+def full_cumsum_aggregate_top(
+    weights: np.ndarray, lam: float, t_list, rng: np.random.Generator, top_r: int
+) -> np.ndarray:
+    """Oracle for ``_aggregate_mcld_top``: the same draws, with the prefix
+    sums of the alive weights rebuilt in full, through a mask, at every
+    event."""
+    t_list = [float(t) for t in t_list]
+    w = weights.astype(np.float64).copy()
+    alive = np.ones(len(w), dtype=bool)
+    w1 = float(w.sum())
+    w2 = float(np.sum(w * w))
+    now = 0.0
+    rows = np.zeros((len(t_list), top_r))
+    next_rec = 0
+
+    def snapshot() -> np.ndarray:
+        out = np.sort(w[alive])[::-1]
+        head = np.zeros(top_r)
+        head[: min(top_r, len(out))] = out[:top_r]
+        return head
+
+    def pick(cum: np.ndarray) -> int:
+        x = rng.uniform(0.0, cum[-1])
+        k = int(np.searchsorted(cum, x, side="right"))
+        while k >= len(alive) or not alive[k]:
+            k = k + 1 if k < len(alive) - 1 else int(np.argmax(alive))
+        return k
+
+    while True:
+        merge_rate = max((w1 * w1 - w2) / 2.0, 0.0)
+        delete_rate = lam * w1
+        total = merge_rate + delete_rate
+        if total <= 0.0:
+            break
+        now += rng.exponential(1.0 / total)
+        while next_rec < len(t_list) and t_list[next_rec] < now:
+            rows[next_rec] = snapshot()
+            next_rec += 1
+        if now > t_list[-1]:
+            break
+        cum = np.cumsum(np.where(alive, w, 0.0))
+        if rng.uniform() * total < merge_rate:
+            while True:
+                a, b = pick(cum), pick(cum)
+                if a != b:
+                    break
+            w2 += 2.0 * w[a] * w[b]
+            w[a] += w[b]
+            alive[b] = False
+            w[b] = 0.0
+        else:
+            a = pick(cum)
+            w1 -= w[a]
+            w2 -= w[a] * w[a]
+            alive[a] = False
+            w[a] = 0.0
+    while next_rec < len(t_list):
+        rows[next_rec] = snapshot()
+        next_rec += 1
+    return rows
 
 
 def brute_components(vertices, edges) -> list[frozenset[int]]:

@@ -1,5 +1,7 @@
 """Acceptance suite: one test per criterion, each at its pinned seed and
-tolerance.  Failures print the full detail payload."""
+tolerance.  Failures print the full detail payload.  Where a criterion's
+payload is a pinned anchor, the test also asserts its exact values: a
+speed-up or refactor that moves any of them changes behaviour."""
 
 from mcld import acceptance
 
@@ -7,6 +9,7 @@ from mcld import acceptance
 def _check(result):
     print(result.line())
     assert result.passed, result.details
+    return result.details
 
 
 def test_criterion_1_pathwise_equivalence():
@@ -14,11 +17,14 @@ def test_criterion_1_pathwise_equivalence():
 
 
 def test_criterion_2_sandwich_inequality():
-    _check(acceptance.criterion_sandwich())
+    details = _check(acceptance.criterion_sandwich())
+    assert details["reports"] == 1500
+    assert details["worst_distance_minus_bound"] == -48.613405381105494
 
 
 def test_criterion_3_good_component_identity():
-    _check(acceptance.criterion_good_components())
+    details = _check(acceptance.criterion_good_components())
+    assert details == {"violations": 0, "reports": 1500}
 
 
 def test_criterion_4_bad_set_oracle():
@@ -30,15 +36,30 @@ def test_criterion_5_analytic_bounds():
 
 
 def test_criterion_6_connectivity_bound():
-    _check(acceptance.criterion_connectivity_bound())
+    details = _check(acceptance.criterion_connectivity_bound())
+    assert details["p_hat"] == 0.04196
 
 
 def test_criterion_7_feller_decay():
-    _check(acceptance.criterion_feller_decay())
+    details = _check(acceptance.criterion_feller_decay())
+    assert details["ladder"] == [256, 1024, 2048, 3887]
+    assert details["medians"] == [
+        1.9001085501408947,
+        1.7026059237665385,
+        1.3003003964490603,
+        0.15910737195680733,
+    ]
+    assert details["min_distance_2048"] == 0.33020540713541985
+    assert details["exceedance_256"] == 1.0
+    assert details["exceedance_2048"] == 1.0
+    assert details["exceedance_3887"] == 0.406
 
 
 def test_criterion_8_fp_scaling_trend():
-    _check(acceptance.criterion_fp_scaling())
+    details = _check(acceptance.criterion_fp_scaling())
+    assert details["ks_rank1_n2e4"] == 0.061999999999999944
+    assert details["ks_rank1_n8e4"] == 0.040000000000000036
+    assert details["ref_level"] == 42340
 
 
 def test_criterion_9_trajectory_sanity():

@@ -1,9 +1,12 @@
+import hashlib
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcld import frozen_percolation
 from mcld.clock_field import ClockField
@@ -16,12 +19,13 @@ from mcld.frozen_percolation import (
     fp_mcld_compare,
     gnp_component_labels,
     fp_replica_rows,
+    reference_replica_rows,
     run_fp,
     sample_critical_er,
 )
 from mcld.mass_state import ordered
 
-from helpers import brute_components
+from helpers import brute_components, full_cumsum_aggregate_top, set_loop_gnp_labels
 
 SEED = 90210
 
@@ -75,6 +79,101 @@ class TestSampleCriticalEr:
             labels = sample_critical_er(n, 0.0, np.random.default_rng([SEED, s]))
             scaled.append(component_sizes(labels)[0] * n ** (-2.0 / 3.0))
         assert 0.9 <= float(np.mean(scaled)) <= 1.6
+
+
+@st.composite
+def weight_vectors(draw, lo, hi, max_support):
+    """Weights with ties (a few magnitudes, each repeated), zero entries
+    anywhere, in drawn or non-increasing order."""
+    pool = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=4))
+    logs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_support))
+    weights = [10.0 ** x for x in logs]
+    for at in draw(st.lists(st.integers(0, len(weights)), max_size=3)):
+        weights.insert(at, 0.0)
+    if draw(st.booleans()):
+        weights.sort(reverse=True)
+    return np.array(weights)
+
+
+def assert_same_reference_runs(weights, lam, times, top_r, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        got = _aggregate_mcld_top(weights, lam, times, ours, top_r)
+        want = full_cumsum_aggregate_top(weights, lam, times, theirs, top_r)
+        assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    return got
+
+
+class TestSamplersBitForBit:
+    """The vectorised G(n, p) dedup and the incremental prefix sums of the
+    reference sampler against their plain oracles in ``helpers``: the same
+    outputs, bit for bit, and the same generator state after every call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        p=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2 ** 64 - 1),
+    )
+    @example(n=30, p=1.0, seed=0)  # every pair: repeats force many batches
+    @example(n=2, p=1.0, seed=0)
+    @example(n=1, p=1.0, seed=0)
+    def test_gnp_labels_match_set_loop(self, n, p, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            got = gnp_component_labels(n, p, ours)
+            want = set_loop_gnp_labels(n, p, theirs)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=weight_vectors(-6.0, 6.0, 16),
+        lam=st.sampled_from([0.0, 0.5, 2.0]),
+        steps=st.lists(
+            st.sampled_from([1e-3, 0.1, 1.0, 10.0, 100.0]), min_size=1, max_size=4,
+            unique=True,
+        ),
+        top_r=st.integers(1, 4),
+        seed=st.integers(0, 2 ** 64 - 1),
+    )
+    @example(weights=np.array([2.0]), lam=0.5, steps=[1.0], top_r=2, seed=0)
+    def test_reference_sampler_matches_full_cumsum(self, weights, lam, steps, top_r, seed):
+        # times in units of 1 / w1^2, the scale of the largest merge rate,
+        # so that events happen at every spread of weights.  Much longer
+        # horizons at w1 ~ 1e6 would reach the rounding residue of
+        # w1^2 - w2 (about 1e-16 w1^2) once one component is left, and
+        # both samplers then draw merge pairs forever
+        unit = 1.0 / float(weights.sum()) ** 2
+        times = [step * unit for step in sorted(steps)]
+        assert_same_reference_runs(weights, lam, times, top_r, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=weight_vectors(-1.0, 1.0, 10),
+        lam=st.sampled_from([0.5, 2.0]),
+        seed=st.integers(0, 2 ** 64 - 1),
+    )
+    def test_reference_sampler_matches_full_cumsum_past_extinction(
+        self, weights, lam, seed
+    ):
+        # every component of positive weight burns at rate at least
+        # ``slowest``, so the last time lies past extinction but for a
+        # chance below 1e-20
+        slowest = lam * float(weights[weights > 0].min())
+        times = [0.1 / slowest, 1.0 / slowest, 60.0 / slowest]
+        rows = assert_same_reference_runs(weights, lam, times, 3, seed)
+        assert not rows[-1].any()
+
+    def test_reference_replica_rows_pin(self):
+        # criterion 8's reference replica 0: its rows and truncation level
+        rows, level = reference_replica_rows(320000, 1.0, 0.0, [1.0], 3, 880, 0, 1.2, 2.0)
+        assert level == 41555
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "2c221fb56afc9c97a261d6a9da3d3ced3becbfc000b196f55cba75ef579df7bc"
+        )
 
 
 class TestRunFp:
