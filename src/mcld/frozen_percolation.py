@@ -305,6 +305,11 @@ def _aggregate_mcld_top(
     the alive weights.  They are kept across events and redone from the
     lowest index an event wrote, continuing from the sum before it: the same
     additions in the same order as a full ``cumsum``.
+
+    Below two alive components of positive weight the merge rate is 0, and
+    with none the deletion rate is 0: the rounding residues of
+    ``w1 * w1 - w2`` and of ``w1`` must not draw an event that has no pair,
+    or no component, to pick.
     """
     t_list = [float(t) for t in t_list]
     w = weights.astype(np.float64).copy()
@@ -318,6 +323,7 @@ def _aggregate_mcld_top(
     prefix = np.full(len(w) + 1, -0.0)
     cum = prefix[1:]
     low = 0  # lowest index of w written since cum was last redone
+    count = int(np.count_nonzero(w))  # alive components of positive weight
 
     def snapshot() -> np.ndarray:
         out = np.sort(w[alive])[::-1]
@@ -333,8 +339,8 @@ def _aggregate_mcld_top(
         return k
 
     while True:
-        merge_rate = max((w1 * w1 - w2) / 2.0, 0.0)
-        delete_rate = lam * w1
+        merge_rate = max((w1 * w1 - w2) / 2.0, 0.0) if count > 1 else 0.0
+        delete_rate = lam * w1 if count else 0.0
         total = merge_rate + delete_rate
         if total <= 0.0:
             break
@@ -352,6 +358,7 @@ def _aggregate_mcld_top(
                 a, b = pick(), pick()
                 if a != b:
                     break
+            count -= int(w[a] > 0.0 and w[b] > 0.0)
             w2 += 2.0 * w[a] * w[b]
             w[a] += w[b]
             alive[b] = False
@@ -359,6 +366,7 @@ def _aggregate_mcld_top(
             low = min(a, b)
         else:
             a = pick()
+            count -= int(w[a] > 0.0)
             w1 -= w[a]
             w2 -= w[a] * w[a]
             alive[a] = False

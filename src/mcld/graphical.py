@@ -10,6 +10,11 @@ weights.
 
 With deletion rate 0 this reduces to the plain multiplicative coalescent:
 the state is just the ordered component weights of the clock graph.
+
+Assembly is output-sensitive: its Python work is O(edges + strikes) on top
+of O(n) numpy.  The replay searches only from struck vertices, and only the
+ends of surviving edges are grouped; every other survivor is a singleton
+whose weight is its own mass.
 """
 
 from __future__ import annotations
@@ -92,12 +97,18 @@ def _intact_after_strikes(
     edge_t: np.ndarray,
     strikes: list[tuple[float, int]],
 ) -> np.ndarray:
-    """Replay strikes in time order; returns a boolean intact mask (1-based)."""
-    adj: dict[int, list[tuple[int, float]]] = {}
-    for a, b, te in zip(edge_i.tolist(), edge_j.tolist(), edge_t.tolist()):
-        adj.setdefault(a, []).append((b, te))
-        adj.setdefault(b, []).append((a, te))
-    intact = np.ones(n + 1, dtype=bool)
+    """Replay strikes in time order; returns a boolean intact mask (1-based).
+
+    The adjacency is built once per call as CSR arrays (one stable sort of
+    the edge ends), and the search runs only from struck vertices, so the
+    Python work is O(strikes + edges reached) on top of O(n + edges) numpy.
+    """
+    ends = np.concatenate((edge_i, edge_j))
+    order = np.argsort(ends, kind="stable")
+    start = np.searchsorted(ends[order], np.arange(n + 2)).tolist()
+    nbr = np.concatenate((edge_j, edge_i))[order].tolist()
+    when = np.concatenate((edge_t, edge_t))[order].tolist()
+    intact = [True] * (n + 1)
     intact[0] = False
     for ts, v in strikes:
         if not intact[v]:
@@ -107,11 +118,12 @@ def _intact_after_strikes(
         stack = [v]
         while stack:
             u = stack.pop()
-            for w, te in adj.get(u, ()):
-                if te <= ts and intact[w]:
+            for k in range(start[u], start[u + 1]):
+                w = nbr[k]
+                if when[k] <= ts and intact[w]:
                     intact[w] = False
                     stack.append(w)
-    return intact
+    return np.array(intact, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -155,8 +167,15 @@ def _assemble(
         n, edge_i, edge_j, edge_t, _strike_order(strike_v, strike_t)
     )
     survivors = np.flatnonzero(intact_mask)
-    surv = _components_from_edges(n, edge_i, edge_j, members=survivors)
-    state = ordered(_component_weights(masses, surv))
+    # only ends of surviving edges need grouping; that set is closed under
+    # those edges, and every other survivor is a singleton whose fsum is its
+    # own mass, so the ordered state is the same bit for bit
+    keep = intact_mask[edge_i] & intact_mask[edge_j]
+    linked = np.zeros(n + 1, dtype=bool)
+    linked[edge_i[keep]] = linked[edge_j[keep]] = True
+    groups = _components_from_edges(n, edge_i, edge_j, members=np.flatnonzero(linked))
+    lone = masses[(intact_mask & ~linked)[1:]]
+    state = ordered(_component_weights(masses, groups) + lone[lone > 0].tolist())
     return GraphRealization(
         horizon=float(t),
         lam=float(lam),

@@ -1,5 +1,7 @@
-"""Small independent utilities shared by the test suite (kept free of the
-package's own graph machinery so they can serve as oracles)."""
+"""Small independent utilities shared by the test suite.  They are kept
+free of the package's own graph machinery so they can serve as oracles;
+``all_survivors_state`` is the exception, a plainer assembly from the
+package's grouping helper."""
 
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from mcld.clock_field import ClockField, pair_count, pair_index_decode
+from mcld.graphical import _component_weights, _components_from_edges
+from mcld.mass_state import OrderedMassVector, ordered
 
 _LATTICE = 2.0 ** 52
 
@@ -150,7 +154,7 @@ def full_cumsum_aggregate_top(
 ) -> np.ndarray:
     """Oracle for ``_aggregate_mcld_top``: the same draws, with the prefix
     sums of the alive weights rebuilt in full, through a mask, at every
-    event."""
+    event, and the alive components of positive weight counted afresh."""
     t_list = [float(t) for t in t_list]
     w = weights.astype(np.float64).copy()
     alive = np.ones(len(w), dtype=bool)
@@ -174,8 +178,9 @@ def full_cumsum_aggregate_top(
         return k
 
     while True:
-        merge_rate = max((w1 * w1 - w2) / 2.0, 0.0)
-        delete_rate = lam * w1
+        count = int(np.count_nonzero(w[alive] > 0.0))
+        merge_rate = max((w1 * w1 - w2) / 2.0, 0.0) if count > 1 else 0.0
+        delete_rate = lam * w1 if count else 0.0
         total = merge_rate + delete_rate
         if total <= 0.0:
             break
@@ -229,6 +234,31 @@ def brute_components(vertices, edges) -> list[frozenset[int]]:
         seen |= block
         comps.append(frozenset(block))
     return comps
+
+
+def brute_strike_replay(n: int, edges, strikes) -> np.ndarray:
+    """Oracle for ``_intact_after_strikes``: each ``(time, vertex)`` strike,
+    in the order given, burns the component of the struck vertex among the
+    edges ``(i, j, time)`` up to the strike time between intact vertices,
+    found afresh by ``brute_components``."""
+    intact = set(range(1, n + 1))
+    for ts, v in strikes:
+        if v not in intact:
+            continue
+        live = [(a, b) for a, b, te in edges if te <= ts and {a, b} <= intact]
+        intact -= next(c for c in brute_components(sorted(intact), live) if v in c)
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[sorted(intact)] = True
+    return mask
+
+
+def all_survivors_state(real) -> OrderedMassVector:
+    """Oracle for ``GraphRealization.state``: every intact label, isolated
+    ones included, grouped through the edge tables, each group's mass summed
+    exactly, then ordered."""
+    members = np.array(sorted(real.intact), dtype=np.int64)
+    groups = _components_from_edges(real.n, real.edge_i, real.edge_j, members=members)
+    return ordered(_component_weights(np.asarray(real.masses), groups))
 
 
 def ordered_weights(masses: dict[int, float], comps) -> tuple[float, ...]:

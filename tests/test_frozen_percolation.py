@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import math
+import signal
 from unittest import mock
 
 import numpy as np
@@ -105,6 +107,22 @@ def assert_same_reference_runs(weights, lam, times, top_r, seed):
     return got
 
 
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail, instead of hanging, when the body runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestSamplersBitForBit:
     """The vectorised G(n, p) dedup and the incremental prefix sums of the
     reference sampler against their plain oracles in ``helpers``: the same
@@ -143,9 +161,8 @@ class TestSamplersBitForBit:
     def test_reference_sampler_matches_full_cumsum(self, weights, lam, steps, top_r, seed):
         # times in units of 1 / w1^2, the scale of the largest merge rate,
         # so that events happen at every spread of weights.  Much longer
-        # horizons at w1 ~ 1e6 would reach the rounding residue of
-        # w1^2 - w2 (about 1e-16 w1^2) once one component is left, and
-        # both samplers then draw merge pairs forever
+        # horizons would reach merges of the heaviest component with one
+        # 1e12 times lighter, each about 1e12 restarted pair draws
         unit = 1.0 / float(weights.sum()) ** 2
         times = [step * unit for step in sorted(steps)]
         assert_same_reference_runs(weights, lam, times, top_r, seed)
@@ -166,6 +183,44 @@ class TestSamplersBitForBit:
         times = [0.1 / slowest, 1.0 / slowest, 60.0 / slowest]
         rows = assert_same_reference_runs(weights, lam, times, 3, seed)
         assert not rows[-1].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(weights=weight_vectors(-1.0, 1.0, 10), seed=st.integers(0, 2 ** 64 - 1))
+    def test_reference_sampler_matches_full_cumsum_past_coalescence(self, weights, seed):
+        # with no deletion, any two components of positive weight merge at
+        # rate at least ``slowest``, so all have merged long before the last
+        # time but for a chance below 1e-20.  That time is 10 / residue,
+        # for the rounding residue of w1^2 - w2 (about 1e-16 w1^2) that the
+        # last merge can leave, which must draw no merge
+        positive = weights[weights > 0]
+        slowest = float(positive.min()) ** 2
+        times = [0.1 / slowest, 1.0 / slowest, 1e17 / float(positive.sum()) ** 2]
+        with deadline(20):
+            rows = assert_same_reference_runs(weights, 0.0, times, 2, seed)
+        assert rows[-1, 0] == pytest.approx(float(positive.sum()), rel=1e-12)
+        assert rows[-1, 1] == 0.0
+
+    @pytest.mark.parametrize("seed", [10, 15])
+    def test_no_merge_drawn_after_the_last_merge(self, seed):
+        # once one component is left, w1^2 - w2 keeps a rounding residue
+        # near 1e-16 w1^2; drawing a merge from it would look for two
+        # distinct alive components forever
+        rng = np.random.default_rng([seed, 1])
+        weights = np.sort(rng.uniform(1e5, 1e6, 4))[::-1]
+        with deadline(20):
+            rows = assert_same_reference_runs(weights, 0.0, [1000.0], 1, seed)
+        assert rows[0, 0] == pytest.approx(float(weights.sum()), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [270, 300])
+    def test_no_deletion_drawn_after_the_last_deletion(self, seed):
+        # once every component is deleted, w1 can keep a positive rounding
+        # residue; drawing a deletion from it would search the all-dead
+        # weights forever
+        rng = np.random.default_rng([seed, 3])
+        weights = np.sort(10.0 ** rng.uniform(-3, 3, rng.integers(2, 7)))[::-1]
+        with deadline(20):
+            rows = assert_same_reference_runs(weights, 0.5, [1e9], 1, seed)
+        assert not rows.any()
 
     def test_reference_replica_rows_pin(self):
         # criterion 8's reference replica 0: its rows and truncation level

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcld.clock_field import ClockField, edge_arrivals
@@ -9,6 +9,8 @@ from mcld.events import run_clocked
 from mcld.feller import power_law_reference
 from mcld.graphical import (
     _components_from_edges,
+    _intact_after_strikes,
+    _strike_order,
     realize,
     s2_growth_estimate,
     state_at,
@@ -20,7 +22,9 @@ from helpers import (
     HOSTILE_HORIZONS,
     HOSTILE_LAMBDAS,
     StubClockField,
+    all_survivors_state,
     brute_components,
+    brute_strike_replay,
     hostile_masses,
 )
 
@@ -129,6 +133,71 @@ class TestLightningRecursion:
         assert sorted(real.strike_vertex.tolist()) == [2, 3]
         assert real.intact == {1, 4}
         assert real.state.masses == (1.0, 1.0)
+
+
+# a few shared times, so that edges and strikes tie with each other
+REPLAY_TIMES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def replay_cases(draw):
+    """Vertex count, an edge table (pairs i < j, repeats allowed) and strikes
+    (repeats on one vertex allowed, edgeless vertices struck too), all on a
+    small set of times."""
+    n = draw(st.integers(1, 20))
+    vertex = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(vertex, vertex, REPLAY_TIMES), max_size=3 * n))
+    edges = [(min(a, b), max(a, b), te) for a, b, te in pairs if a != b]
+    strikes = draw(st.lists(st.tuples(REPLAY_TIMES, vertex), max_size=2 * n))
+    return n, edges, strikes
+
+
+class TestStrikeReplay:
+    @settings(max_examples=500, deadline=None)
+    @given(case=replay_cases())
+    @example(case=(5, [], [(0.5, 2), (0.5, 2), (0.0, 5)]))  # empty edge table
+    @example(case=(3, [(1, 2, 0.5)], [(0.5, 3), (0.5, 1), (0.5, 2)]))  # all tied
+    # the edge (2, 3) arrives after 3 burnt, so the strike at 1 stops at 2
+    @example(case=(4, [(1, 2, 0.25), (2, 3, 0.5)], [(0.25, 3), (0.5, 1)]))
+    def test_matches_brute_replay_exactly(self, case):
+        n, edges, strikes = case
+        ei = np.array([a for a, _, _ in edges], dtype=np.int64)
+        ej = np.array([b for _, b, _ in edges], dtype=np.int64)
+        et = np.array([te for _, _, te in edges], dtype=np.float64)
+        sv = np.array([v for _, v in strikes], dtype=np.int64)
+        ts = np.array([t for t, _ in strikes], dtype=np.float64)
+        got = _intact_after_strikes(n, ei, ej, et, _strike_order(sv, ts))
+        want = brute_strike_replay(n, edges, sorted(strikes))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestAssembledState:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        masses=hostile_masses(),
+        lam=HOSTILE_LAMBDAS,
+        t=HOSTILE_HORIZONS,
+        seed=st.integers(0, 2 ** 64 - 1),
+    )
+    def test_state_matches_grouping_every_survivor(self, masses, lam, t, seed):
+        # isolated survivors are not grouped, and their masses are added to
+        # the grouped weights as they are; the ordered state must not notice
+        full = realize(masses, ClockField(seed), lam, t)
+        assert full.state == all_survivors_state(full)
+        for m in range(len(masses) + 1):
+            trunc = truncated_realization(full, m)
+            assert trunc.state == all_survivors_state(trunc)
+
+    def test_criterion_seven_replica_matches_grouping_every_survivor(self):
+        # the reference of criterion 7 at a smaller support: long components,
+        # many strikes and a long tail of isolated vertices
+        reference = power_law_reference(0.6, 512)
+        full = realize(reference, ClockField(SEED).child(0), 1.0, 1.0)
+        assert len(full.strike_vertex) > 0 and len(full.edge_i) > 100
+        assert full.state == all_survivors_state(full)
+        for m in (0, 16, 64, 256, 511, 512):
+            trunc = truncated_realization(full, m)
+            assert trunc.state == all_survivors_state(trunc)
 
 
 class TestStateAt:
