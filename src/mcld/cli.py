@@ -23,7 +23,7 @@ from .errors import InvalidInput, InvariantViolation
 from .events import deleted_mass_up_to, run_clocked
 from .frozen_percolation import fp_mcld_compare
 from .graphical import realize
-from .mass_state import OrderedMassVector
+from .mass_state import OrderedMassVector, time_list
 from .truncation import report_from_split, split_from_realization
 
 __all__ = ["main"]
@@ -39,10 +39,6 @@ def _parse_masses_text(text: str) -> OrderedMassVector:
         values = [float(x) for x in text.replace(" ", "").split(",") if x != ""]
     except ValueError as exc:
         raise InvalidInput(f"could not parse masses: {exc}") from None
-    if any(m < 0 for m in values) or any(
-        a < b for a, b in zip(values, values[1:])
-    ):
-        raise InvalidInput("masses must be nonnegative non-increasing")
     return OrderedMassVector(tuple(values))
 
 
@@ -87,8 +83,8 @@ def _initial_state(args, seed: int) -> OrderedMassVector:
             raise InvalidInput(f"unreadable masses file: {exc}") from None
         if not isinstance(data, list):
             raise InvalidInput("masses file must hold a JSON array of numbers")
-        return _parse_masses_text(
-            ",".join(repr(_number(x, float, "--masses-file entry")) for x in data)
+        return OrderedMassVector(
+            tuple(_number(x, float, "--masses-file entry") for x in data)
         )
     return _parse_gen(args.gen, seed)
 
@@ -125,15 +121,11 @@ def _rate(args) -> float:
 
 
 def _parse_grid(args) -> tuple[float, ...]:
+    if (args.t is None) == (args.grid is None):
+        raise InvalidInput("exactly one of --t or --grid must be given")
     if args.grid is not None:
-        grid = _float_list(args.grid, "--grid")
-    elif args.t is not None:
-        grid = (_number(args.t, float, "--t"),)
-    else:
-        raise InvalidInput("one of --t or --grid is required")
-    if any(b <= a for a, b in zip(grid, grid[1:])) or any(g < 0 for g in grid):
-        raise InvalidInput("time grid must be nonnegative and strictly increasing")
-    return grid
+        return time_list(_float_list(args.grid, "--grid"), "--grid")
+    return time_list((_number(args.t, float, "--t"),), "--t")
 
 
 def _int_list(text: str, name: str) -> list[int]:
@@ -179,13 +171,11 @@ def cmd_simulate(args) -> int:
 def cmd_truncation(args) -> int:
     seed = _seed_of(args)
     initial = _initial_state(args, seed)
-    t = _number(args.t, float, "--t")
-    if t < 0:
-        raise InvalidInput("--t must be nonnegative")
+    (t,) = time_list((_number(args.t, float, "--t"),), "--t")
     lam = _rate(args)
     levels = _int_list(args.truncate, "--truncate")
-    if not levels:
-        raise InvalidInput("--truncate requires at least one level")
+    if not levels or len(set(levels)) != len(levels):
+        raise InvalidInput("--truncate requires at least one level, all distinct")
     replicas = _number(args.replicas, int, "--replicas")
     if replicas < 1:
         raise InvalidInput("--replicas must be at least 1")

@@ -15,37 +15,14 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .clock_field import ClockField, edge_arrivals, strike_arrivals
 from .errors import InvalidInput
-from .mass_state import OrderedMassVector, ordered
+from .mass_state import OrderedMassVector, mass_array, ordered, time_list
 from .trajectory import Event, Trajectory
 
 __all__ = ["run_clocked", "deleted_mass_up_to"]
 
 _EDGE, _STRIKE = 0, 1  # tie rank: edges apply before strikes at equal times
-
-
-def _as_state(masses) -> OrderedMassVector:
-    if isinstance(masses, OrderedMassVector):
-        return masses
-    return OrderedMassVector(tuple(float(m) for m in masses))
-
-
-def _grid_or_default(grid, t_end: float) -> tuple[float, ...]:
-    if t_end < 0:
-        raise InvalidInput("t_end must be nonnegative")
-    if grid is None:
-        return (float(t_end),)
-    out = tuple(float(g) for g in grid)
-    if not out:
-        raise InvalidInput("time grid must be nonempty")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise InvalidInput("time grid must be strictly increasing")
-    if out[0] < 0 or out[-1] > t_end:
-        raise InvalidInput("grid times must lie in [0, t_end]")
-    return out
 
 
 _SAME = -1  # what _UnionFind.union returns when the labels share a root
@@ -99,13 +76,21 @@ def run_clocked(
 ) -> Trajectory:
     """Simulate forward to ``t_end``, recording states on ``grid``.
 
+    ``masses`` must pass :func:`~mcld.mass_state.mass_array`; ``grid``
+    (default: ``t_end`` alone) must be a :func:`~mcld.mass_state.time_list`
+    that ends at or before ``t_end``.  Both are checked before any clock is
+    read.
+
     Edge events between vertices whose components are both alive merge them
     (same-root arrivals are no-ops); a strike at an alive vertex deletes its
     whole current component.  Events at burnt vertices are no-ops.
     """
-    initial = _as_state(masses)
-    grid_t = _grid_or_default(grid, t_end)
-    arr = np.asarray(initial.masses, dtype=np.float64)
+    arr = mass_array(masses)
+    (t_end,) = time_list((t_end,), "t_end")
+    grid_t = (t_end,) if grid is None else time_list(grid, "time grid")
+    if grid_t[-1] > t_end:
+        raise InvalidInput("grid times must not exceed t_end")
+    initial = masses if isinstance(masses, OrderedMassVector) else ordered(arr)
 
     ei, ej, et = edge_arrivals(clocks, arr, t_end)
     sv, st = strike_arrivals(clocks, arr, lam, t_end)
@@ -162,7 +147,7 @@ def run_clocked(
         times=grid_t,
         states=tuple(states),
         events=tuple(events),
-        horizon=float(t_end),
+        horizon=t_end,
     )
 
 

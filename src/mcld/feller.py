@@ -28,14 +28,8 @@ __all__ = [
     "ks_two_sample",
 ]
 
-DEFAULT_REFERENCE_EXPONENT = 0.6
-DEFAULT_REFERENCE_SUPPORT = 4096
 
-
-def power_law_reference(
-    exponent: float = DEFAULT_REFERENCE_EXPONENT,
-    support: int = DEFAULT_REFERENCE_SUPPORT,
-) -> OrderedMassVector:
+def power_law_reference(exponent: float, support: int) -> OrderedMassVector:
     """Masses i**(-exponent), i = 1..support.
 
     With exponent in (1/2, 1] this is square-summable but not summable, the
@@ -74,7 +68,7 @@ def feller_sweep(
     lam: float,
     t: float,
     replicas: int,
-    reference: OrderedMassVector | None = None,
+    reference: OrderedMassVector,
     seed: int = 0,
 ) -> CouplingReport:
     """Coupled distances between a reference state and its truncations.
@@ -84,8 +78,6 @@ def feller_sweep(
     labels, so the sweep is pathwise identical to independent
     :func:`coupled_distance` calls while doing a fraction of the work.
     """
-    if reference is None:
-        reference = power_law_reference()
     n_list = tuple(int(n) for n in n_list)
     if any(n < 0 or n > len(reference) for n in n_list):
         raise InvalidInput(

@@ -28,6 +28,7 @@ from .clock_field import pair_count, pair_index_decode
 from .errors import InvalidInput
 from .events import _SAME, _UnionFind
 from .feller import ks_two_sample
+from .mass_state import time_list
 from .serialize import format_number
 from .truncation import feller_budget, tail_truncation_index
 
@@ -41,13 +42,15 @@ __all__ = [
     "fp_mcld_compare",
 ]
 
+# accuracy and head bound of the reference's tail budget (see feller_budget)
+BUDGET_EPS, BUDGET_M = 1.2, 2.0
+
 
 @dataclass(frozen=True)
 class FPConfig:
     n: int
     lightning_rate: float  # per vertex per unit raw time
     horizon: float  # rescaled time horizon
-    seed: int
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -101,20 +104,14 @@ def gnp_component_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     return labels.astype(np.int64)
 
 
-def sample_critical_er(n: int, u: float, seed_or_rng) -> np.ndarray:
+def sample_critical_er(n: int, u: float, rng: np.random.Generator) -> np.ndarray:
     """Initial component partition: edge probability (1 + u*n^(-1/3))/n."""
     if n < 1:
         raise InvalidInput("n must be at least 1")
     p = (1.0 + u * n ** (-1.0 / 3.0)) / n
     if p > 1.0:
         raise InvalidInput(f"edge probability {p} exceeds 1")
-    p = max(p, 0.0)
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
-    return gnp_component_labels(n, p, rng)
+    return gnp_component_labels(n, max(p, 0.0), rng)
 
 
 @dataclass(frozen=True)
@@ -130,8 +127,8 @@ def run_fp(
     config: FPConfig,
     initial_labels: np.ndarray,
     raw_times: Sequence[float],
+    rng: np.random.Generator,
     top: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> FPTrajectory:
     """Event-driven run recording alive component sizes at the given raw times.
 
@@ -148,8 +145,6 @@ def run_fp(
         raise InvalidInput("recording times must be strictly increasing")
     if raw_times and raw_times[-1] > config.raw_horizon + 1e-12:
         raise InvalidInput("recording times exceed the raw horizon")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
 
     # each component's first vertex is its root and holds its size
     _, roots, inverse, counts = np.unique(
@@ -189,7 +184,8 @@ def run_fp(
             next_rec += 1
 
     horizon = config.raw_horizon
-    while True:
+    # with no lightning and one component left, every arrival is a no-op
+    while lam > 0.0 or len(live_roots) > 1:
         edge_rate = alive * (alive - 1) / (2.0 * n)
         strike_rate = lam * alive
         total = edge_rate + strike_rate
@@ -271,17 +267,15 @@ def fp_replica_rows(
 ) -> np.ndarray:
     """One frozen percolation replica: scaled top-r masses, one row per
     requested rescaled time."""
-    t_list = [float(t) for t in t_list]
     config = FPConfig(
         n=n,
         lightning_rate=lam_rescaled * n ** (-1.0 / 3.0),
         horizon=t_list[-1],
-        seed=seed,
     )
     rng = np.random.default_rng([seed, n, r])
     labels = sample_critical_er(n, u, rng)
     raw_times = [n ** (-1.0 / 3.0) * t for t in t_list]
-    raw = run_fp(config, labels, raw_times, top=top_r, rng=rng)
+    raw = run_fp(config, labels, raw_times, rng, top=top_r)
     out = np.zeros((len(t_list), top_r))
     for k, sizes in enumerate(raw.sizes):
         out[k, : len(sizes)] = sizes * n ** (-2.0 / 3.0)
@@ -386,23 +380,18 @@ def reference_replica_rows(
     top_r: int,
     seed: int,
     r: int,
-    budget_eps: float,
-    budget_M: float,
+    delta: float,
 ) -> tuple[np.ndarray, int]:
-    """One reference replica: scaled critical components, tail-budget
-    truncation, coalescent-with-deletion evolution over the time list."""
-    t_list = [float(t) for t in t_list]
+    """One reference replica: scaled critical components, truncated at tail
+    squared-norm budget ``delta``, coalescent-with-deletion evolution over
+    the time list."""
     scale = n_ref ** (-2.0 / 3.0)
     rng = np.random.default_rng([seed, 1, r])
     labels = sample_critical_er(n_ref, u, rng)
     sizes = np.bincount(labels)
     sizes[::-1].sort()
     masses = sizes.astype(np.float64) * scale
-    if t_list[-1] <= 0.0:
-        level = len(masses)  # no dynamics: truncation would only drop mass
-    else:
-        delta = feller_budget(budget_eps, budget_M, t_list[-1], lam)
-        level = tail_truncation_index(masses, delta)
+    level = tail_truncation_index(masses, delta)
     return _aggregate_mcld_top(masses[:level], lam, t_list, rng, top_r), level
 
 
@@ -430,22 +419,28 @@ def fp_mcld_compare(
     seed: int = 0,
     n_ref: int | None = None,
     workers: int = 1,
-    budget_eps: float = 1.2,
-    budget_M: float = 2.0,
 ) -> FPCompareReport:
     """Rank-wise two-sample KS tables at every requested rescaled time: each
     n against the next and against the coalescent reference.
+
+    ``t_list`` must be a :func:`~mcld.mass_state.time_list`.  The arguments,
+    and the reference's tail budget at the last time, are checked before any
+    replica runs; only the edge probability that ``u`` gives each size is
+    left to :func:`sample_critical_er`, each replica's first step.  The
+    reference is truncated at the budget
+    ``feller_budget(BUDGET_EPS, BUDGET_M, t_list[-1], lam_rescaled)``, or
+    not at all when ``t_list`` is ``[0.0]``.
 
     Replicas run serially, or in ``workers`` processes; every replica draws
     from its own keyed stream, so the report does not depend on ``workers``.
     """
     n_list = tuple(int(n) for n in n_list)
-    t_list = tuple(float(t) for t in t_list)
+    t_list = time_list(t_list, "t_list")
     lam_rescaled, u = float(lam_rescaled), float(u)
+    if not 0.0 <= lam_rescaled < math.inf or not math.isfinite(u):
+        raise InvalidInput("lam_rescaled must be finite and nonnegative, u finite")
     if not n_list or min(n_list) < 1:
         raise InvalidInput("n_list must be nonempty with every size at least 1")
-    if not t_list or t_list[0] < 0 or any(b <= a for a, b in zip(t_list, t_list[1:])):
-        raise InvalidInput("t_list must be nonempty, nonnegative and strictly increasing")
     if n_ref is None:
         n_ref = 4 * max(n_list)
     for name, value, least in (
@@ -459,6 +454,12 @@ def fp_mcld_compare(
             raise InvalidInput(
                 f"size {n} is too large: its pair count n(n-1)/2 must stay below 2**53"
             )
+    # no dynamics at t = 0: a zero budget keeps the reference's full support
+    delta = (
+        feller_budget(BUDGET_EPS, BUDGET_M, t_list[-1], lam_rescaled)
+        if t_list[-1] > 0.0
+        else 0.0
+    )
     tasks = [
         (fp_replica_rows, (n, lam_rescaled, u, t_list, top_r, seed, r))
         for n in n_list
@@ -466,7 +467,7 @@ def fp_mcld_compare(
     ]
     tasks += [
         (reference_replica_rows,
-         (n_ref, lam_rescaled, u, t_list, top_r, seed, r, budget_eps, budget_M))
+         (n_ref, lam_rescaled, u, t_list, top_r, seed, r, delta))
         for r in range(replicas)
     ]
     if workers > 1:

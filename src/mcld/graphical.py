@@ -27,7 +27,7 @@ import numpy as np
 from .clock_field import ClockField, edge_arrivals, strike_arrivals
 from .errors import InvalidInput
 from .events import _UnionFind
-from .mass_state import OrderedMassVector, ordered
+from .mass_state import OrderedMassVector, mass_array, ordered, time_list
 
 __all__ = [
     "GraphRealization",
@@ -37,17 +37,6 @@ __all__ = [
     "S2Growth",
     "s2_growth_estimate",
 ]
-
-
-def _masses_array(masses) -> np.ndarray:
-    if isinstance(masses, OrderedMassVector):
-        return np.asarray(masses.masses, dtype=np.float64)
-    arr = np.asarray(masses, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidInput("initial state must be a one-dimensional mass vector")
-    if np.any(arr < 0) or np.any(np.diff(arr) > 0):
-        raise InvalidInput("masses must be nonnegative and non-increasing")
-    return arr
 
 
 def _components_from_edges(
@@ -191,12 +180,15 @@ def _assemble(
 
 
 def realize(masses, clocks: ClockField, lam: float, t: float) -> GraphRealization:
-    """Build the clock graph at horizon ``t`` and replay all strikes."""
-    if t < 0:
-        raise InvalidInput("horizon must be nonnegative")
+    """Build the clock graph at horizon ``t`` and replay all strikes.
+
+    ``masses`` must pass :func:`~mcld.mass_state.mass_array` and ``t`` must be
+    finite and nonnegative; both are checked before any clock is read.
+    """
+    arr = mass_array(masses)
+    (t,) = time_list((t,), "horizon")
     if lam < 0:
         raise InvalidInput("deletion rate must be nonnegative")
-    arr = _masses_array(masses)
     ei, ej, et = edge_arrivals(clocks, arr, t)
     sv, st = strike_arrivals(clocks, arr, lam, t)
     return _assemble(arr, lam, t, ei, ej, et, sv, st)
@@ -245,9 +237,8 @@ def s2_growth_estimate(masses, clocks: ClockField, t: float, replicas: int) -> S
     Refuses unless the initial squared norm is at most 1/(2t), the regime in
     which the doubling bound applies.
     """
-    if t < 0:
-        raise InvalidInput("horizon must be nonnegative")
-    arr = _masses_array(masses)
+    arr = mass_array(masses)
+    (t,) = time_list((t,), "horizon")
     s2_0 = float(np.sum(arr * arr))
     if t > 0 and s2_0 > 1.0 / (2.0 * t) + 1e-12:
         raise InvalidInput(

@@ -1,8 +1,14 @@
-"""Ordered mass vectors and the l2 metric between them.
+"""Ordered mass vectors, the l2 metric between them, and the package's one
+input contract.
 
 States are non-increasing sequences of nonnegative masses with finite
 support; the squared l2 norm of the component weights (``s2``) is the
 quantity every comparison bound in this package is phrased in.
+
+Every entry point checks its inputs here, before any work: a mass vector
+through :func:`mass_array` (an :class:`OrderedMassVector` is valid by
+construction and passes unchecked) and a list of times through
+:func:`time_list`.
 """
 
 from __future__ import annotations
@@ -11,31 +17,67 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import InvalidInput
 
-__all__ = ["OrderedMassVector", "ordered", "dist", "truncate"]
+__all__ = ["OrderedMassVector", "mass_array", "time_list", "ordered", "dist", "truncate"]
+
+
+def mass_array(masses) -> np.ndarray:
+    """``masses`` as a float64 array that is one-dimensional, finite,
+    nonnegative and non-increasing; an :class:`OrderedMassVector` is not
+    checked again."""
+    if isinstance(masses, OrderedMassVector):
+        return np.asarray(masses.masses, dtype=np.float64)
+    try:
+        arr = np.asarray(masses, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"masses must be numbers: {exc}") from None
+    if (
+        arr.ndim != 1
+        or not np.isfinite(arr).all()
+        or (arr < 0).any()
+        or (arr[1:] > arr[:-1]).any()
+    ):
+        raise InvalidInput(
+            "masses must be a one-dimensional, finite, nonnegative non-increasing "
+            "vector"
+        )
+    return arr
+
+
+def time_list(values, name: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats that is nonempty, finite, nonnegative
+    and strictly increasing; ``name`` names the input in the error."""
+    try:
+        out = tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{name} must be numbers: {exc}") from None
+    if (
+        not out
+        or not all(math.isfinite(v) for v in out)
+        or out[0] < 0
+        or any(b <= a for a, b in zip(out, out[1:]))
+    ):
+        raise InvalidInput(
+            f"{name} must be nonempty, finite, nonnegative and strictly increasing"
+        )
+    return out
 
 
 @dataclass(frozen=True)
 class OrderedMassVector:
-    """Canonical state: non-increasing positive masses, trailing zeros trimmed."""
+    """Canonical state: non-increasing positive masses, trailing zeros
+    trimmed; ``masses`` must pass :func:`mass_array`."""
 
     masses: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        prev = math.inf
-        for m in self.masses:
-            if not (0.0 <= m <= prev) or not math.isfinite(m):
-                raise InvalidInput(
-                    "masses must be finite, nonnegative and non-increasing"
-                )
-            prev = m
-        if self.masses and self.masses[-1] == 0.0:
-            # canonical form: drop the zero tail so equality is well defined
-            trimmed = self.masses
-            while trimmed and trimmed[-1] == 0.0:
-                trimmed = trimmed[:-1]
-            object.__setattr__(self, "masses", trimmed)
+        arr = mass_array(self.masses)
+        # canonical form: drop the zero tail (a valid vector has no other
+        # zeros) so equality is well defined
+        object.__setattr__(self, "masses", tuple(arr[: np.count_nonzero(arr)].tolist()))
 
     def __len__(self) -> int:
         return len(self.masses)
@@ -63,14 +105,7 @@ def ordered(values: Iterable[float]) -> OrderedMassVector:
     The sort is stable, so equal masses keep their original relative order;
     zeros are trimmed.  Negative entries are rejected.
     """
-    vals = list(values)
-    for v in vals:
-        if v < 0 or not math.isfinite(v):
-            raise InvalidInput(f"entries must be finite and nonnegative, got {v!r}")
-    vals.sort(reverse=True)  # timsort is stable
-    while vals and vals[-1] == 0.0:
-        vals.pop()
-    return OrderedMassVector(tuple(vals))
+    return OrderedMassVector(tuple(sorted(values, reverse=True)))
 
 
 def dist(a: OrderedMassVector, b: OrderedMassVector) -> float:

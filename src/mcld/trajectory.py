@@ -53,8 +53,6 @@ class Trajectory:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.states):
             raise InvalidInput("one state per grid time required")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise InvalidInput("time grid must be strictly increasing")
 
     def state_at(self, t: float) -> OrderedMassVector:
         """State recorded at grid time ``t`` (exact match required)."""

@@ -25,7 +25,7 @@ from .graphical import (
     realize,
     truncated_realization,
 )
-from .mass_state import dist
+from .mass_state import dist, mass_array
 from .multigraph import ComponentMultigraph
 from .multigraph import classify_bad as _classify_multigraph
 
@@ -325,7 +325,10 @@ def feller_budget(eps: float, M: float, t: float, lam: float) -> float:
         raise InvalidInput("deletion rate must be nonnegative")
     c = _budget_constant(lam, t)
     first = 0.5 / (t * t * M)
-    second = eps ** 3 / (9.0 * c * ((1.0 + t * M) ** 2 + (1.0 + t * M) * M ** 1.5))
+    try:
+        second = eps ** 3 / (9.0 * c * ((1.0 + t * M) ** 2 + (1.0 + t * M) * M ** 1.5))
+    except OverflowError:
+        raise InvalidInput(f"the tail budget overflows at t={t}, lambda={lam}") from None
     return min(first, second)
 
 
@@ -333,9 +336,7 @@ def tail_truncation_index(masses, delta: float) -> int:
     """Smallest level whose tail squared norm is at most ``delta``."""
     if delta < 0:
         raise InvalidInput("delta must be nonnegative")
-    arr = np.asarray(
-        masses.masses if hasattr(masses, "masses") else masses, dtype=np.float64
-    )
+    arr = mass_array(masses)
     sq = arr * arr
     # suffix[m] = squared norm of everything beyond the first m entries
     suffix = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])

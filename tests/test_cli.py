@@ -299,6 +299,7 @@ class TestCheckedNumbers:
             ("simulate", "--seed zz"),
             ("simulate", "--t inf"),
             ("simulate", "--grid 0.1,x"),
+            ("simulate", "--grid 0.5"),  # with --t 1: exactly one is allowed
             ("simulate", "--masses 1e200,1e200"),
             ("simulate", "--masses 1e100,1e100 --lambda 1e300"),
             ("truncation", "--replicas abc"),
@@ -306,6 +307,7 @@ class TestCheckedNumbers:
             ("truncation", "--lambda abc"),
             ("truncation", "--seed zz"),
             ("truncation", "--truncate 4,99"),
+            ("truncation", "--truncate 4,4"),
             ("truncation", "--gen constant:1e200:4"),
             ("truncation", "--gen powerlaw:-1000:5"),
             ("fp", "--replicas 0"),
@@ -320,6 +322,7 @@ class TestCheckedNumbers:
             ("fp", "--workers two"),
             ("fp", "--t 0.5,abc"),
             ("fp", "--t 0.6,0.3"),
+            ("fp", "--t 1e300"),  # the reference's tail budget overflows
             ("fp", "--seed -1"),
             ("fp", "--lambda abc"),
             ("fp", "--n-list 10000000000000000000000"),

@@ -26,6 +26,7 @@ from mcld.frozen_percolation import (
     sample_critical_er,
 )
 from mcld.mass_state import ordered
+from mcld.truncation import feller_budget
 
 from helpers import brute_components, full_cumsum_aggregate_top, set_loop_gnp_labels
 
@@ -40,17 +41,17 @@ class TestSampleCriticalEr:
     def test_probability_zero_gives_singletons(self):
         # u = -n^(1/3) forces p = 0
         n = 27
-        labels = sample_critical_er(n, -float(n) ** (1.0 / 3.0), SEED)
+        labels = sample_critical_er(n, -float(n) ** (1.0 / 3.0), np.random.default_rng(SEED))
         assert len(np.unique(labels)) == n
 
     def test_two_vertices_probability_one(self):
         # n=2: p = (1 + u*2^(-1/3))/2 = 1 at u = 2^(1/3)
-        labels = sample_critical_er(2, 2.0 ** (1.0 / 3.0), SEED)
+        labels = sample_critical_er(2, 2.0 ** (1.0 / 3.0), np.random.default_rng(SEED))
         assert labels[0] == labels[1]
 
     def test_probability_above_one_rejected(self):
         with pytest.raises(InvalidInput):
-            sample_critical_er(2, 10.0, SEED)
+            sample_critical_er(2, 10.0, np.random.default_rng(SEED))
 
     def test_gnp_matches_dense_bernoulli_law(self):
         # small n: compare component-count distribution of the sparse
@@ -224,7 +225,9 @@ class TestSamplersBitForBit:
 
     def test_reference_replica_rows_pin(self):
         # criterion 8's reference replica 0: its rows and truncation level
-        rows, level = reference_replica_rows(320000, 1.0, 0.0, [1.0], 3, 880, 0, 1.2, 2.0)
+        rows, level = reference_replica_rows(
+            320000, 1.0, 0.0, [1.0], 3, 880, 0, feller_budget(1.2, 2.0, 1.0, 1.0)
+        )
         assert level == 41555
         assert hashlib.sha256(rows.tobytes()).hexdigest() == (
             "2c221fb56afc9c97a261d6a9da3d3ced3becbfc000b196f55cba75ef579df7bc"
@@ -232,13 +235,10 @@ class TestSamplersBitForBit:
 
 
 class TestRunFp:
-    def config(self, n, lam, horizon=1.0, seed=SEED):
-        return FPConfig(n=n, lightning_rate=lam, horizon=horizon, seed=seed)
-
     def test_single_vertex_deleted_at_exponential_time(self):
         times = []
         for s in range(3000):
-            config = FPConfig(n=1, lightning_rate=0.8, horizon=50.0, seed=s)
+            config = FPConfig(n=1, lightning_rate=0.8, horizon=50.0)
             traj = run_fp(config, np.zeros(1, dtype=np.int64), [], rng=np.random.default_rng(s))
             if traj.events:
                 times.append(traj.events[0][0])
@@ -248,18 +248,18 @@ class TestRunFp:
 
     def test_mass_conservation(self):
         n = 500
-        labels = sample_critical_er(n, 0.0, SEED)
-        config = FPConfig(n=n, lightning_rate=0.05, horizon=3.0, seed=SEED)
-        raw = run_fp(config, labels, [config.raw_horizon])
+        labels = sample_critical_er(n, 0.0, np.random.default_rng(SEED))
+        config = FPConfig(n=n, lightning_rate=0.05, horizon=3.0)
+        raw = run_fp(config, labels, [config.raw_horizon], np.random.default_rng(SEED))
         assert raw.deleted_total + int(raw.sizes[0].sum()) == n
 
     def test_partition_labels_need_not_be_contiguous(self):
         # only the partition matters: any label values name the same run
-        labels = sample_critical_er(300, 0.0, SEED)
-        config = self.config(300, 0.02, horizon=2.0)
+        labels = sample_critical_er(300, 0.0, np.random.default_rng(SEED))
+        config = FPConfig(n=300, lightning_rate=0.02, horizon=2.0)
         times = [config.raw_horizon]
-        dense = run_fp(config, labels, times)
-        sparse = run_fp(config, 7 * labels + 3, times)
+        dense = run_fp(config, labels, times, np.random.default_rng(SEED))
+        sparse = run_fp(config, 7 * labels + 3, times, np.random.default_rng(SEED))
         assert sparse.events == dense.events
         assert np.array_equal(sparse.sizes[0], dense.sizes[0])
 
@@ -272,9 +272,7 @@ class TestRunFp:
         singletons = np.arange(n, dtype=np.int64)
         largest_dyn = []
         for r in range(reps):
-            config = FPConfig(
-                n=n, lightning_rate=0.0, horizon=s * n ** (1 / 3.0), seed=r
-            )
+            config = FPConfig(n=n, lightning_rate=0.0, horizon=s * n ** (1 / 3.0))
             raw = run_fp(config, singletons, [s], rng=np.random.default_rng([1, r]))
             largest_dyn.append(int(raw.sizes[0][0]))
         rng = np.random.default_rng([2, SEED])
@@ -297,7 +295,7 @@ class TestRunFp:
         counts = {"merge": 0, 3: 0, 2: 0, 1: 0}
         reps = 8000
         for r in range(reps):
-            config = FPConfig(n=6, lightning_rate=lam, horizon=1000.0, seed=r)
+            config = FPConfig(n=6, lightning_rate=lam, horizon=1000.0)
             raw = run_fp(config, labels, [], rng=np.random.default_rng([3, r]))
             assert raw.events
             t0, kind, size = raw.events[0]
@@ -326,7 +324,7 @@ class TestRunFp:
         for group in by_label.values():
             init_edges.extend(zip(group, group[1:]))  # spanning path
         lam = 0.02
-        config = FPConfig(n=n, lightning_rate=lam, horizon=4.0, seed=SEED)
+        config = FPConfig(n=n, lightning_rate=lam, horizon=4.0)
         record = [config.raw_horizon * k / 4 for k in range(1, 5)]
         raw = run_fp(config, labels, record, rng=np.random.default_rng([5, SEED]))
         oracle = _fullgraph_fp(
@@ -428,11 +426,18 @@ class TestScaleTrajectory:
         sizes = rows * 27 ** (2.0 / 3.0)
         assert np.allclose(sizes, np.round(sizes), rtol=0.0, atol=1e-9)
 
+    def test_no_lightning_stops_at_one_component(self):
+        # with no lightning, arrivals inside the last component change
+        # nothing; they must not be drawn all the way to the horizon
+        with deadline(20):
+            rows = fp_replica_rows(5, 0.0, 0.0, [1e160], 3, SEED, 0)
+        assert rows[0].tolist() == [5 * 5 ** (-2.0 / 3.0), 0.0, 0.0]
+
     def test_uncovered_time_rejected(self):
         # a recording time the run does not reach is refused, not extrapolated
-        config = FPConfig(n=8, lightning_rate=1.0, horizon=1.0, seed=SEED)
+        config = FPConfig(n=8, lightning_rate=1.0, horizon=1.0)
         with pytest.raises(InvalidInput):
-            run_fp(config, np.arange(8), [config.raw_horizon * 2.0])
+            run_fp(config, np.arange(8), [config.raw_horizon * 2.0], np.random.default_rng(SEED))
 
 
 class TestScaledSquaredNormBounded:
@@ -593,7 +598,6 @@ class TestCompareReport:
             top_r=2,
             seed=SEED,
             n_ref=2000,
-            budget_eps=4.0,
         )
         rep1 = fp_mcld_compare(**kwargs)
         rep2 = fp_mcld_compare(**kwargs)
@@ -610,6 +614,8 @@ class TestCompareReport:
         [
             {"n_list": []},
             {"n_list": [0]},
+            {"lam_rescaled": math.nan},
+            {"u": -math.inf},
             {"t_list": []},
             {"t_list": [-0.1]},
             {"t_list": [0.5, 0.5]},

@@ -1,14 +1,18 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
-from mcld.graphical import _component_s2, _component_weights
-from mcld.mass_state import OrderedMassVector, dist, ordered, truncate
+from mcld.events import run_clocked
+from mcld.graphical import _component_s2, _component_weights, realize, s2_growth_estimate
+from mcld.mass_state import OrderedMassVector, dist, ordered, time_list, truncate
+from mcld.truncation import tail_truncation_index
 
-from helpers import brute_components, ordered_weights
+from helpers import brute_components, hostile_masses, ordered_weights
 
 # masses at simulation scale: squaring must not underflow to zero
 mass_value = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0))
@@ -196,3 +200,59 @@ def test_canonical_trailing_zeros():
     assert v.masses == (2.0, 1.0)
     with pytest.raises(InvalidInput):
         OrderedMassVector((1.0, 2.0))
+
+
+@st.composite
+def maybe_spoiled_masses(draw):
+    """A hostile mass vector, or one spoiled by a NaN or an infinity at any
+    position, a negative last entry, an increasing last pair or a second
+    axis; the empty vector is among the unspoiled ones."""
+    masses = draw(hostile_masses())
+    spoil = draw(st.sampled_from(["none", "nonfinite", "negative", "increasing", "2-d"]))
+    if spoil == "nonfinite":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        masses.insert(draw(st.integers(0, len(masses))), bad)
+    elif spoil == "negative":
+        masses.append(-draw(st.floats(1e-300, 1e300)))
+    elif spoil == "increasing":
+        masses.append(2.0 * max(masses, default=0.0) + 1.0)
+    elif spoil == "2-d":
+        return np.array([masses])
+    return masses
+
+
+class TestOneInputContract:
+    @settings(max_examples=300, deadline=None)
+    @given(masses=maybe_spoiled_masses())
+    @example(masses=[1.0, math.nan, 0.5])
+    @example(masses=[])
+    def test_entry_points_agree_on_what_they_accept(self, masses):
+        # t = 1e-302 keeps 2 t s2 <= 1, the growth bound's hypothesis, for
+        # every hostile state (at most 25 masses of 1e150)
+        field, t = ClockField(17), 1e-302
+        calls = (
+            lambda: realize(masses, field, 1.0, t),
+            lambda: run_clocked(masses, field, 1.0, t),
+            lambda: s2_growth_estimate(masses, field, t, 1),
+            lambda: tail_truncation_index(masses, 0.0),
+        )
+        accepted = []
+        for call in calls:
+            try:
+                call()
+            except InvalidInput:
+                accepted.append(False)
+            else:
+                accepted.append(True)
+        assert len(set(accepted)) == 1, accepted
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [math.nan], [math.inf], [-0.5], [0.5, 0.5], [1.0, 0.5], [[1.0]], ["x"]],
+    )
+    def test_time_list_rejects(self, values):
+        with pytest.raises(InvalidInput, match="grid"):
+            time_list(values, "grid")
+
+    def test_time_list_accepts(self):
+        assert time_list([0, 0.5, 2], "grid") == (0.0, 0.5, 2.0)
