@@ -13,7 +13,9 @@ def _check(result):
 
 
 def test_criterion_1_pathwise_equivalence():
-    _check(acceptance.criterion_pathwise())
+    details = _check(acceptance.criterion_pathwise())
+    assert details["cases"] == 1000
+    assert details["max_entrywise_error"] == 1.0658141036401503e-14
 
 
 def test_criterion_2_sandwich_inequality():
@@ -32,7 +34,26 @@ def test_criterion_4_bad_set_oracle():
 
 
 def test_criterion_5_analytic_bounds():
-    _check(acceptance.criterion_bound_checks())
+    details = _check(acceptance.criterion_bound_checks())
+    doubling = details["doubling"]
+    assert (doubling["mean"], doubling["sem"]) == (
+        0.9534120000000003,
+        0.002906209977142589,
+    )
+    bipartite = details["bipartite"]
+    assert (bipartite["mean_excess"], bipartite["sem"], bipartite["bound"]) == (
+        0.4289098916312836,
+        0.002479361308912942,
+        0.8000000000000002,
+    )
+    gap = details["frozen_gap"]
+    assert (gap["mean_gap"], gap["sem"], gap["alpha"], gap["beta"], gap["bound"]) == (
+        0.3809143654407379,
+        0.002724316202369255,
+        1.0,
+        0.09500000000000001,
+        1.1400000000000001,
+    )
 
 
 def test_criterion_6_connectivity_bound():
@@ -63,7 +84,8 @@ def test_criterion_8_fp_scaling_trend():
 
 
 def test_criterion_9_trajectory_sanity():
-    _check(acceptance.criterion_trajectory_sanity())
+    details = _check(acceptance.criterion_trajectory_sanity())
+    assert details["max_mass_balance_error"] == 1.0658141036401503e-14
 
 
 def test_criterion_10_determinism():
