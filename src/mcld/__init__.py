@@ -6,7 +6,7 @@ and the finite-n frozen percolation pre-limit with its rescaling."""
 from .clock_field import ClockField
 from .errors import InvalidInput, InvariantViolation
 from .events import deleted_mass_up_to, run_clocked
-from .feller import coupled_distance, feller_sweep, ks_two_sample, power_law_reference
+from .feller import feller_sweep, ks_two_sample, power_law_reference
 from .frozen_percolation import FPConfig, fp_mcld_compare, run_fp, sample_critical_er
 from .graphical import (
     GraphRealization,

@@ -22,7 +22,7 @@ from .errors import InvariantViolation
 from .events import _UnionFind, deleted_mass_up_to, run_clocked
 from .feller import feller_sweep, power_law_reference
 from .frozen_percolation import fp_mcld_compare
-from .graphical import realize, s2_growth_estimate, state_at
+from .graphical import s2_growth_estimate, state_at
 from .mass_state import dist, ordered, truncate
 from .multigraph import ComponentMultigraph, classify_bad_bruteforce
 from .multigraph import classify_bad as classify_multigraph
@@ -31,9 +31,8 @@ from .truncation import (
     frozen_split_gap_samples,
     good_component_check,
     SANDWICH_TOL,
-    report_from_split,
-    split_from_realization,
     tail_truncation_index,
+    truncation_report,
 )
 
 __all__ = ["CriterionResult", "CRITERIA", "QUICK", "run_criteria"]
@@ -164,27 +163,20 @@ def criterion_trajectory_sanity(corrupt: bool = False):
 
 @lru_cache(maxsize=1)
 def _sandwich_bundle() -> dict:
-    reference = power_law_reference(0.6, 512)
-    base = ClockField(SEED_SANDWICH)
     worst_slack = -math.inf
     violations = 0
     holds = True
     reports = 0
-    for seed in range(500):
-        full = realize(reference, base.child(seed), 1.0, 1.0)
-        for m in (16, 64, 256):
-            sr = split_from_realization(full, m)
-            try:
-                rep = report_from_split(sr)
-            except InvariantViolation:
-                holds = False
-                continue
-            reports += 1
-            slack = rep.distance - 3.0 * math.sqrt(rep.gap)
-            worst_slack = max(worst_slack, slack)
-            if not rep.holds:
-                holds = False
-            violations += len(good_component_check(sr, rep.bad))
+    for _, _, sr, rep in truncation_report(
+        power_law_reference(0.6, 512), SEED_SANDWICH, 1.0, 1.0, (16, 64, 256), 500
+    ):
+        if isinstance(rep, InvariantViolation):
+            holds = False
+            continue
+        reports += 1
+        worst_slack = max(worst_slack, rep.distance - 3.0 * math.sqrt(rep.gap))
+        holds &= rep.holds
+        violations += len(good_component_check(sr, rep.bad))
     return {
         "worst_slack": worst_slack,
         "violations": violations,

@@ -22,9 +22,8 @@ from .clock_field import ClockField
 from .errors import InvalidInput, InvariantViolation
 from .events import deleted_mass_up_to, run_clocked
 from .frozen_percolation import fp_mcld_compare
-from .graphical import realize
 from .mass_state import OrderedMassVector, time_list
-from .truncation import report_from_split, split_from_realization
+from .truncation import truncation_report
 
 __all__ = ["main"]
 
@@ -171,31 +170,22 @@ def cmd_simulate(args) -> int:
 def cmd_truncation(args) -> int:
     seed = _seed_of(args)
     initial = _initial_state(args, seed)
-    (t,) = time_list((_number(args.t, float, "--t"),), "--t")
-    lam = _rate(args)
-    levels = _int_list(args.truncate, "--truncate")
-    if not levels or len(set(levels)) != len(levels):
-        raise InvalidInput("--truncate requires at least one level, all distinct")
-    replicas = _number(args.replicas, int, "--replicas")
-    if replicas < 1:
-        raise InvalidInput("--replicas must be at least 1")
-    base = ClockField(seed)
     any_violation = False
     reports = {}
-    for r in range(replicas):
-        # one realization per replica serves every level
-        full = realize(initial, base.child(r), lam, t)
-        for level in levels:
-            try:
-                rep = report_from_split(split_from_realization(full, level))
-            except InvariantViolation as exc:
-                print(f"invariant violation at m={level} replica={r}: {exc}",
-                      file=sys.stderr)
-                any_violation = True
-                continue
-            if not rep.holds:
-                any_violation = True
-            reports[f"report_m{level}_r{r}.json"] = rep.to_json_dict()
+    for r, m, _, rep in truncation_report(
+        initial,
+        seed,
+        _rate(args),
+        _number(args.t, float, "--t"),
+        _int_list(args.truncate, "--truncate"),
+        _number(args.replicas, int, "--replicas"),
+    ):
+        if isinstance(rep, InvariantViolation):
+            print(f"invariant violation at m={m} replica={r}: {rep}", file=sys.stderr)
+            any_violation = True
+        else:
+            any_violation |= not rep.holds
+            reports[f"report_m{m}_r{r}.json"] = rep.to_json_dict()
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, payload in reports.items():
@@ -203,7 +193,7 @@ def cmd_truncation(args) -> int:
     if any_violation:
         print("sandwich violation detected", file=sys.stderr)
         return EXIT_INVARIANT
-    print(f"wrote {len(levels) * replicas} reports to {outdir}")
+    print(f"wrote {len(reports)} reports to {outdir}")
     return EXIT_OK
 
 

@@ -22,7 +22,6 @@ from .mass_state import OrderedMassVector, dist, ordered
 
 __all__ = [
     "power_law_reference",
-    "coupled_distance",
     "CouplingReport",
     "feller_sweep",
     "ks_two_sample",
@@ -40,19 +39,8 @@ def power_law_reference(exponent: float, support: int) -> OrderedMassVector:
     return ordered(float(i) ** (-exponent) for i in range(1, support + 1))
 
 
-def coupled_distance(initial_a, initial_b, lam: float, t: float, seed: int) -> float:
-    """Distance at time t between two runs sharing one clock field."""
-    field = ClockField(seed)
-    state_a = realize(initial_a, field, lam, t).state
-    state_b = realize(initial_b, field, lam, t).state
-    return dist(state_a, state_b)
-
-
 @dataclass(frozen=True)
 class CouplingReport:
-    n_list: tuple[int, ...]
-    replicas: int
-    seed: int
     seeds: tuple[int, ...]  # derived per-replica field seeds
     distances: dict[int, tuple[float, ...]]
     quantiles: dict[int, tuple[float, float]]  # (median, 0.9-quantile)
@@ -75,8 +63,8 @@ def feller_sweep(
 
     One clock evaluation per replica serves every level: a truncated run's
     edges and strikes are exactly the reference tables filtered to the kept
-    labels, so the sweep is pathwise identical to independent
-    :func:`coupled_distance` calls while doing a fraction of the work.
+    labels, so the sweep is pathwise identical to realizing each truncation
+    on its own while doing a fraction of the work.
     """
     n_list = tuple(int(n) for n in n_list)
     if any(n < 0 or n > len(reference) for n in n_list):
@@ -104,9 +92,6 @@ def feller_sweep(
         for n, v in distances.items()
     }
     return CouplingReport(
-        n_list=n_list,
-        replicas=replicas,
-        seed=seed,
         seeds=tuple(child_seeds),
         distances=distances,
         quantiles=quantiles,

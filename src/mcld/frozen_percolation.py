@@ -235,7 +235,6 @@ class FPCompareReport:
     n_ref: int
     ref_level: int
     samples: dict[int, np.ndarray]  # replicas x times x top_r scaled masses
-    reference_samples: np.ndarray
     # KS statistics indexed [time][rank]
     ks_vs_reference: dict[int, tuple[tuple[float, ...], ...]]
     ks_between: dict[tuple[int, int], tuple[tuple[float, ...], ...]]
@@ -492,7 +491,6 @@ def fp_mcld_compare(
         n_ref=n_ref,
         ref_level=max(level for _, level in ref_outcomes),
         samples=samples,
-        reference_samples=reference,
         ks_vs_reference={n: _ks_table(samples[n], reference) for n in n_list},
         ks_between={
             (a, b): _ks_table(samples[a], samples[b])

@@ -228,7 +228,6 @@ def state_at(masses, clocks: ClockField, lam: float, t: float) -> OrderedMassVec
 class S2Growth:
     mean: float
     sem: float
-    samples: tuple[float, ...]
 
 
 def s2_growth_estimate(masses, clocks: ClockField, t: float, replicas: int) -> S2Growth:
@@ -257,4 +256,4 @@ def s2_growth_estimate(masses, clocks: ClockField, t: float, replicas: int) -> S
         sem = math.sqrt(var / replicas)
     else:
         sem = float("inf")
-    return S2Growth(mean=mean, sem=sem, samples=tuple(samples))
+    return S2Growth(mean=mean, sem=sem)

@@ -7,8 +7,8 @@ quantity every comparison bound in this package is phrased in.
 
 Every entry point checks its inputs here, before any work: a mass vector
 through :func:`mass_array` (an :class:`OrderedMassVector` is valid by
-construction and passes unchecked) and a list of times through
-:func:`time_list`.
+construction and passes unchecked), unordered weights through
+:func:`weight_array` and a list of times through :func:`time_list`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InvalidInput
 
-__all__ = ["OrderedMassVector", "mass_array", "time_list", "ordered", "dist", "truncate"]
+__all__ = ["OrderedMassVector", "mass_array", "weight_array", "time_list", "ordered",
+           "dist", "truncate"]
 
 
 def mass_array(masses) -> np.ndarray:
@@ -30,19 +31,26 @@ def mass_array(masses) -> np.ndarray:
     checked again."""
     if isinstance(masses, OrderedMassVector):
         return np.asarray(masses.masses, dtype=np.float64)
+    return weight_array(masses, "masses", True)
+
+
+def weight_array(values, name: str, nonincreasing: bool) -> np.ndarray:
+    """``values`` as a float64 array that is one-dimensional, finite and
+    nonnegative, and also non-increasing if ``nonincreasing``; ``name`` names
+    the input in the error."""
     try:
-        arr = np.asarray(masses, dtype=np.float64)
+        arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"masses must be numbers: {exc}") from None
+        raise InvalidInput(f"{name} must be numbers: {exc}") from None
     if (
         arr.ndim != 1
         or not np.isfinite(arr).all()
         or (arr < 0).any()
-        or (arr[1:] > arr[:-1]).any()
+        or (nonincreasing and (arr[1:] > arr[:-1]).any())
     ):
+        order = " non-increasing" if nonincreasing else ""
         raise InvalidInput(
-            "masses must be a one-dimensional, finite, nonnegative non-increasing "
-            "vector"
+            f"{name} must be a one-dimensional, finite, nonnegative{order} vector"
         )
     return arr
 

@@ -17,15 +17,15 @@ import numpy as np
 
 from .clock_field import ClockField
 from .errors import InvalidInput, InvariantViolation
-from .events import _UnionFind
 from .graphical import (
     GraphRealization,
     _component_s2,
+    _component_weights,
     _components_from_edges,
     realize,
     truncated_realization,
 )
-from .mass_state import dist, mass_array
+from .mass_state import dist, mass_array, time_list, weight_array
 from .multigraph import ComponentMultigraph
 from .multigraph import classify_bad as _classify_multigraph
 
@@ -69,20 +69,17 @@ class SplitRealization:
     alpha: float
     beta: float
 
-    @property
-    def n(self) -> int:
-        return self.full.n
-
 
 def split_from_realization(full: GraphRealization, m: int) -> SplitRealization:
     """The level-m truncated run under the full run's clocks, and the full
     graph's components spanned on the labels ``[1, m]`` and ``(m, n]``."""
-    if m < 0 or m > full.n:
-        raise InvalidInput(f"truncation level must be in [0, {full.n}]")
     trunc = truncated_realization(full, m)
-    labels = np.arange(1, full.n + 1, dtype=np.int64)
-    lower = _components_from_edges(full.n, full.edge_i, full.edge_j, members=labels[:m])
-    upper = _components_from_edges(full.n, full.edge_i, full.edge_j, members=labels[m:])
+    # without the cross edges every component lies on one side; they come
+    # ordered by least label, so the lower ones are a prefix
+    side = ~((full.edge_i <= m) & (full.edge_j > m))
+    comps = _components_from_edges(full.n, full.edge_i[side], full.edge_j[side])
+    k = sum(c[0] <= m for c in comps)
+    lower, upper = comps[:k], comps[k:]
     alpha = _component_s2(full.masses, lower)
     beta = _component_s2(full.masses, upper)
     return SplitRealization(
@@ -136,16 +133,19 @@ def component_multigraph(sr: SplitRealization) -> ComponentMultigraph:
 
 @dataclass(frozen=True)
 class SandwichGraphs:
-    v_hat: frozenset[int]
-    v_check: frozenset[int]
+    """Squared component weights of the inner and outer spanned subgraphs,
+    and their exactly rounded sums."""
+
+    squares_hat: tuple[float, ...]
+    squares_check: tuple[float, ...]
     s2_hat: float
     s2_check: float
 
 
-def _s2_spanned(full: GraphRealization, vertices: frozenset[int]) -> float:
+def _squares_spanned(full: GraphRealization, vertices) -> tuple[float, ...]:
     members = np.array(sorted(vertices), dtype=np.int64)
     comps = _components_from_edges(full.n, full.edge_i, full.edge_j, members=members)
-    return _component_s2(full.masses, comps)
+    return tuple(w * w for w in _component_weights(full.masses, comps))
 
 
 def sandwich_graphs(sr: SplitRealization, bad: frozenset[int]) -> SandwichGraphs:
@@ -159,7 +159,7 @@ def sandwich_graphs(sr: SplitRealization, bad: frozenset[int]) -> SandwichGraphs
     intact_full, intact_trunc = sr.full.intact, sr.truncated.intact
     m = sr.level
     v_hat: set[int] = set()
-    v_check: set[int] = set(range(m + 1, sr.n + 1))
+    v_check: set[int] = set(range(m + 1, sr.full.n + 1))
     for idx, comp in enumerate(sr.lower_components):
         if idx in bad:
             v_check.update(comp)
@@ -178,11 +178,13 @@ def sandwich_graphs(sr: SplitRealization, bad: frozenset[int]) -> SandwichGraphs
         if not inner.issubset(outer):
             raise InvariantViolation(f"sandwich inclusion failed: {name}")
 
+    squares_hat = _squares_spanned(sr.full, v_hat_f)
+    squares_check = _squares_spanned(sr.full, v_check_f)
     return SandwichGraphs(
-        v_hat=v_hat_f,
-        v_check=v_check_f,
-        s2_hat=_s2_spanned(sr.full, v_hat_f),
-        s2_check=_s2_spanned(sr.full, v_check_f),
+        squares_hat=squares_hat,
+        squares_check=squares_check,
+        s2_hat=math.fsum(squares_hat),
+        s2_check=math.fsum(squares_check),
     )
 
 
@@ -232,11 +234,33 @@ class TruncationReport:
         }
 
 
-def truncation_report(
-    masses, clocks: ClockField, lam: float, t: float, m: int
-) -> TruncationReport:
-    """End-to-end sandwich computation for one seed and one level."""
-    return report_from_split(split_from_realization(realize(masses, clocks, lam, t), m))
+def truncation_report(masses, seed: int, lam: float, t: float, levels, replicas: int):
+    """Sandwich reports at every level of every replica, after every input
+    is checked and before any clock is read.  Replica ``r`` is realized once,
+    on ``ClockField(seed).child(r)``, for every level.  Yields ``(r, m, split,
+    report)``; a report that raised :class:`InvariantViolation` is yielded as
+    that exception, for the caller to count."""
+    arr = mass_array(masses)
+    (t,) = time_list((t,), "horizon")
+    if lam < 0:
+        raise InvalidInput("deletion rate must be nonnegative")
+    levels = tuple(levels)
+    if not levels or len(set(levels)) != len(levels):
+        raise InvalidInput("truncation levels must be nonempty and distinct")
+    if any(m < 0 or m > len(arr) for m in levels):
+        raise InvalidInput(f"truncation levels must lie in [0, {len(arr)}]")
+    if replicas < 1:
+        raise InvalidInput("need at least one replica")
+    base = ClockField(seed)
+    for r in range(replicas):
+        full = realize(arr, base.child(r), lam, t)
+        for m in levels:
+            split = split_from_realization(full, m)
+            try:
+                report = report_from_split(split)
+            except InvariantViolation as exc:
+                report = exc
+            yield r, m, split, report
 
 
 def report_from_split(sr: SplitRealization) -> TruncationReport:
@@ -247,7 +271,7 @@ def report_from_split(sr: SplitRealization) -> TruncationReport:
 
     # the graph spanned on the full run's intact set is its survivor graph
     s2_h = sr.full.state.norm_sq()
-    s2_hm = _s2_spanned(sr.full, sr.truncated.intact)
+    s2_hm = math.fsum(_squares_spanned(sr.full, sr.truncated.intact))
     for mid, label in ((s2_h, "survivor"), (s2_hm, "truncated-intact spanned")):
         if not (sw.s2_hat - SANDWICH_TOL <= mid <= sw.s2_check + SANDWICH_TOL):
             raise InvariantViolation(
@@ -256,6 +280,12 @@ def report_from_split(sr: SplitRealization) -> TruncationReport:
 
     gap = max(sw.s2_check - sw.s2_hat, 0.0)
     distance = dist(sr.full.state, sr.truncated.state)
+    holds = distance <= 3.0 * math.sqrt(gap) + SANDWICH_TOL
+    if not holds:
+        # the difference of two rounded sums can cancel the gap away; judge
+        # again on the gap summed exactly in one pass
+        gap = max(math.fsum(sw.squares_check + tuple(-w for w in sw.squares_hat)), 0.0)
+        holds = distance <= 3.0 * math.sqrt(gap) + SANDWICH_TOL
     t, lam = sr.full.horizon, sr.full.lam
     if t * t * sr.alpha * sr.beta <= 0.5:
         terms = truncation_bound_terms(sr.alpha, sr.beta, t, lam)
@@ -272,7 +302,7 @@ def report_from_split(sr: SplitRealization) -> TruncationReport:
         gap=gap,
         distance=distance,
         bound_terms=terms,
-        holds=bool(distance <= 3.0 * math.sqrt(gap) + SANDWICH_TOL),
+        holds=bool(holds),
         bad=bad,
     )
 
@@ -354,7 +384,6 @@ class BipartiteStudy:
     bound: float
     mean_excess: float
     sem: float
-    replicas: int
 
 
 def bipartite_s2_samples(
@@ -366,8 +395,8 @@ def bipartite_s2_samples(
     the edge between left i and right j appears when the shared pair clock
     is below t*x_i*y_j.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = weight_array(x, "x", False)
+    y = weight_array(y, "y", False)
     a = float(np.sum(x * x))
     b = float(np.sum(y * y))
     bound = bipartite_bound(a, b, t, len(x))
@@ -375,26 +404,22 @@ def bipartite_s2_samples(
     li = np.repeat(np.arange(1, nl + 1), nr)
     rj = np.tile(np.arange(nl + 1, nl + nr + 1), nl)
     thresholds = t * np.repeat(x, nr) * np.tile(y, nl)
+    weight = [0.0] + x.tolist() + y.tolist()  # by vertex label
     base = ClockField(base_seed)
     samples = np.empty(replicas)
     for r in range(replicas):
-        exps = base.child(r).pair_exps(li, rj)
-        present = exps <= thresholds
-        uf = _UnionFind([1] * (nl + nr + 1))
-        for u, v in zip(li[present].tolist(), rj[present].tolist()):
-            uf.union(u, v)
-        weights: dict[int, float] = {}
-        for v in range(1, nl + nr + 1):
-            w = x[v - 1] if v <= nl else y[v - nl - 1]
-            root = uf.find(v)
-            weights[root] = weights.get(root, 0.0) + w
-        samples[r] = math.fsum(w * w for w in weights.values())
+        present = base.child(r).pair_exps(li, rj) <= thresholds
+        squares = []
+        for comp in _components_from_edges(nl + nr, li[present], rj[present]):
+            w = 0.0
+            for v in comp:  # in label order, one rounding per addition
+                w += weight[v]
+            squares.append(w * w)
+        samples[r] = math.fsum(squares)
     excess = samples - a
     mean = float(np.mean(excess))
     sem = float(np.std(excess, ddof=1) / math.sqrt(replicas))
-    return BipartiteStudy(
-        a=a, b=b, bound=bound, mean_excess=mean, sem=sem, replicas=replicas
-    )
+    return BipartiteStudy(a=a, b=b, bound=bound, mean_excess=mean, sem=sem)
 
 
 class _SplitResampleField(ClockField):
@@ -426,7 +451,6 @@ class GapStudy:
     bound: float
     mean_gap: float
     sem: float
-    replicas: int
 
 
 def frozen_split_gap_samples(
@@ -460,5 +484,4 @@ def frozen_split_gap_samples(
         bound=bound,
         mean_gap=mean,
         sem=sem,
-        replicas=replicas,
     )

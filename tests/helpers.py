@@ -1,7 +1,8 @@
 """Small independent utilities shared by the test suite.  They are kept
 free of the package's own graph machinery so they can serve as oracles;
-``all_survivors_state`` is the exception, a plainer assembly from the
-package's grouping helper."""
+``all_survivors_state`` and ``coupled_distance`` are the exceptions: a
+plainer assembly from the package's grouping helper, and two independent
+realizations that a truncation sweep must reproduce."""
 
 from __future__ import annotations
 
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from mcld import truncation
 from mcld.clock_field import ClockField, pair_count, pair_index_decode
-from mcld.graphical import _component_weights, _components_from_edges
-from mcld.mass_state import OrderedMassVector, ordered
+from mcld.errors import InvariantViolation
+from mcld.graphical import _component_weights, _components_from_edges, realize
+from mcld.mass_state import OrderedMassVector, dist, ordered
 
 _LATTICE = 2.0 ** 52
 
@@ -259,6 +262,38 @@ def all_survivors_state(real) -> OrderedMassVector:
     members = np.array(sorted(real.intact), dtype=np.int64)
     groups = _components_from_edges(real.n, real.edge_i, real.edge_j, members=members)
     return ordered(_component_weights(np.asarray(real.masses), groups))
+
+
+def coupled_distance(initial_a, initial_b, lam: float, t: float, seed: int) -> float:
+    """Distance at time t between two runs sharing one clock field, each
+    realized on its own."""
+    field = ClockField(seed)
+    state_a = realize(initial_a, field, lam, t).state
+    state_b = realize(initial_b, field, lam, t).state
+    return dist(state_a, state_b)
+
+
+def make_clocks_unreadable(monkeypatch) -> None:
+    """Make every read of a clock field fail, so that a test can show that a
+    run refused its input before it read any clock."""
+
+    def unreadable(*args, **kwargs):
+        raise AssertionError("a clock was read")
+
+    for name in ("child", "_pair_hash", "_vertex_hash"):
+        monkeypatch.setattr(ClockField, name, unreadable)
+
+
+def fail_sandwich_at(monkeypatch, level: int) -> None:
+    """Make the sandwich construction raise InvariantViolation at one level."""
+    real = truncation.sandwich_graphs
+
+    def failing(sr, bad):
+        if sr.level == level:
+            raise InvariantViolation(f"injected failure at level {level}")
+        return real(sr, bad)
+
+    monkeypatch.setattr(truncation, "sandwich_graphs", failing)
 
 
 def ordered_weights(masses: dict[int, float], comps) -> tuple[float, ...]:

@@ -5,6 +5,8 @@ speed-up or refactor that moves any of them changes behaviour."""
 
 from mcld import acceptance
 
+from helpers import fail_sandwich_at
+
 
 def _check(result):
     print(result.line())
@@ -27,6 +29,13 @@ def test_criterion_2_sandwich_inequality():
 def test_criterion_3_good_component_identity():
     details = _check(acceptance.criterion_good_components())
     assert details == {"violations": 0, "reports": 1500}
+
+
+def test_sandwich_bundle_counts_an_invariant_violation(monkeypatch):
+    fail_sandwich_at(monkeypatch, 64)
+    bundle = acceptance._sandwich_bundle.__wrapped__()  # past the cache
+    assert bundle["holds"] is False
+    assert bundle["reports"] == 1000
 
 
 def test_criterion_4_bad_set_oracle():

@@ -10,7 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcld import cli
+from mcld.errors import InvalidInput
+from mcld.feller import power_law_reference
 from mcld.serialize import dumps
+from mcld.truncation import truncation_report
+
+from helpers import fail_sandwich_at, make_clocks_unreadable
 
 
 class TestSimulate:
@@ -147,6 +152,52 @@ class TestTruncation:
             ]
         )
         assert code == 2
+
+    def test_levels_checked_before_any_clock(self, tmp_path, monkeypatch, capsys):
+        make_clocks_unreadable(monkeypatch)
+        argv = (
+            "truncation --gen powerlaw:0.6:4096 --t 1 --truncate 16,5000 --replicas 3"
+        ).split()
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out-dir", str(out)]) == 2
+        assert "[0, 4096]" in capsys.readouterr().err
+        assert not out.exists()
+        reports = truncation_report(
+            power_law_reference(0.6, 4096), 0, 1.0, 1.0, [16, 5000], 3
+        )
+        with pytest.raises(InvalidInput):
+            list(reports)
+
+    def test_cancelled_gap_is_not_a_violation(self, tmp_path):
+        # s2_check = 1e58 + 9 rounds to s2_hat = 1e58; the gap is 9, not 0
+        code = cli.main(
+            [
+                "truncation", "--masses", "100000000000000000000000000000,3",
+                "--t", "0", "--truncate", "1", "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        rep = json.loads((tmp_path / "report_m1_r0.json").read_text())
+        assert (rep["gap"], rep["distance"], rep["holds"]) == (9, 3, True)
+
+    def test_invariant_violation_reported_and_other_reports_written(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        fail_sandwich_at(monkeypatch, 32)
+        code = cli.main(
+            [
+                "truncation", "--gen", "powerlaw:0.6:64", "--t", "1",
+                "--truncate", "16,32", "--replicas", "2", "--seed", "4",
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "invariant violation at m=32 replica=0" in err
+        assert "invariant violation at m=32 replica=1" in err
+        assert sorted(os.listdir(tmp_path)) == [
+            "report_m16_r0.json", "report_m16_r1.json"
+        ]
 
 
 class TestFp:

@@ -7,15 +7,12 @@ import scipy.stats
 from mcld import acceptance
 from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
-from mcld.feller import (
-    coupled_distance,
-    feller_sweep,
-    ks_two_sample,
-    power_law_reference,
-)
+from mcld.feller import feller_sweep, ks_two_sample, power_law_reference
 from mcld.graphical import realize, truncated_realization
 from mcld.mass_state import dist, truncate
 from mcld.truncation import report_from_split, split_from_realization
+
+from helpers import coupled_distance
 
 SEED = 5772
 

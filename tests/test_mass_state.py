@@ -9,8 +9,15 @@ from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
 from mcld.events import run_clocked
 from mcld.graphical import _component_s2, _component_weights, realize, s2_growth_estimate
-from mcld.mass_state import OrderedMassVector, dist, ordered, time_list, truncate
-from mcld.truncation import tail_truncation_index
+from mcld.mass_state import (
+    OrderedMassVector,
+    dist,
+    ordered,
+    time_list,
+    truncate,
+    weight_array,
+)
+from mcld.truncation import tail_truncation_index, truncation_report
 
 from helpers import brute_components, hostile_masses, ordered_weights
 
@@ -235,6 +242,7 @@ class TestOneInputContract:
             lambda: run_clocked(masses, field, 1.0, t),
             lambda: s2_growth_estimate(masses, field, t, 1),
             lambda: tail_truncation_index(masses, 0.0),
+            lambda: list(truncation_report(masses, 17, 1.0, t, [0], 1)),
         )
         accepted = []
         for call in calls:
@@ -256,3 +264,15 @@ class TestOneInputContract:
 
     def test_time_list_accepts(self):
         assert time_list([0, 0.5, 2], "grid") == (0.0, 0.5, 2.0)
+
+    @pytest.mark.parametrize(
+        "values", [[math.nan], [1.0, math.inf], [0.5, -0.5], [[1.0]], ["x"]]
+    )
+    def test_weight_array_rejects(self, values):
+        with pytest.raises(InvalidInput, match="weights"):
+            weight_array(values, "weights", False)
+
+    def test_weight_array_orders_only_on_request(self):
+        assert weight_array([0.5, 1.0, 0.0], "weights", False).tolist() == [0.5, 1.0, 0.0]
+        with pytest.raises(InvalidInput, match="non-increasing"):
+            weight_array([0.5, 1.0], "masses", True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mcld.clock_field import ClockField
-from mcld.errors import InvalidInput
+from mcld.errors import InvalidInput, InvariantViolation
 from mcld.feller import power_law_reference
 from mcld.graphical import _components_from_edges, realize
 from mcld.mass_state import ordered
@@ -23,7 +23,7 @@ from mcld.truncation import (
     truncation_report,
 )
 
-from helpers import StubClockField
+from helpers import StubClockField, fail_sandwich_at, make_clocks_unreadable
 
 SEED = 1618
 
@@ -129,11 +129,15 @@ class TestSandwich:
         assert good_component_check(sr, report_from_split(sr).bad) == []
 
 
+def _one_report(masses, m):
+    ((_, _, _, rep),) = truncation_report(masses, SEED, 1.0, 1.0, [m], 1)
+    return rep
+
+
 class TestTruncationReportShape:
     def test_json_schema(self):
         v = power_law_reference(0.6, 32)
-        rep = truncation_report(v, ClockField(SEED), 1.0, 1.0, 8)
-        d = rep.to_json_dict()
+        d = _one_report(v, 8).to_json_dict()
         assert set(d) == {
             "m",
             "alpha",
@@ -148,12 +152,70 @@ class TestTruncationReportShape:
 
     def test_bound_terms_present_iff_hypothesis_holds(self):
         light = ordered([0.2, 0.1, 0.1, 0.05])
-        rep = truncation_report(light, ClockField(SEED), 1.0, 1.0, 2)
-        assert rep.bound_terms is not None
+        assert _one_report(light, 2).bound_terms is not None
         heavy = power_law_reference(0.6, 128)
-        rep = truncation_report(heavy, ClockField(SEED), 1.0, 1.0, 64)
+        rep = _one_report(heavy, 64)
         if rep.alpha * rep.beta > 0.5:
             assert rep.bound_terms is None
+
+
+class TestTruncationReportLoop:
+    def test_one_realization_per_replica_serves_every_level(self):
+        v = power_law_reference(0.6, 48)
+        got = list(truncation_report(v, SEED, 1.0, 1.0, [24, 8], 3))
+        assert [(r, m) for r, m, _, _ in got] == [
+            (r, m) for r in range(3) for m in (24, 8)
+        ]
+        for r, m, split, rep in got:
+            full = realize(v, ClockField(SEED).child(r), 1.0, 1.0)
+            assert split.level == m
+            assert rep == report_from_split(split_from_realization(full, m))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"levels": [4, 17]},
+            {"levels": [-1]},
+            {"levels": [4, 4]},
+            {"levels": []},
+            {"replicas": 0},
+            {"lam": -1.0},
+            {"t": math.nan},
+            {"t": -1.0},
+            {"masses": [0.5, 1.0]},
+            {"masses": [1.0, math.nan]},
+        ],
+    )
+    def test_every_input_checked_before_any_clock(self, monkeypatch, changes):
+        make_clocks_unreadable(monkeypatch)
+        args = {
+            "masses": power_law_reference(0.6, 16),
+            "seed": SEED,
+            "lam": 1.0,
+            "t": 1.0,
+            "levels": [4, 16],
+            "replicas": 2,
+        }
+        with pytest.raises(AssertionError, match="a clock was read"):
+            list(truncation_report(**args))
+        with pytest.raises(InvalidInput):
+            list(truncation_report(**{**args, **changes}))
+
+    def test_invariant_violation_is_yielded_not_raised(self, monkeypatch):
+        fail_sandwich_at(monkeypatch, 8)
+        v = power_law_reference(0.6, 32)
+        reports = truncation_report(v, SEED, 1.0, 1.0, [8, 16], 2)
+        got = {(r, m): rep for r, m, _, rep in reports}
+        assert sorted(got) == [(0, 8), (0, 16), (1, 8), (1, 16)]
+        for (r, m), rep in got.items():
+            assert isinstance(rep, InvariantViolation) == (m == 8)
+
+    def test_gap_cancelled_by_rounding_is_summed_exactly(self):
+        # the outer graph's s2, 1e58 + 9, rounds to the inner graph's 1e58;
+        # the gap summed in one pass is 9, and 3 * sqrt(9) bounds distance 3
+        ((_, _, _, rep),) = truncation_report([1e29, 3.0], SEED, 1.0, 0.0, [1], 1)
+        assert rep.s2_check - rep.s2_hat == 0.0
+        assert (rep.gap, rep.distance, rep.holds) == (9.0, 3.0, True)
 
 
 class TestAnalyticBounds:
@@ -224,6 +286,14 @@ class TestMonteCarloStudies:
         assert study.b == pytest.approx(0.1)
         assert study.bound == pytest.approx(0.8)
         assert study.mean_excess <= study.bound + 3.0 * study.sem
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1])
+    def test_bipartite_weights_must_be_finite_and_nonnegative(self, bad):
+        x = np.full(4, 0.25)
+        with pytest.raises(InvalidInput, match="x must be"):
+            bipartite_s2_samples(np.append(x, bad), x, 1.0, SEED, replicas=2)
+        with pytest.raises(InvalidInput, match="y must be"):
+            bipartite_s2_samples(x, np.append(x, bad), 1.0, SEED, replicas=2)
 
     def test_frozen_gap_bound_holds_small_run(self):
         lower = tuple(math.sqrt(0.75 / 40) for _ in range(40))
