@@ -330,6 +330,34 @@ class TestOutputAnchors:
             "9f86da7782bbf5a0ffbbaf8f2ce55a038c0e36f468f654fff8635e9b313a1a5b"
         )
 
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (
+                "--masses 1,1 --lambda 1 --t 0.6 --seed 7",
+                {
+                    "trajectory.csv": "862b2b90efa56b76278c776ff1c84d0ccb4bb7a2ed90b2a818ea90dd7e5d5924",
+                    "events.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+                    "summary.json": "c36e90fa289c3e85da063acb3f0ab2b4850a551d119e1920736cd50da2bd7187",
+                },
+            ),
+            (
+                "--gen powerlaw:0.6:512 --lambda 1 --grid 0.25,0.5,1",
+                {
+                    "trajectory.csv": "dea835f2247403080888e50fb24bca3fc4b41a9ccb3e9709e5a9ce69d34fefbd",
+                    "events.json": "84cdcdf3046ba8fd5b7411a3a3f8e8c2a4b08e7509a68006abc67ca4be1793ce",
+                    "summary.json": "1354957abd39d823c81db2d9dff250b674860874ee8f90ec6b0cae8340923fe5",
+                },
+            ),
+        ],
+    )
+    def test_readme_simulate_files(self, tmp_path, monkeypatch, argv, digests):
+        # the README's two simulate examples, with the seed taken as given
+        monkeypatch.delenv("MCLD_SEED", raising=False)
+        assert cli.main(["simulate", *argv.split(), "--out-dir", str(tmp_path)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
 
 BAD_NUMBER_BASES = {
     "simulate": "simulate --masses 1,0.5 --lambda 1 --t 1",
