@@ -7,7 +7,7 @@ from .clock_field import ClockField
 from .errors import InvalidInput, InvariantViolation
 from .events import deleted_mass_up_to, run_clocked
 from .feller import feller_sweep, ks_two_sample, power_law_reference
-from .frozen_percolation import FPConfig, fp_mcld_compare, run_fp, sample_critical_er
+from .frozen_percolation import fp_mcld_compare, run_fp, sample_critical_er
 from .graphical import (
     GraphRealization,
     realize,

@@ -86,14 +86,14 @@ def _pathwise_case(k: int, corrupt: bool) -> dict:
     t = (0.2, 1.0)[k % 2]
     field = ClockField(SEED_PATHWISE * 1000 + k, _corrupt=corrupt)
 
-    traj_probe = run_clocked(masses, field, lam, t)
+    traj_probe = run_clocked(masses, field, lam, (t,))
     event_times = sorted({e.time for e in traj_probe.events})
     grid = sorted(
         set(event_times)
         | {(a + b) / 2 for a, b in zip(event_times, event_times[1:])}
         | {t}
     )
-    traj = run_clocked(masses, field, lam, t, grid=grid)
+    traj = run_clocked(masses, field, lam, grid)
 
     max_err = 0.0
     for g, clocked_state in zip(grid, traj.states):

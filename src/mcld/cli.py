@@ -140,7 +140,7 @@ def cmd_simulate(args) -> int:
     initial = _initial_state(args, seed)
     grid = _parse_grid(args)
     lam = _rate(args)
-    traj = run_clocked(initial, ClockField(seed), lam, t_end=grid[-1], grid=grid)
+    traj = run_clocked(initial, ClockField(seed), lam, grid)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     serialize.write_csv(

@@ -67,18 +67,11 @@ class _UnionFind:
         return rb
 
 
-def run_clocked(
-    masses,
-    clocks: ClockField,
-    lam: float,
-    t_end: float,
-    grid=None,
-) -> Trajectory:
-    """Simulate forward to ``t_end``, recording states on ``grid``.
+def run_clocked(masses, clocks: ClockField, lam: float, times) -> Trajectory:
+    """Simulate forward to the last of ``times``, recording the state at each.
 
-    ``masses`` must pass :func:`~mcld.mass_state.mass_array`; ``grid``
-    (default: ``t_end`` alone) must be a :func:`~mcld.mass_state.time_list`
-    that ends at or before ``t_end``.  Both are checked before any clock is
+    ``masses`` must pass :func:`~mcld.mass_state.mass_array` and ``times``
+    :func:`~mcld.mass_state.time_list`; both are checked before any clock is
     read.
 
     Edge events between vertices whose components are both alive merge them
@@ -86,14 +79,10 @@ def run_clocked(
     whole current component.  Events at burnt vertices are no-ops.
     """
     arr = mass_array(masses)
-    (t_end,) = time_list((t_end,), "t_end")
-    grid_t = (t_end,) if grid is None else time_list(grid, "time grid")
-    if grid_t[-1] > t_end:
-        raise InvalidInput("grid times must not exceed t_end")
-    initial = masses if isinstance(masses, OrderedMassVector) else ordered(arr)
+    times = time_list(times, "times")
 
-    ei, ej, et = edge_arrivals(clocks, arr, t_end)
-    sv, st = strike_arrivals(clocks, arr, lam, t_end)
+    ei, ej, et = edge_arrivals(clocks, arr, times[-1])
+    sv, st = strike_arrivals(clocks, arr, lam, times[-1])
     queue: list[tuple[float, int, int, int]] = [
         (t, _EDGE, int(a), int(b))
         for t, a, b in zip(et.tolist(), ei.tolist(), ej.tolist())
@@ -126,7 +115,8 @@ def run_clocked(
             burnt[root] = True
             events.append(Event(time, "delete", (minlabel[root],), weight[root]))
 
-    for g in grid_t:
+    # every queued arrival is at or before times[-1], so the loop drains it
+    for g in times:
         while pos < len(queue) and queue[pos][0] <= g:
             apply_event(*queue[pos])
             pos += 1
@@ -137,22 +127,12 @@ def run_clocked(
                 if parent[v] == v and not burnt[v]
             )
         )
-    # event log always covers the full horizon, not just the last grid point
-    while pos < len(queue):
-        apply_event(*queue[pos])
-        pos += 1
 
-    return Trajectory(
-        initial=initial,
-        times=grid_t,
-        states=tuple(states),
-        events=tuple(events),
-        horizon=t_end,
-    )
+    return Trajectory(times=times, states=tuple(states), events=tuple(events))
 
 
 def deleted_mass_up_to(traj: Trajectory, t: float) -> float:
     """Total weight removed by deletions with event time <= t."""
-    if t > traj.horizon:
+    if t > traj.times[-1]:
         raise InvalidInput("query beyond the trajectory horizon")
     return math.fsum(e.weight for e in traj.events if e.kind == "delete" and e.time <= t)

@@ -18,7 +18,7 @@ import numpy as np
 from .clock_field import ClockField
 from .errors import InvalidInput
 from .graphical import realize, truncated_realization
-from .mass_state import OrderedMassVector, dist, ordered
+from .mass_state import OrderedMassVector, dist, level_list, ordered
 
 __all__ = [
     "power_law_reference",
@@ -66,11 +66,7 @@ def feller_sweep(
     labels, so the sweep is pathwise identical to realizing each truncation
     on its own while doing a fraction of the work.
     """
-    n_list = tuple(int(n) for n in n_list)
-    if any(n < 0 or n > len(reference) for n in n_list):
-        raise InvalidInput(
-            f"truncation levels must lie in [0, {len(reference)}]"
-        )
+    n_list = level_list(n_list, len(reference))
     if replicas < 1:
         raise InvalidInput("need at least one replica")
     base = ClockField(seed)

@@ -33,7 +33,6 @@ from .serialize import format_number
 from .truncation import feller_budget, tail_truncation_index
 
 __all__ = [
-    "FPConfig",
     "FPTrajectory",
     "gnp_component_labels",
     "sample_critical_er",
@@ -44,23 +43,6 @@ __all__ = [
 
 # accuracy and head bound of the reference's tail budget (see feller_budget)
 BUDGET_EPS, BUDGET_M = 1.2, 2.0
-
-
-@dataclass(frozen=True)
-class FPConfig:
-    n: int
-    lightning_rate: float  # per vertex per unit raw time
-    horizon: float  # rescaled time horizon
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidInput("n must be at least 1")
-        if self.lightning_rate < 0:
-            raise InvalidInput("lightning rate must be nonnegative")
-
-    @property
-    def raw_horizon(self) -> float:
-        return self.n ** (-1.0 / 3.0) * self.horizon
 
 
 def gnp_component_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -116,35 +98,33 @@ def sample_critical_er(n: int, u: float, rng: np.random.Generator) -> np.ndarray
 
 @dataclass(frozen=True)
 class FPTrajectory:
-    n: int
-    times: tuple[float, ...]  # raw times
     sizes: tuple[np.ndarray, ...]  # alive component sizes, descending
     events: tuple[tuple[float, str, int], ...]  # (raw time, kind, size)
-    deleted_total: int
 
 
 def run_fp(
-    config: FPConfig,
     initial_labels: np.ndarray,
+    lightning_rate: float,
     raw_times: Sequence[float],
     rng: np.random.Generator,
-    top: int | None = None,
 ) -> FPTrajectory:
-    """Event-driven run recording alive component sizes at the given raw times.
+    """Event-driven run from the partition ``initial_labels`` of its
+    ``len(initial_labels)`` vertices, each struck at ``lightning_rate`` per
+    unit raw time; it ends at the last of ``raw_times`` and records the alive
+    component sizes at each.
 
-    Randomness draw order per event (fixed so that reference simulators can
-    replay the stream): holding time, channel uniform, then vertex draws,
-    each vertex draw rejecting burnt vertices.
+    ``raw_times`` must be a :func:`~mcld.mass_state.time_list` and the rate
+    finite and nonnegative; both are checked before any draw.  Randomness
+    draw order per event (fixed so that reference simulators can replay the
+    stream): holding time, channel uniform, then vertex draws, each vertex
+    draw rejecting burnt vertices.
     """
-    n = config.n
     labels = np.asarray(initial_labels)
-    if len(labels) != n:
-        raise InvalidInput("initial partition size does not match n")
-    raw_times = [float(x) for x in raw_times]
-    if any(b <= a for a, b in zip(raw_times, raw_times[1:])):
-        raise InvalidInput("recording times must be strictly increasing")
-    if raw_times and raw_times[-1] > config.raw_horizon + 1e-12:
-        raise InvalidInput("recording times exceed the raw horizon")
+    n = len(labels)
+    raw_times = time_list(raw_times, "recording times")
+    lam = float(lightning_rate)
+    if not 0.0 <= lam < math.inf:
+        raise InvalidInput("lightning rate must be finite and nonnegative")
 
     # each component's first vertex is its root and holds its size
     _, roots, inverse, counts = np.unique(
@@ -158,7 +138,6 @@ def run_fp(
     burnt = [False] * n
     live_roots = set(roots.tolist())
     alive = n
-    lam = config.lightning_rate
 
     def draw_alive() -> int:
         while True:
@@ -169,11 +148,10 @@ def run_fp(
     def snapshot() -> np.ndarray:
         out = np.fromiter((sizes[r] for r in live_roots), dtype=np.int64)
         out[::-1].sort()
-        return out if top is None else out[:top]
+        return out
 
     records: list[np.ndarray] = []
     events: list[tuple[float, str, int]] = []
-    deleted_total = 0
     now = 0.0
     next_rec = 0
 
@@ -183,7 +161,7 @@ def run_fp(
             records.append(snapshot())
             next_rec += 1
 
-    horizon = config.raw_horizon
+    horizon = raw_times[-1]
     # with no lightning and one component left, every arrival is a no-op
     while lam > 0.0 or len(live_roots) > 1:
         edge_rate = alive * (alive - 1) / (2.0 * n)
@@ -211,17 +189,10 @@ def run_fp(
             burnt[root] = True
             live_roots.discard(root)
             alive -= sizes[root]
-            deleted_total += sizes[root]
             events.append((now, "delete", sizes[root]))
     record_until(math.inf)
 
-    return FPTrajectory(
-        n=n,
-        times=tuple(raw_times),
-        sizes=tuple(records),
-        events=tuple(events),
-        deleted_total=deleted_total,
-    )
+    return FPTrajectory(sizes=tuple(records), events=tuple(events))
 
 
 @dataclass(frozen=True)
@@ -266,18 +237,13 @@ def fp_replica_rows(
 ) -> np.ndarray:
     """One frozen percolation replica: scaled top-r masses, one row per
     requested rescaled time."""
-    config = FPConfig(
-        n=n,
-        lightning_rate=lam_rescaled * n ** (-1.0 / 3.0),
-        horizon=t_list[-1],
-    )
     rng = np.random.default_rng([seed, n, r])
     labels = sample_critical_er(n, u, rng)
     raw_times = [n ** (-1.0 / 3.0) * t for t in t_list]
-    raw = run_fp(config, labels, raw_times, rng, top=top_r)
+    raw = run_fp(labels, lam_rescaled * n ** (-1.0 / 3.0), raw_times, rng)
     out = np.zeros((len(t_list), top_r))
     for k, sizes in enumerate(raw.sizes):
-        out[k, : len(sizes)] = sizes * n ** (-2.0 / 3.0)
+        out[k, : min(len(sizes), top_r)] = sizes[:top_r] * n ** (-2.0 / 3.0)
     return out
 
 

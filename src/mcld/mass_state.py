@@ -8,7 +8,8 @@ quantity every comparison bound in this package is phrased in.
 Every entry point checks its inputs here, before any work: a mass vector
 through :func:`mass_array` (an :class:`OrderedMassVector` is valid by
 construction and passes unchecked), unordered weights through
-:func:`weight_array` and a list of times through :func:`time_list`.
+:func:`weight_array`, a list of times through :func:`time_list` and a list
+of truncation levels through :func:`level_list`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .errors import InvalidInput
 
-__all__ = ["OrderedMassVector", "mass_array", "weight_array", "time_list", "ordered",
-           "dist", "truncate"]
+__all__ = ["OrderedMassVector", "mass_array", "weight_array", "time_list", "level_list",
+           "ordered", "dist", "truncate"]
 
 
 def mass_array(masses) -> np.ndarray:
@@ -72,6 +73,17 @@ def time_list(values, name: str) -> tuple[float, ...]:
             f"{name} must be nonempty, finite, nonnegative and strictly increasing"
         )
     return out
+
+
+def level_list(levels, support: int) -> tuple[int, ...]:
+    """``levels`` as a tuple of ints that is nonempty and distinct, each in
+    ``[0, support]``."""
+    levels = tuple(int(m) for m in levels)
+    if not levels or len(set(levels)) != len(levels):
+        raise InvalidInput("truncation levels must be nonempty and distinct")
+    if any(m < 0 or m > support for m in levels):
+        raise InvalidInput(f"truncation levels must lie in [0, {support}]")
+    return levels
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Time-stamped state sequences and their export formats.
 
-A trajectory holds the states recorded on a caller-supplied grid together
-with the complete merge/delete event log.  Paths are piecewise constant and
-right-continuous: the state recorded at an event time already includes the
-event.
+A trajectory holds the states recorded at a caller-supplied list of times,
+the last of which ends the run, with the complete merge/delete event log.
+Paths are piecewise constant and right-continuous: the state recorded at an
+event time already includes the event.
 """
 
 from __future__ import annotations
@@ -44,22 +44,13 @@ class Event:
 
 @dataclass(frozen=True)
 class Trajectory:
-    initial: OrderedMassVector
-    times: tuple[float, ...]
+    times: tuple[float, ...]  # the run ends at the last
     states: tuple[OrderedMassVector, ...]
     events: tuple[Event, ...]
-    horizon: float
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.states):
             raise InvalidInput("one state per grid time required")
-
-    def state_at(self, t: float) -> OrderedMassVector:
-        """State recorded at grid time ``t`` (exact match required)."""
-        try:
-            return self.states[self.times.index(t)]
-        except ValueError:
-            raise InvalidInput(f"time {t} is not on the recorded grid") from None
 
     def csv_rows(self) -> Iterator[tuple[float, int, float]]:
         """Rows (time, rank, mass); empty states emit no rows."""

@@ -25,7 +25,7 @@ from .graphical import (
     realize,
     truncated_realization,
 )
-from .mass_state import dist, mass_array, time_list, weight_array
+from .mass_state import dist, level_list, mass_array, time_list, weight_array
 from .multigraph import ComponentMultigraph
 from .multigraph import classify_bad as _classify_multigraph
 
@@ -244,11 +244,7 @@ def truncation_report(masses, seed: int, lam: float, t: float, levels, replicas:
     (t,) = time_list((t,), "horizon")
     if lam < 0:
         raise InvalidInput("deletion rate must be nonnegative")
-    levels = tuple(levels)
-    if not levels or len(set(levels)) != len(levels):
-        raise InvalidInput("truncation levels must be nonempty and distinct")
-    if any(m < 0 or m > len(arr) for m in levels):
-        raise InvalidInput(f"truncation levels must lie in [0, {len(arr)}]")
+    levels = level_list(levels, len(arr))
     if replicas < 1:
         raise InvalidInput("need at least one replica")
     base = ClockField(seed)
@@ -397,6 +393,8 @@ def bipartite_s2_samples(
     """
     x = weight_array(x, "x", False)
     y = weight_array(y, "y", False)
+    if replicas < 1:
+        raise InvalidInput("need at least one replica")
     a = float(np.sum(x * x))
     b = float(np.sum(y * y))
     bound = bipartite_bound(a, b, t, len(x))
@@ -416,10 +414,17 @@ def bipartite_s2_samples(
                 w += weight[v]
             squares.append(w * w)
         samples[r] = math.fsum(squares)
-    excess = samples - a
-    mean = float(np.mean(excess))
-    sem = float(np.std(excess, ddof=1) / math.sqrt(replicas))
+    mean, sem = _mean_sem(samples - a)
     return BipartiteStudy(a=a, b=b, bound=bound, mean_excess=mean, sem=sem)
+
+
+def _mean_sem(samples: np.ndarray) -> tuple[float, float]:
+    """Mean of ``samples`` and its standard error, which is infinite for one
+    sample."""
+    if len(samples) == 1:
+        return float(samples[0]), math.inf
+    sem = np.std(samples, ddof=1) / math.sqrt(len(samples))
+    return float(np.mean(samples)), float(sem)
 
 
 class _SplitResampleField(ClockField):
@@ -458,6 +463,8 @@ def frozen_split_gap_samples(
 ) -> GapStudy:
     """Resample lightning and cross edges with the split graphs held fixed;
     the mean sandwich gap is compared against the conditional bound."""
+    if replicas < 1:
+        raise InvalidInput("need at least one replica")
     frozen = ClockField(base_seed)
     gaps = np.empty(replicas)
     alpha = beta = None
@@ -476,8 +483,7 @@ def frozen_split_gap_samples(
         rep = report_from_split(sr)
         gaps[r] = rep.gap
     bound = truncation_bound(alpha, beta, t, lam)
-    mean = float(np.mean(gaps))
-    sem = float(np.std(gaps, ddof=1) / math.sqrt(replicas))
+    mean, sem = _mean_sem(gaps)
     return GapStudy(
         alpha=float(alpha),
         beta=float(beta),

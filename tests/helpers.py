@@ -273,6 +273,12 @@ def coupled_distance(initial_a, initial_b, lam: float, t: float, seed: int) -> f
     return dist(state_a, state_b)
 
 
+def recorded_state(traj, t: float) -> OrderedMassVector:
+    """The state a trajectory recorded at time ``t``, which must be one of
+    its recording times (a ValueError otherwise)."""
+    return traj.states[traj.times.index(t)]
+
+
 def make_clocks_unreadable(monkeypatch) -> None:
     """Make every read of a clock field fail, so that a test can show that a
     run refused its input before it read any clock."""

@@ -13,7 +13,13 @@ from mcld.frozen_percolation import _aggregate_mcld_top
 from mcld.graphical import realize, state_at
 from mcld.mass_state import ordered
 
-from helpers import HOSTILE_HORIZONS, HOSTILE_LAMBDAS, StubClockField, hostile_masses
+from helpers import (
+    HOSTILE_HORIZONS,
+    HOSTILE_LAMBDAS,
+    StubClockField,
+    hostile_masses,
+    recorded_state,
+)
 
 SEED = 271828
 
@@ -35,24 +41,22 @@ class TestRunClocked:
     def test_single_vertex_until_strike(self):
         f = StubClockField(vertex_exps={1: 0.4})
         v = ordered([2.0])
-        traj = run_clocked(v, f, 1.0, 1.0, grid=[0.1, 0.5, 1.0])
+        traj = run_clocked(v, f, 1.0, [0.1, 0.5, 1.0])
         # strike time = 0.4 / (lam * mass) = 0.2
-        assert traj.state_at(0.1).masses == (2.0,)
-        assert traj.state_at(0.5).masses == ()
-        assert traj.state_at(1.0).masses == ()
+        assert [s.masses for s in traj.states] == [(2.0,), (), ()]
         assert [e.kind for e in traj.events] == ["delete"]
         assert traj.events[0].weight == 2.0
 
     def test_hand_traced_two_vertex_paths(self):
         masses = ordered([1.0, 1.0])
         early = StubClockField(pair_exps={(1, 2): 0.5}, vertex_exps={2: 0.3})
-        traj = run_clocked(masses, early, 1.0, 0.6)
+        traj = run_clocked(masses, early, 1.0, [0.6])
         assert traj.states[-1].masses == (1.0,)
         assert [(e.kind, e.components) for e in traj.events] == [
             ("delete", (2,)),
         ]
         late = StubClockField(pair_exps={(1, 2): 0.5}, vertex_exps={2: 0.55})
-        traj = run_clocked(masses, late, 1.0, 0.6)
+        traj = run_clocked(masses, late, 1.0, [0.6])
         assert traj.states[-1].masses == ()
         assert [(e.kind, e.components) for e in traj.events] == [
             ("merge", (1, 2)),
@@ -62,9 +66,10 @@ class TestRunClocked:
     def test_pure_coalescent_matches_graphical(self):
         f = ClockField(SEED)
         v = ordered([1.0, 0.8, 0.6, 0.4, 0.2])
-        traj = run_clocked(v, f, 0.0, 1.5, grid=[0.3, 0.9, 1.5])
-        for g in (0.3, 0.9, 1.5):
-            assert_states_close(traj.state_at(g), state_at(v, f, 0.0, g))
+        grid = [0.3, 0.9, 1.5]
+        traj = run_clocked(v, f, 0.0, grid)
+        for g, st in zip(grid, traj.states):
+            assert_states_close(st, state_at(v, f, 0.0, g))
 
     @pytest.mark.parametrize("case", range(25))
     def test_pathwise_equality_random_cases(self, case):
@@ -74,7 +79,7 @@ class TestRunClocked:
         t = [0.2, 1.0][case % 2]
         f = ClockField(1000 + case)
         graphical_state = state_at(v, f, lam, t)
-        clocked_state = run_clocked(v, f, lam, t).states[-1]
+        clocked_state = run_clocked(v, f, lam, [t]).states[-1]
         assert len(graphical_state) == len(clocked_state)
         for a, b in zip(graphical_state, clocked_state):
             assert abs(a - b) <= 1e-12
@@ -91,7 +96,7 @@ class TestRunClocked:
         # additions differs (merge order against fsum), so weights agree to a
         # relative 1e-12, not bit for bit
         f = ClockField(seed)
-        clocked = run_clocked(masses, f, lam, t).states[-1]
+        clocked = run_clocked(masses, f, lam, [t]).states[-1]
         graph = realize(masses, f, lam, t).state
         assert len(clocked) == len(graph)
         for a, b in zip(clocked, graph):
@@ -101,7 +106,7 @@ class TestRunClocked:
         rng = np.random.default_rng(7)
         v = random_state(rng)
         f = ClockField(SEED + 3)
-        traj = run_clocked(v, f, 1.5, 1.0)
+        traj = run_clocked(v, f, 1.5, [1.0])
         phi = deleted_mass_up_to(traj, 1.0)
         assert v.total_mass() == pytest.approx(
             traj.states[-1].total_mass() + phi, abs=1e-9
@@ -111,7 +116,7 @@ class TestRunClocked:
         rng = np.random.default_rng(8)
         v = random_state(rng, max_support=20)
         f = ClockField(SEED + 4)
-        probe = run_clocked(v, f, 1.0, 1.0)
+        probe = run_clocked(v, f, 1.0, [1.0])
         times = sorted({e.time for e in probe.events})
         if not times:
             return
@@ -120,7 +125,7 @@ class TestRunClocked:
             | {(a + b) / 2 for a, b in zip(times, times[1:])}
             | {times[-1] * 1.01}
         )
-        traj = run_clocked(v, f, 1.0, 1.5, grid=grid)
+        traj = run_clocked(v, f, 1.0, grid)
         for k, g in enumerate(grid[:-1]):
             nxt = grid[k + 1]
             events_between = [e for e in probe.events if g < e.time <= nxt]
@@ -132,15 +137,13 @@ class TestRunClocked:
                 )
         # right continuity: state at an event time includes the event
         first = times[0]
-        at_event = traj.state_at(first)
-        assert at_event != probe.initial or probe.events[0].kind == "merge"
+        at_event = recorded_state(traj, first)
+        assert at_event != v or probe.events[0].kind == "merge"
 
     def test_grid_validation(self):
         v = ordered([1.0])
         with pytest.raises(InvalidInput):
-            run_clocked(v, ClockField(1), 0.0, 1.0, grid=[0.5, 0.5])
-        with pytest.raises(InvalidInput):
-            run_clocked(v, ClockField(1), 0.0, 1.0, grid=[0.5, 2.0])
+            run_clocked(v, ClockField(1), 0.0, [0.5, 0.5])
 
 
 class TestEventCounts:
@@ -151,7 +154,7 @@ class TestEventCounts:
         n = len(v)
         prev = 0
         for t in (0.2, 0.5, 1.0, 2.0):
-            traj = run_clocked(v, f, 1.0, t)
+            traj = run_clocked(v, f, 1.0, [t])
             count = len(traj.events)
             assert count >= prev
             assert count <= n + n * (n - 1) // 2
@@ -198,7 +201,7 @@ class TestClockedVsGillespieLaw:
         base = ClockField(SEED + 7)
         counts_clocked: dict[tuple, int] = {}
         for r in range(replicas):
-            k = run_clocked(v, base.child(r), 0.5, 0.4).states[-1].masses
+            k = run_clocked(v, base.child(r), 0.5, [0.4]).states[-1].masses
             counts_clocked[k] = counts_clocked.get(k, 0) + 1
         rng = np.random.default_rng(SEED)
         weights = np.array(v.masses)
@@ -226,7 +229,7 @@ class TestClockedVsGillespieLaw:
         cats = {"merge": 0, "delete2": 0, "delete1": 0}
         replicas = 10_000
         for r in range(replicas):
-            traj = run_clocked(v, base.child(r), 0.5, 60.0)
+            traj = run_clocked(v, base.child(r), 0.5, [60.0])
             ev = traj.events[0]
             if ev.kind == "merge":
                 cats["merge"] += 1
@@ -242,23 +245,23 @@ class TestClockedVsGillespieLaw:
 
 class TestDeletedMass:
     def test_no_deletions(self):
-        traj = run_clocked(ordered([1.0, 0.5]), ClockField(SEED + 9), 0.0, 1.0)
+        traj = run_clocked(ordered([1.0, 0.5]), ClockField(SEED + 9), 0.0, [1.0])
         assert deleted_mass_up_to(traj, 1.0) == 0.0
 
     def test_step_function(self):
         f = StubClockField(vertex_exps={1: 0.3})
-        traj = run_clocked(ordered([2.0]), f, 0.5, 1.0)
+        traj = run_clocked(ordered([2.0]), f, 0.5, [1.0])
         # strike time = 0.3 / (0.5 * 2) = 0.3
         assert deleted_mass_up_to(traj, 0.2) == 0.0
         assert deleted_mass_up_to(traj, 0.4) == 2.0
 
     def test_beyond_horizon_rejected(self):
-        traj = run_clocked(ordered([1.0]), ClockField(1), 0.0, 1.0)
+        traj = run_clocked(ordered([1.0]), ClockField(1), 0.0, [1.0])
         with pytest.raises(InvalidInput):
             deleted_mass_up_to(traj, 2.0)
 
 
 def test_trajectory_state_lookup_requires_grid_time():
-    traj = run_clocked(ordered([1.0]), ClockField(1), 0.0, 1.0, grid=[0.5, 1.0])
-    with pytest.raises(InvalidInput):
-        traj.state_at(0.25)
+    traj = run_clocked(ordered([1.0]), ClockField(1), 0.0, [0.5, 1.0])
+    with pytest.raises(ValueError):
+        recorded_state(traj, 0.25)

@@ -73,6 +73,13 @@ class TestFellerSweep:
         with pytest.raises(InvalidInput):
             feller_sweep([8], 1.0, 1.0, replicas=0, reference=ref)
 
+    @pytest.mark.parametrize("levels", [[], [16, 16]])
+    def test_empty_or_repeated_levels_rejected(self, levels):
+        # the same check, and message, as truncation_report's
+        ref = power_law_reference(0.6, 64)
+        with pytest.raises(InvalidInput, match="nonempty and distinct"):
+            feller_sweep(levels, 1.0, 1.0, 3, ref, seed=1)
+
     def test_sweep_matches_coupled_distance(self):
         # the restriction fast path must be pathwise identical to two
         # independent realizations under the same seed

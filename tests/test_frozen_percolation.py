@@ -15,7 +15,6 @@ from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
 from mcld.events import run_clocked
 from mcld.frozen_percolation import (
-    FPConfig,
     FPTrajectory,
     _aggregate_mcld_top,
     fp_mcld_compare,
@@ -238,28 +237,26 @@ class TestRunFp:
     def test_single_vertex_deleted_at_exponential_time(self):
         times = []
         for s in range(3000):
-            config = FPConfig(n=1, lightning_rate=0.8, horizon=50.0)
-            traj = run_fp(config, np.zeros(1, dtype=np.int64), [], rng=np.random.default_rng(s))
+            traj = run_fp(np.zeros(1, dtype=np.int64), 0.8, [50.0], np.random.default_rng(s))
             if traj.events:
                 times.append(traj.events[0][0])
-        # horizon is 50 * 1^(1/3) so nearly every strike lands inside it
+        # nearly every strike lands before the run ends at 50
         stat = scipy.stats.kstest(times, scipy.stats.expon(scale=1 / 0.8).cdf)
         assert stat.pvalue > 0.01
 
     def test_mass_conservation(self):
         n = 500
         labels = sample_critical_er(n, 0.0, np.random.default_rng(SEED))
-        config = FPConfig(n=n, lightning_rate=0.05, horizon=3.0)
-        raw = run_fp(config, labels, [config.raw_horizon], np.random.default_rng(SEED))
-        assert raw.deleted_total + int(raw.sizes[0].sum()) == n
+        raw = run_fp(labels, 0.05, [3.0 * n ** (-1 / 3)], np.random.default_rng(SEED))
+        deleted = sum(size for _, kind, size in raw.events if kind == "delete")
+        assert deleted + int(raw.sizes[0].sum()) == n
 
     def test_partition_labels_need_not_be_contiguous(self):
         # only the partition matters: any label values name the same run
         labels = sample_critical_er(300, 0.0, np.random.default_rng(SEED))
-        config = FPConfig(n=300, lightning_rate=0.02, horizon=2.0)
-        times = [config.raw_horizon]
-        dense = run_fp(config, labels, times, np.random.default_rng(SEED))
-        sparse = run_fp(config, 7 * labels + 3, times, np.random.default_rng(SEED))
+        times = [2.0 * 300 ** (-1 / 3)]
+        dense = run_fp(labels, 0.02, times, np.random.default_rng(SEED))
+        sparse = run_fp(7 * labels + 3, 0.02, times, np.random.default_rng(SEED))
         assert sparse.events == dense.events
         assert np.array_equal(sparse.sizes[0], dense.sizes[0])
 
@@ -272,8 +269,7 @@ class TestRunFp:
         singletons = np.arange(n, dtype=np.int64)
         largest_dyn = []
         for r in range(reps):
-            config = FPConfig(n=n, lightning_rate=0.0, horizon=s * n ** (1 / 3.0))
-            raw = run_fp(config, singletons, [s], rng=np.random.default_rng([1, r]))
+            raw = run_fp(singletons, 0.0, [s], np.random.default_rng([1, r]))
             largest_dyn.append(int(raw.sizes[0][0]))
         rng = np.random.default_rng([2, SEED])
         largest_static = [
@@ -295,8 +291,7 @@ class TestRunFp:
         counts = {"merge": 0, 3: 0, 2: 0, 1: 0}
         reps = 8000
         for r in range(reps):
-            config = FPConfig(n=6, lightning_rate=lam, horizon=1000.0)
-            raw = run_fp(config, labels, [], rng=np.random.default_rng([3, r]))
+            raw = run_fp(labels, lam, [1000.0], np.random.default_rng([3, r]))
             assert raw.events
             t0, kind, size = raw.events[0]
             if kind == "merge":
@@ -324,12 +319,10 @@ class TestRunFp:
         for group in by_label.values():
             init_edges.extend(zip(group, group[1:]))  # spanning path
         lam = 0.02
-        config = FPConfig(n=n, lightning_rate=lam, horizon=4.0)
-        record = [config.raw_horizon * k / 4 for k in range(1, 5)]
-        raw = run_fp(config, labels, record, rng=np.random.default_rng([5, SEED]))
+        record = [4.0 * n ** (-1 / 3) * k / 4 for k in range(1, 5)]
+        raw = run_fp(labels, lam, record, np.random.default_rng([5, SEED]))
         oracle = _fullgraph_fp(
-            n, lam, labels, init_edges, record, np.random.default_rng([5, SEED]),
-            config.raw_horizon,
+            n, lam, labels, init_edges, record, np.random.default_rng([5, SEED]), record[-1]
         )
         for ours, theirs in zip(raw.sizes, oracle):
             assert ours.tolist() == sorted(theirs, reverse=True)
@@ -397,13 +390,7 @@ class TestScaleTrajectory:
 
     def test_formula(self):
         n = 8 ** 3
-        raw = FPTrajectory(
-            n=n,
-            times=(n ** (-1.0 / 3.0),),
-            sizes=(np.array([64, 32], dtype=np.int64),),
-            events=(),
-            deleted_total=0,
-        )
+        raw = FPTrajectory(sizes=(np.array([64, 32], dtype=np.int64),), events=())
         with mock.patch.object(frozen_percolation, "run_fp", return_value=raw):
             rows = fp_replica_rows(n, 1.0, 0.0, [1.0], 3, SEED, 0)
         assert rows.shape == (1, 3)
@@ -433,11 +420,40 @@ class TestScaleTrajectory:
             rows = fp_replica_rows(5, 0.0, 0.0, [1e160], 3, SEED, 0)
         assert rows[0].tolist() == [5 * 5 ** (-2.0 / 3.0), 0.0, 0.0]
 
-    def test_uncovered_time_rejected(self):
-        # a recording time the run does not reach is refused, not extrapolated
-        config = FPConfig(n=8, lightning_rate=1.0, horizon=1.0)
-        with pytest.raises(InvalidInput):
-            run_fp(config, np.arange(8), [config.raw_horizon * 2.0], np.random.default_rng(SEED))
+    def test_slices_the_top_ranks(self):
+        # the run records every component; the rows keep the largest top_r
+        n = 8 ** 3
+        raw = FPTrajectory(sizes=(np.array([64, 32, 8], dtype=np.int64),), events=())
+        with mock.patch.object(frozen_percolation, "run_fp", return_value=raw):
+            rows = fp_replica_rows(n, 1.0, 0.0, [1.0], 2, SEED, 0)
+        assert rows.shape == (1, 2)
+        assert rows[0] == pytest.approx([1.0, 0.5], rel=1e-12)
+
+
+class TestRunFpInputs:
+    """``run_fp`` checks its recording times and its rate before any draw."""
+
+    @pytest.mark.parametrize(
+        "times",
+        [[], [0.5, 0.5], [0.5, 0.25], [-0.5], [math.nan], [0.5, math.nan]],
+        ids=["empty", "repeat", "decrease", "negative", "nan", "nan-last"],
+    )
+    def test_time_list_refused(self, times):
+        with pytest.raises(InvalidInput, match="recording times"):
+            run_fp(np.arange(8), 1.0, times, _NoDraws())
+
+    @pytest.mark.parametrize("rate", [math.nan, -1.0, math.inf])
+    def test_rate_refused(self, rate):
+        with pytest.raises(InvalidInput, match="lightning rate"):
+            run_fp(np.arange(8), rate, [1.0], _NoDraws())
+
+
+class _NoDraws:
+    """Stands in for a generator whose every draw fails, so that a refusal
+    is shown to come before the first draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator: {name}")
 
 
 class TestScaledSquaredNormBounded:
@@ -474,7 +490,7 @@ class TestAggregatedReferenceSampler:
         base = ClockField(188)
         counts_b: dict[tuple, int] = {}
         for r in range(reps):
-            s = run_clocked(ordered(weights), base.child(r), 1.0, 0.3).states[-1]
+            s = run_clocked(ordered(weights), base.child(r), 1.0, [0.3]).states[-1]
             counts_b[s.masses] = counts_b.get(s.masses, 0) + 1
         keys = sorted(set(counts_a) | set(counts_b))
         assert len(keys) <= 12
@@ -565,7 +581,7 @@ class TestAggregatedReferenceSampler:
         base, start = ClockField(2024), ordered(weights)
         clocked = []
         for r in range(reps):
-            state = run_clocked(start, base.child(r), 1.0, 1.0).states[-1]
+            state = run_clocked(start, base.child(r), 1.0, [1.0]).states[-1]
             clocked.append(state.masses[0] if len(state) else 0.0)
         ks = scipy.stats.ks_2samp(aggregated, clocked)
         assert ks.pvalue > 0.01

@@ -326,13 +326,13 @@ class TestS2Growth:
 class TestTrajectoryDelegation:
     def test_grid_of_zero(self):
         v = ordered([1.0, 0.5])
-        traj = run_clocked(v, ClockField(SEED), 1.0, 0.0, grid=[0.0])
+        traj = run_clocked(v, ClockField(SEED), 1.0, [0.0])
         assert traj.states[0] == v
 
     def test_states_match_state_at_on_grid(self):
         v = power_law_reference(0.6, 24)
         f = ClockField(SEED)
         grid = [0.2, 0.7, 1.3]
-        traj = run_clocked(v, f, 1.0, grid[-1], grid=grid)
+        traj = run_clocked(v, f, 1.0, grid)
         for g, st in zip(grid, traj.states):
             assert st == state_at(v, f, 1.0, g)

@@ -239,7 +239,7 @@ class TestOneInputContract:
         field, t = ClockField(17), 1e-302
         calls = (
             lambda: realize(masses, field, 1.0, t),
-            lambda: run_clocked(masses, field, 1.0, t),
+            lambda: run_clocked(masses, field, 1.0, [t]),
             lambda: s2_growth_estimate(masses, field, t, 1),
             lambda: tail_truncation_index(masses, 0.0),
             lambda: list(truncation_report(masses, 17, 1.0, t, [0], 1)),

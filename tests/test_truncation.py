@@ -301,3 +301,27 @@ class TestMonteCarloStudies:
         v = ordered(lower + upper)
         study = frozen_split_gap_samples(v, 1.0, 1.0, 40, SEED, replicas=400)
         assert study.mean_gap <= study.bound + 3.0 * study.sem
+
+    @staticmethod
+    def _studies(replicas):
+        x = np.full(4, 0.25)
+        v = ordered([0.25] * 4 + [0.05] * 4)
+        return (
+            lambda: bipartite_s2_samples(x, x, 1.0, SEED, replicas),
+            lambda: frozen_split_gap_samples(v, 1.0, 1.0, 4, SEED, replicas),
+        )
+
+    @pytest.mark.parametrize("study", [0, 1], ids=["bipartite", "frozen_gap"])
+    def test_no_replicas_refused_before_any_clock(self, monkeypatch, study):
+        make_clocks_unreadable(monkeypatch)
+        with pytest.raises(InvalidInput, match="need at least one replica"):
+            self._studies(0)[study]()
+
+    @pytest.mark.parametrize(
+        "study, mean", [(0, "mean_excess"), (1, "mean_gap")], ids=["bipartite", "frozen_gap"]
+    )
+    def test_one_replica_has_infinite_sem(self, study, mean):
+        # as s2_growth_estimate's: one sample gives no spread to estimate
+        result = self._studies(1)[study]()
+        assert result.sem == math.inf
+        assert math.isfinite(getattr(result, mean))
