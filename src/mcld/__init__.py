@@ -24,7 +24,6 @@ from .truncation import (
     bipartite_bound,
     component_multigraph,
     feller_budget,
-    good_component_check,
     sandwich_graphs,
     truncation_bound,
     truncation_report,

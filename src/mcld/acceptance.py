@@ -29,7 +29,6 @@ from .multigraph import classify_bad as classify_multigraph
 from .truncation import (
     bipartite_s2_samples,
     frozen_split_gap_samples,
-    good_component_check,
     SANDWICH_TOL,
     tail_truncation_index,
     truncation_report,
@@ -167,7 +166,7 @@ def _sandwich_bundle() -> dict:
     violations = 0
     holds = True
     reports = 0
-    for _, _, sr, rep in truncation_report(
+    for _, _, rep in truncation_report(
         power_law_reference(0.6, 512), SEED_SANDWICH, 1.0, 1.0, (16, 64, 256), 500
     ):
         if isinstance(rep, InvariantViolation):
@@ -176,7 +175,7 @@ def _sandwich_bundle() -> dict:
         reports += 1
         worst_slack = max(worst_slack, rep.distance - 3.0 * math.sqrt(rep.gap))
         holds &= rep.holds
-        violations += len(good_component_check(sr, rep.bad))
+        violations += rep.good_violations
     return {
         "worst_slack": worst_slack,
         "violations": violations,

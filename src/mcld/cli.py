@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -131,34 +132,57 @@ def _int_list(text: str, name: str) -> list[int]:
     return [_number(x, int, name) for x in text.split(",") if x != ""]
 
 
+def _out_dir(text: str) -> Path:
+    """``--out-dir`` as a path, refused before any work when it, or the
+    nearest of its parents that exists, is not a directory."""
+    path = Path(text)
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise InvalidInput(f"--out-dir {text!r}: {p} is not a directory")
+            break
+    return path
+
+
+@contextmanager
+def _writing(outdir: Path):
+    """Make ``outdir`` for the writes in the body; an OSError there is
+    reported as an error, without a traceback."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise InvalidInput(f"could not write to {outdir}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_simulate(args) -> int:
+    outdir = _out_dir(args.out_dir)
     seed = _seed_of(args)
     initial = _initial_state(args, seed)
     grid = _parse_grid(args)
     lam = _rate(args)
     traj = run_clocked(initial, ClockField(seed), lam, grid)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    serialize.write_csv(
-        outdir / "trajectory.csv", ("time", "rank", "mass"), traj.csv_rows()
-    )
-    serialize.write_json(outdir / "events.json", traj.events_json())
     phi = deleted_mass_up_to(traj, grid[-1])
-    serialize.write_json(
-        outdir / "summary.json",
-        {
-            "seed": seed,
-            "lambda": lam,
-            "t_end": grid[-1],
-            "final_state": traj.states[-1].to_json_list(),
-            "deleted_mass": phi,
-            "events": len(traj.events),
-        },
-    )
+    with _writing(outdir):
+        serialize.write_csv(
+            outdir / "trajectory.csv", ("time", "rank", "mass"), traj.csv_rows()
+        )
+        serialize.write_json(outdir / "events.json", traj.events_json())
+        serialize.write_json(
+            outdir / "summary.json",
+            {
+                "seed": seed,
+                "lambda": lam,
+                "t_end": grid[-1],
+                "final_state": traj.states[-1].to_json_list(),
+                "deleted_mass": phi,
+                "events": len(traj.events),
+            },
+        )
     print(
         f"final state ranks={len(traj.states[-1])} "
         f"largest={traj.states[-1][0] if len(traj.states[-1]) else 0.0} "
@@ -168,11 +192,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_truncation(args) -> int:
+    outdir = _out_dir(args.out_dir)
     seed = _seed_of(args)
     initial = _initial_state(args, seed)
     any_violation = False
     reports = {}
-    for r, m, _, rep in truncation_report(
+    for r, m, rep in truncation_report(
         initial,
         seed,
         _rate(args),
@@ -186,10 +211,9 @@ def cmd_truncation(args) -> int:
         else:
             any_violation |= not rep.holds
             reports[f"report_m{m}_r{r}.json"] = rep.to_json_dict()
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, payload in reports.items():
-        serialize.write_json(outdir / name, payload)
+    with _writing(outdir):
+        for name, payload in reports.items():
+            serialize.write_json(outdir / name, payload)
     if any_violation:
         print("sandwich violation detected", file=sys.stderr)
         return EXIT_INVARIANT
@@ -198,6 +222,7 @@ def cmd_truncation(args) -> int:
 
 
 def cmd_fp(args) -> int:
+    outdir = _out_dir(args.out_dir)
     seed = _seed_of(args)
     if args.t is None:
         raise InvalidInput("--t is required")
@@ -212,23 +237,6 @@ def cmd_fp(args) -> int:
         n_ref=_number(args.n_ref, int, "--n-ref") if args.n_ref else None,
         workers=_number(args.workers, int, "--workers"),
     )
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    serialize.write_json(
-        outdir / "config.json",
-        [
-            {
-                "n": n,
-                "lambda_rescaled": report.lam_rescaled,
-                "u": report.u,
-                "t_list": list(report.t_list),
-                "top_r": report.top_r,
-                "replicas": report.replicas,
-                "seed": seed,
-            }
-            for n in report.n_list
-        ],
-    )
     rows_out = [
         (n, r, t, rank + 1, report.samples[n][r, k, rank])
         for n in report.n_list
@@ -236,39 +244,55 @@ def cmd_fp(args) -> int:
         for k, t in enumerate(report.t_list)
         for rank in range(report.top_r)
     ]
-    serialize.write_csv(
-        outdir / "samples.csv", ("n", "replica", "t", "rank", "scaled_mass"), rows_out
-    )
-    serialize.write_json(outdir / "comparison.json", report.to_json_dict())
+    with _writing(outdir):
+        serialize.write_json(
+            outdir / "config.json",
+            [
+                {
+                    "n": n,
+                    "lambda_rescaled": report.lam_rescaled,
+                    "u": report.u,
+                    "t_list": list(report.t_list),
+                    "top_r": report.top_r,
+                    "replicas": report.replicas,
+                    "seed": seed,
+                }
+                for n in report.n_list
+            ],
+        )
+        serialize.write_csv(
+            outdir / "samples.csv", ("n", "replica", "t", "rank", "scaled_mass"), rows_out
+        )
+        serialize.write_json(outdir / "comparison.json", report.to_json_dict())
     print(f"wrote samples and comparison to {outdir}")
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
-    names = acceptance.QUICK if args.suite == "quick" else None
-    results = acceptance.run_criteria(names, corrupt_clocks=args.corrupt_clock_prf)
     out_dir = args.out_dir
     if out_dir is None and args.suite == "full":
         out_dir = "selftest_out"  # the full suite always leaves a results file
-    if out_dir:
-        outdir = Path(out_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        serialize.write_json(
-            outdir / "selftest.json",
-            {
-                "suite": args.suite,
-                "all_passed": all(r.passed for r in results),
-                "criteria": [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "runtime_s": r.runtime_s,
-                        "details": r.details,
-                    }
-                    for r in results
-                ],
-            },
-        )
+    outdir = _out_dir(out_dir) if out_dir else None
+    names = acceptance.QUICK if args.suite == "quick" else None
+    results = acceptance.run_criteria(names, corrupt_clocks=args.corrupt_clock_prf)
+    if outdir:
+        with _writing(outdir):
+            serialize.write_json(
+                outdir / "selftest.json",
+                {
+                    "suite": args.suite,
+                    "all_passed": all(r.passed for r in results),
+                    "criteria": [
+                        {
+                            "name": r.name,
+                            "passed": r.passed,
+                            "runtime_s": r.runtime_s,
+                            "details": r.details,
+                        }
+                        for r in results
+                    ],
+                },
+            )
     return EXIT_OK if all(r.passed for r in results) else EXIT_TEST_FAILURE
 
 

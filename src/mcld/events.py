@@ -6,8 +6,9 @@ time order (ties: time, then edges before strikes, then lexicographic
 indices).  Deletion marks the component's root burnt; members observe the
 flag lazily, so no un-union is ever needed.
 
-``_UnionFind`` is the disjoint-set forest behind every partition in the
-package: static grouping, this engine and the frozen percolation run.
+``_UnionFind`` is the package's one disjoint-set forest: static grouping,
+this engine and the frozen percolation run use it.  The initial G(n, p)
+components of that run are grouped by scipy's ``connected_components``.
 ``deleted_mass_up_to`` reads the deleted mass off an event log.
 """
 

@@ -256,8 +256,10 @@ def _aggregate_mcld_top(
     Law-identical to the clocked engines (merge rate = product of weights,
     deletion rate = lam times weight) but needs no pair clocks, so it stays
     cheap for the dust-heavy reference states whose support makes the
-    all-pairs construction quadratic.  Merge pairs restart both draws on a
-    collision, keeping the pair law proportional to the weight product.
+    all-pairs construction quadratic.  The merge pair law is proportional to
+    the weight product.  While the collision chance sum(w^2) / W^2 is at most
+    1/2, both draws restart on a collision; above it, a is drawn by weight
+    w_a (W - w_a) and then b != a by weight w_b, so that a merge never spins.
     Returns the top weights at each requested time, one row per time.
 
     Dead entries hold exactly 0.0, so the prefix sums of ``w`` are those of
@@ -290,10 +292,10 @@ def _aggregate_mcld_top(
         head[: min(top_r, len(out))] = out[:top_r]
         return head
 
-    def pick() -> int:
-        x = rng.uniform(0.0, cum[-1])
-        k = int(np.searchsorted(cum, x, side="right"))
-        while k >= len(alive) or not alive[k]:
+    def pick(c: np.ndarray, skip: int = -1) -> int:
+        x = rng.uniform(0.0, c[-1])
+        k = int(np.searchsorted(c, x, side="right"))
+        while k >= len(alive) or not alive[k] or k == skip:
             k = k + 1 if k < len(alive) - 1 else int(np.argmax(alive))
         return k
 
@@ -313,10 +315,16 @@ def _aggregate_mcld_top(
         tail[0] += prefix[low]
         np.cumsum(tail, out=cum[low:])
         if rng.uniform() * total < merge_rate:
-            while True:
-                a, b = pick(), pick()
-                if a != b:
-                    break
+            if w2 <= 0.5 * w1 * w1:
+                while True:
+                    a, b = pick(cum), pick(cum)
+                    if a != b:
+                        break
+            else:
+                a = pick(np.cumsum(w * (cum[-1] - w)))
+                rest = w.copy()
+                rest[a] = 0.0
+                b = pick(np.cumsum(rest), skip=a)
             count -= int(w[a] > 0.0 and w[b] > 0.0)
             w2 += 2.0 * w[a] * w[b]
             w[a] += w[b]
@@ -324,7 +332,7 @@ def _aggregate_mcld_top(
             w[b] = 0.0
             low = min(a, b)
         else:
-            a = pick()
+            a = pick(cum)
             count -= int(w[a] > 0.0)
             w1 -= w[a]
             w2 -= w[a] * w[a]

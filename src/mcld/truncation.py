@@ -31,13 +31,11 @@ from .multigraph import classify_bad as _classify_multigraph
 
 __all__ = [
     "SplitRealization",
-    "SandwichGraphs",
     "TruncationReport",
     "split_from_realization",
     "report_from_split",
     "component_multigraph",
     "sandwich_graphs",
-    "good_component_check",
     "truncation_report",
     "bipartite_bound",
     "truncation_bound",
@@ -59,13 +57,15 @@ SANDWICH_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SplitRealization:
-    """Full and truncated runs plus the level-m component split."""
+    """Full and truncated runs plus the level-m component split: ``component``
+    maps each label to its side's component, numbered by least label, so the
+    lower ones are the numbers below ``n_lower`` (label 0 maps to -1)."""
 
     level: int
     full: GraphRealization
     truncated: GraphRealization
-    lower_components: tuple[tuple[int, ...], ...]
-    upper_components: tuple[tuple[int, ...], ...]
+    component: np.ndarray
+    n_lower: int
     alpha: float
     beta: float
 
@@ -79,51 +79,37 @@ def split_from_realization(full: GraphRealization, m: int) -> SplitRealization:
     side = ~((full.edge_i <= m) & (full.edge_j > m))
     comps = _components_from_edges(full.n, full.edge_i[side], full.edge_j[side])
     k = sum(c[0] <= m for c in comps)
-    lower, upper = comps[:k], comps[k:]
-    alpha = _component_s2(full.masses, lower)
-    beta = _component_s2(full.masses, upper)
+    component = np.full(full.n + 1, -1, dtype=np.int64)
+    component[[v for c in comps for v in c]] = np.repeat(
+        np.arange(len(comps)), [len(c) for c in comps]
+    )
     return SplitRealization(
         level=m,
         full=full,
         truncated=trunc,
-        lower_components=lower,
-        upper_components=upper,
-        alpha=alpha,
-        beta=beta,
+        component=component,
+        n_lower=k,
+        alpha=_component_s2(full.masses, comps[:k]),
+        beta=_component_s2(full.masses, comps[k:]),
     )
 
 
 def component_multigraph(sr: SplitRealization) -> ComponentMultigraph:
     """Cross edges of the full graph as parallel edges between the two
     component families; a component is damaged when any member was struck."""
-    m = sr.level
-    full = sr.full
-    lower_id = {}
-    for idx, comp in enumerate(sr.lower_components):
-        for v in comp:
-            lower_id[v] = idx
-    upper_id = {}
-    for idx, comp in enumerate(sr.upper_components):
-        for v in comp:
-            upper_id[v] = idx
-    cross = (full.edge_i <= m) & (full.edge_j > m)
+    full, comp, k = sr.full, sr.component, sr.n_lower
+    cross = (full.edge_i <= sr.level) & (full.edge_j > sr.level)
     edges = tuple(
-        (lower_id[a], upper_id[b])
-        for a, b in zip(full.edge_i[cross].tolist(), full.edge_j[cross].tolist())
+        zip(comp[full.edge_i[cross]].tolist(), (comp[full.edge_j[cross]] - k).tolist())
     )
-    struck = set(full.strike_vertex.tolist())
-    damaged_lower = tuple(
-        any(v in struck for v in comp) for comp in sr.lower_components
-    )
-    damaged_upper = tuple(
-        any(v in struck for v in comp) for comp in sr.upper_components
-    )
+    damaged = np.zeros(int(comp.max()) + 1, dtype=bool)
+    damaged[comp[full.strike_vertex]] = True
     return ComponentMultigraph(
-        n_lower=len(sr.lower_components),
-        n_upper=len(sr.upper_components),
+        n_lower=k,
+        n_upper=len(damaged) - k,
         edges=edges,
-        damaged_lower=damaged_lower,
-        damaged_upper=damaged_upper,
+        damaged_lower=tuple(damaged[:k].tolist()),
+        damaged_upper=tuple(damaged[k:].tolist()),
     )
 
 
@@ -131,74 +117,52 @@ def component_multigraph(sr: SplitRealization) -> ComponentMultigraph:
 # sandwich graphs
 
 
-@dataclass(frozen=True)
-class SandwichGraphs:
-    """Squared component weights of the inner and outer spanned subgraphs,
-    and their exactly rounded sums."""
-
-    squares_hat: tuple[float, ...]
-    squares_check: tuple[float, ...]
-    s2_hat: float
-    s2_check: float
+def _label_mask(n: int, labels) -> np.ndarray:
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[np.fromiter(labels, np.int64, len(labels))] = True
+    return mask
 
 
-def _squares_spanned(full: GraphRealization, vertices) -> tuple[float, ...]:
-    members = np.array(sorted(vertices), dtype=np.int64)
-    comps = _components_from_edges(full.n, full.edge_i, full.edge_j, members=members)
+def _good_vertices(sr: SplitRealization, bad: frozenset[int]) -> np.ndarray:
+    """Mask of the labels in lower components outside ``bad``."""
+    lower = (sr.component >= 0) & (sr.component < sr.n_lower)
+    return lower & ~np.isin(sr.component, list(bad))
+
+
+def _squares_spanned(full: GraphRealization, mask: np.ndarray) -> tuple[float, ...]:
+    comps = _components_from_edges(
+        full.n, full.edge_i, full.edge_j, members=np.flatnonzero(mask)
+    )
     return tuple(w * w for w in _component_weights(full.masses, comps))
 
 
-def sandwich_graphs(sr: SplitRealization, bad: frozenset[int]) -> SandwichGraphs:
-    """Inner and outer spanned subgraphs bracketing both survivor graphs.
+def sandwich_graphs(
+    sr: SplitRealization, bad: frozenset[int]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Squared component weights of the inner and outer spanned subgraphs,
+    which bracket both survivor graphs.
 
     Outer: good components cut to the truncated run's intact set, bad
     components whole, plus every vertex above the level.  Inner: only the
     good components cut to the truncated run's intact set.  Raises when the
     bracketing inclusions fail, since that can only be a construction bug.
     """
-    intact_full, intact_trunc = sr.full.intact, sr.truncated.intact
-    m = sr.level
-    v_hat: set[int] = set()
-    v_check: set[int] = set(range(m + 1, sr.full.n + 1))
-    for idx, comp in enumerate(sr.lower_components):
-        if idx in bad:
-            v_check.update(comp)
-        else:
-            kept = intact_trunc.intersection(comp)
-            v_hat.update(kept)
-            v_check.update(kept)
-    v_hat_f, v_check_f = frozenset(v_hat), frozenset(v_check)
+    intact_full = _label_mask(sr.full.n, sr.full.intact)
+    intact_trunc = _label_mask(sr.full.n, sr.truncated.intact)
+    good = _good_vertices(sr, bad)
+    v_hat = good & intact_trunc
+    v_check = v_hat | ((sr.component >= 0) & ~good)
 
     for name, inner, outer in (
-        ("inner vs truncated-intact", v_hat_f, intact_trunc),
-        ("truncated-intact vs outer", intact_trunc, v_check_f),
-        ("inner vs full-intact", v_hat_f, intact_full),
-        ("full-intact vs outer", intact_full, v_check_f),
+        ("inner vs truncated-intact", v_hat, intact_trunc),
+        ("truncated-intact vs outer", intact_trunc, v_check),
+        ("inner vs full-intact", v_hat, intact_full),
+        ("full-intact vs outer", intact_full, v_check),
     ):
-        if not inner.issubset(outer):
+        if (inner & ~outer).any():
             raise InvariantViolation(f"sandwich inclusion failed: {name}")
 
-    squares_hat = _squares_spanned(sr.full, v_hat_f)
-    squares_check = _squares_spanned(sr.full, v_check_f)
-    return SandwichGraphs(
-        squares_hat=squares_hat,
-        squares_check=squares_check,
-        s2_hat=math.fsum(squares_hat),
-        s2_check=math.fsum(squares_check),
-    )
-
-
-def good_component_check(sr: SplitRealization, bad: frozenset[int]) -> list[int]:
-    """Good components must meet both intact sets identically; returns the
-    indices that violate this (expected empty)."""
-    violations = []
-    for idx, comp in enumerate(sr.lower_components):
-        if idx in bad:
-            continue
-        members = set(comp)
-        if members & sr.truncated.intact != members & sr.full.intact:
-            violations.append(idx)
-    return violations
+    return _squares_spanned(sr.full, v_hat), _squares_spanned(sr.full, v_check)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +176,11 @@ class TruncationReport:
     beta: float
     s2_hat: float
     s2_check: float
-    s2_survivor_full: float
-    s2_spanned_truncated_intact: float
     gap: float
     distance: float
     bound_terms: tuple[float, float] | None
     holds: bool
-    bad: frozenset[int]
+    good_violations: int  # good components whose intact sets differ; not in JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -237,7 +199,7 @@ class TruncationReport:
 def truncation_report(masses, seed: int, lam: float, t: float, levels, replicas: int):
     """Sandwich reports at every level of every replica, after every input
     is checked and before any clock is read.  Replica ``r`` is realized once,
-    on ``ClockField(seed).child(r)``, for every level.  Yields ``(r, m, split,
+    on ``ClockField(seed).child(r)``, for every level.  Yields ``(r, m,
     report)``; a report that raised :class:`InvariantViolation` is yielded as
     that exception, for the caller to count."""
     arr = mass_array(masses)
@@ -251,36 +213,43 @@ def truncation_report(masses, seed: int, lam: float, t: float, levels, replicas:
     for r in range(replicas):
         full = realize(arr, base.child(r), lam, t)
         for m in levels:
-            split = split_from_realization(full, m)
             try:
-                report = report_from_split(split)
+                report = report_from_split(split_from_realization(full, m))
             except InvariantViolation as exc:
                 report = exc
-            yield r, m, split, report
+            yield r, m, report
 
 
 def report_from_split(sr: SplitRealization) -> TruncationReport:
-    """Sandwich report of one split; its lower components are classified once,
-    and the bad set is kept on the report."""
+    """Sandwich report of one split, with its lower components classified
+    once; raises :class:`InvariantViolation` when the squared-norm chain
+    through both survivor graphs fails."""
     bad = _classify_multigraph(component_multigraph(sr))
-    sw = sandwich_graphs(sr, bad)
+    squares_hat, squares_check = sandwich_graphs(sr, bad)
+    s2_hat, s2_check = math.fsum(squares_hat), math.fsum(squares_check)
 
     # the graph spanned on the full run's intact set is its survivor graph
+    intact_trunc = _label_mask(sr.full.n, sr.truncated.intact)
     s2_h = sr.full.state.norm_sq()
-    s2_hm = math.fsum(_squares_spanned(sr.full, sr.truncated.intact))
+    s2_hm = math.fsum(_squares_spanned(sr.full, intact_trunc))
     for mid, label in ((s2_h, "survivor"), (s2_hm, "truncated-intact spanned")):
-        if not (sw.s2_hat - SANDWICH_TOL <= mid <= sw.s2_check + SANDWICH_TOL):
+        if not (s2_hat - SANDWICH_TOL <= mid <= s2_check + SANDWICH_TOL):
             raise InvariantViolation(
                 f"squared-norm chain violated for the {label} graph"
             )
 
-    gap = max(sw.s2_check - sw.s2_hat, 0.0)
+    # criterion 3: good components meet both intact sets identically
+    intact_full = _label_mask(sr.full.n, sr.full.intact)
+    differs = _good_vertices(sr, bad) & (intact_trunc != intact_full)
+    good_violations = len(np.unique(sr.component[differs]))
+
+    gap = max(s2_check - s2_hat, 0.0)
     distance = dist(sr.full.state, sr.truncated.state)
     holds = distance <= 3.0 * math.sqrt(gap) + SANDWICH_TOL
     if not holds:
         # the difference of two rounded sums can cancel the gap away; judge
         # again on the gap summed exactly in one pass
-        gap = max(math.fsum(sw.squares_check + tuple(-w for w in sw.squares_hat)), 0.0)
+        gap = max(math.fsum(squares_check + tuple(-w for w in squares_hat)), 0.0)
         holds = distance <= 3.0 * math.sqrt(gap) + SANDWICH_TOL
     t, lam = sr.full.horizon, sr.full.lam
     if t * t * sr.alpha * sr.beta <= 0.5:
@@ -291,15 +260,13 @@ def report_from_split(sr: SplitRealization) -> TruncationReport:
         m=sr.level,
         alpha=sr.alpha,
         beta=sr.beta,
-        s2_hat=sw.s2_hat,
-        s2_check=sw.s2_check,
-        s2_survivor_full=s2_h,
-        s2_spanned_truncated_intact=s2_hm,
+        s2_hat=s2_hat,
+        s2_check=s2_check,
         gap=gap,
         distance=distance,
         bound_terms=terms,
         holds=bool(holds),
-        bad=bad,
+        good_violations=good_violations,
     )
 
 
@@ -327,8 +294,13 @@ def truncation_bound_terms(
         raise InvalidInput("alpha, beta, t, lam must be nonnegative")
     if t * t * alpha * beta > 0.5:
         raise InvalidInput("hypothesis t^2*alpha*beta <= 1/2 violated")
-    term_bipartite = 2.0 * beta * (1.0 + t * alpha) ** 2
-    term_bad = 2.0 * t * t * lam * beta * (1.0 + t * alpha) * alpha ** 1.5
+    try:
+        term_bipartite = 2.0 * beta * (1.0 + t * alpha) ** 2
+        term_bad = 2.0 * t * t * lam * beta * (1.0 + t * alpha) * alpha ** 1.5
+    except OverflowError:
+        raise InvalidInput(
+            f"the truncation bound overflows at alpha={alpha}, t={t}"
+        ) from None
     return term_bipartite, term_bad
 
 

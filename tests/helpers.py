@@ -173,10 +173,10 @@ def full_cumsum_aggregate_top(
         head[: min(top_r, len(out))] = out[:top_r]
         return head
 
-    def pick(cum: np.ndarray) -> int:
+    def pick(cum: np.ndarray, skip: int = -1) -> int:
         x = rng.uniform(0.0, cum[-1])
         k = int(np.searchsorted(cum, x, side="right"))
-        while k >= len(alive) or not alive[k]:
+        while k >= len(alive) or not alive[k] or k == skip:
             k = k + 1 if k < len(alive) - 1 else int(np.argmax(alive))
         return k
 
@@ -195,10 +195,16 @@ def full_cumsum_aggregate_top(
             break
         cum = np.cumsum(np.where(alive, w, 0.0))
         if rng.uniform() * total < merge_rate:
-            while True:
-                a, b = pick(cum), pick(cum)
-                if a != b:
-                    break
+            if w2 <= 0.5 * w1 * w1:
+                while True:
+                    a, b = pick(cum), pick(cum)
+                    if a != b:
+                        break
+            else:
+                # one component holds most weight: the exact pair draw
+                a = pick(np.cumsum(np.where(alive, w * (cum[-1] - w), 0.0)))
+                others = alive & (np.arange(len(w)) != a)
+                b = pick(np.cumsum(np.where(others, w, 0.0)), skip=a)
             w2 += 2.0 * w[a] * w[b]
             w[a] += w[b]
             alive[b] = False

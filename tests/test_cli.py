@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcld import cli
+from mcld import cli, serialize
 from mcld.errors import InvalidInput
 from mcld.feller import power_law_reference
 from mcld.serialize import dumps
@@ -389,6 +389,8 @@ class TestCheckedNumbers:
             ("truncation", "--truncate 4,4"),
             ("truncation", "--gen constant:1e200:4"),
             ("truncation", "--gen powerlaw:-1000:5"),
+            # beta = 0 meets the bound's hypothesis, but (1 + t alpha)^2 overflows
+            ("truncation", "--gen constant:1e78:1 --lambda 0 --t 0.3 --truncate 1"),
             ("fp", "--replicas 0"),
             ("fp", "--replicas abc"),
             ("fp", "--top-r 0"),
@@ -444,6 +446,51 @@ class TestCheckedNumbers:
         assert cli.main([*argv, "--out-dir", str(out)]) == 2
         assert "MCLD_SEED" in capsys.readouterr().err
         assert not out.exists()
+
+
+OUT_DIR_ARGV = {
+    "simulate": "simulate --masses 1,0.5 --t 1",
+    "truncation": "truncation --masses 1,0.5 --t 1 --truncate 1",
+    "fp": "fp --n-list 100 --t 0.5 --replicas 2 --top-r 2 --n-ref 200 --workers 1",
+    "selftest": "selftest --suite quick",
+}
+
+
+class TestOutDir:
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", sorted(OUT_DIR_ARGV))
+    def test_file_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, under
+    ):
+        make_clocks_unreadable(monkeypatch)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started")
+
+        # fp reads no clock field, so its one entry point is made unreachable
+        monkeypatch.setattr(cli, "fp_mcld_compare", unreachable)
+        blocker = tmp_path / "f"
+        blocker.write_text("kept")
+        out = blocker / "sub" if under else blocker
+        argv = [*OUT_DIR_ARGV[command].split(), "--out-dir", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is not a directory" in err
+        assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", sorted(OUT_DIR_ARGV))
+    def test_write_error_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        def full_disk(path, *args, **kwargs):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(serialize, "write_json", full_disk)
+        monkeypatch.setattr(serialize, "write_csv", full_disk)
+        # the selftest's write is what is tested, not its criteria
+        monkeypatch.setattr(cli.acceptance, "run_criteria", lambda *a, **k: [])
+        argv = [*OUT_DIR_ARGV[command].split(), "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not write") and "No space left" in err
 
 
 _BIG = "1" + "0" * 29  # a 30-digit integer

@@ -108,18 +108,18 @@ def assert_same_reference_runs(weights, lam, times, top_r, seed):
 
 
 @contextlib.contextmanager
-def deadline(seconds: int):
+def deadline(seconds: float):
     """Fail, instead of hanging, when the body runs past ``seconds``."""
 
     def expire(signum, frame):
         raise AssertionError(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 
 
@@ -160,9 +160,7 @@ class TestSamplersBitForBit:
     @example(weights=np.array([2.0]), lam=0.5, steps=[1.0], top_r=2, seed=0)
     def test_reference_sampler_matches_full_cumsum(self, weights, lam, steps, top_r, seed):
         # times in units of 1 / w1^2, the scale of the largest merge rate,
-        # so that events happen at every spread of weights.  Much longer
-        # horizons would reach merges of the heaviest component with one
-        # 1e12 times lighter, each about 1e12 restarted pair draws
+        # so that events happen at every spread of weights
         unit = 1.0 / float(weights.sum()) ** 2
         times = [step * unit for step in sorted(steps)]
         assert_same_reference_runs(weights, lam, times, top_r, seed)
@@ -516,6 +514,45 @@ class TestAggregatedReferenceSampler:
         expected = np.array([6.0, 3.0, 2.0]) / 11.0 * trials
         chi = scipy.stats.chisquare(observed, expected)
         assert chi.pvalue > 0.01
+
+    def test_pair_law_when_one_component_dominates(self):
+        # (5, 1, 0.5, 0.25), lam=0: sum(w^2) / W^2 = 0.58, so every merge is
+        # drawn exactly, pair (a, b) at rate w_a w_b.  The state at s is
+        # unchanged, one of six single merges, or past a second merge; the
+        # law of a single merge p with rate r_p, from total rate R to R'_p
+        # after it, is r_p (exp(-R'_p s) - exp(-R s)) / (R - R'_p)
+        w = [5.0, 1.0, 0.5, 0.25]
+        s, trials = 0.12, 6000
+        rates = {(a, b): w[a] * w[b] for a in range(4) for b in range(a + 1, 4)}
+        total = sum(rates.values())
+        law, outcomes = [math.exp(-total * s)], [tuple(w)]
+        for (a, b), r in rates.items():
+            after = [x for k, x in enumerate(w) if k not in (a, b)] + [w[a] + w[b]]
+            rest = (sum(after) ** 2 - sum(x * x for x in after)) / 2.0
+            law.append(r * (math.exp(-rest * s) - math.exp(-total * s)) / (total - rest))
+            outcomes.append(tuple(sorted(after, reverse=True)))
+        law.append(1.0 - sum(law))
+        counts = dict.fromkeys(outcomes + ["more"], 0)
+        rng = np.random.default_rng(41)
+        for _ in range(trials):
+            top = _aggregate_mcld_top(np.array(w), 0.0, [s], rng, 4)[0]
+            key = tuple(top[top > 0].tolist())
+            counts[key if key in counts else "more"] += 1
+        chi = scipy.stats.chisquare(list(counts.values()), np.array(law) * trials)
+        assert chi.pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "weights, seed, unit_time",
+        [([24299.17, 721.79, 721.79, 0.01], 3233, 1e6), ([1e8, 1.0], 0, None)],
+    )
+    def test_dominant_component_merges_without_spinning(self, weights, seed, unit_time):
+        # a restarted pair draw would collide with chance 1 - 8e-7 and
+        # 1 - 2e-8 here, so each merge would cost about 1e6 and 5e7 draws
+        weights = np.array(weights)
+        t = unit_time / weights.sum() ** 2 if unit_time else 1e-5
+        with deadline(0.1):
+            rows = _aggregate_mcld_top(weights, 0.0, [t], np.random.default_rng(seed), 2)
+        assert rows[0, 0] == pytest.approx(weights.sum(), rel=1e-12)
 
     def test_first_event_channel_law(self):
         # (2,1), lam=0.5: merge, delete-2 and delete-1 at rates 2 : 1 : 0.5.

@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput, InvariantViolation
 from mcld.feller import power_law_reference
 from mcld.graphical import _components_from_edges, realize
 from mcld.mass_state import ordered
+from mcld.multigraph import classify_bad
 from mcld.truncation import (
     bipartite_bound,
     bipartite_s2_samples,
     component_multigraph,
     feller_budget,
     frozen_split_gap_samples,
-    good_component_check,
     report_from_split,
     sandwich_graphs,
     split_from_realization,
@@ -23,7 +25,15 @@ from mcld.truncation import (
     truncation_report,
 )
 
-from helpers import StubClockField, fail_sandwich_at, make_clocks_unreadable
+from helpers import (
+    HOSTILE_HORIZONS,
+    HOSTILE_LAMBDAS,
+    StubClockField,
+    brute_components,
+    fail_sandwich_at,
+    hostile_masses,
+    make_clocks_unreadable,
+)
 
 SEED = 1618
 
@@ -32,13 +42,13 @@ class TestSplit:
     def test_level_equal_to_support_has_empty_upper(self):
         v = ordered([1.0, 0.8, 0.5])
         sr = split_from_realization(realize(v, ClockField(SEED), 1.0, 1.0), 3)
-        assert sr.upper_components == ()
+        assert sr.n_lower == sr.component.max() + 1
         assert sr.beta == 0.0
 
     def test_level_zero_has_empty_lower(self):
         v = ordered([1.0, 0.8, 0.5])
         sr = split_from_realization(realize(v, ClockField(SEED), 1.0, 1.0), 0)
-        assert sr.lower_components == ()
+        assert sr.n_lower == 0
         assert sr.alpha == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
@@ -54,22 +64,30 @@ class TestSplit:
         assert sr.alpha + sr.beta <= s2_full + 1e-9
 
     def test_lower_components_partition_prefix(self):
+        # the components of the graph without its cross edges, numbered by
+        # least label: the lower ones cover exactly the labels 1..12
         v = power_law_reference(0.6, 30)
-        sr = split_from_realization(realize(v, ClockField(SEED + 1), 1.0, 1.0), 12)
-        seen = sorted(v for c in sr.lower_components for v in c)
-        assert seen == list(range(1, 13))
-        seen_up = sorted(v for c in sr.upper_components for v in c)
-        assert seen_up == list(range(13, 31))
+        full = realize(v, ClockField(SEED + 1), 1.0, 1.0)
+        sr = split_from_realization(full, 12)
+        side = ~((full.edge_i <= 12) & (full.edge_j > 12))
+        comps = _components_from_edges(30, full.edge_i[side], full.edge_j[side])
+        assert 1 < sr.n_lower < len(comps)
+        want = np.full(31, -1)
+        for number, comp in enumerate(comps):
+            want[list(comp)] = number
+        assert np.array_equal(sr.component, want)
+        assert (sr.component[1:13] < sr.n_lower).all()
+        assert (sr.component[13:] >= sr.n_lower).all()
 
 
 class TestSandwich:
     def test_no_strikes_full_level_gives_zero_gap(self):
         v = ordered([1.0, 0.8, 0.5, 0.3])
         sr = split_from_realization(realize(v, ClockField(SEED), 0.0, 1.0), 4)
-        bad = report_from_split(sr).bad
+        bad = classify_bad(component_multigraph(sr))
         assert bad == frozenset()
-        sw = sandwich_graphs(sr, bad)
-        assert sw.s2_check - sw.s2_hat == 0.0
+        squares_hat, squares_check = sandwich_graphs(sr, bad)
+        assert math.fsum(squares_check) - math.fsum(squares_hat) == 0.0
 
     def test_full_level_with_strikes_gives_zero_gap(self):
         # no upper vertices: the bipartite graph has no edges, nothing is bad
@@ -85,15 +103,25 @@ class TestSandwich:
         v = power_law_reference(0.6, 64)
         full = realize(v, ClockField(seed), 1.0, 1.0)
         for m in (16, 32):
-            rep = report_from_split(split_from_realization(full, m))
+            sr = split_from_realization(full, m)
+            rep = report_from_split(sr)
             assert rep.gap >= 0.0
             assert rep.distance <= 3.0 * math.sqrt(rep.gap) + 1e-9
-            assert rep.s2_hat - 1e-9 <= rep.s2_survivor_full <= rep.s2_check + 1e-9
-            assert (
-                rep.s2_hat - 1e-9
-                <= rep.s2_spanned_truncated_intact
-                <= rep.s2_check + 1e-9
+            # the chain through both survivor graphs: the full run's, and the
+            # graph spanned on the truncated run's intact set
+            s2_survivor_full = full.state.norm_sq()
+            intact = sr.truncated.intact
+            edges = [
+                (a, b)
+                for a, b in zip(full.edge_i.tolist(), full.edge_j.tolist())
+                if a in intact and b in intact
+            ]
+            s2_spanned = math.fsum(
+                math.fsum(full.masses[v - 1] for v in c) ** 2
+                for c in brute_components(sorted(intact), edges)
             )
+            assert rep.s2_hat - 1e-9 <= s2_survivor_full <= rep.s2_check + 1e-9
+            assert rep.s2_hat - 1e-9 <= s2_spanned <= rep.s2_check + 1e-9
 
     def test_figure_style_damaged_leaf_component(self):
         # lower component {1,2} (edge at 0.1), upper {3} attached by a cross
@@ -114,9 +142,9 @@ class TestSandwich:
         cm = component_multigraph(sr)
         assert cm.damaged_lower == (True,)
         assert cm.damaged_upper == (False,)
+        assert classify_bad(cm) == frozenset()
         rep = report_from_split(sr)
-        assert rep.bad == frozenset()
-        assert good_component_check(sr, rep.bad) == []
+        assert rep.good_violations == 0
         assert rep.holds
 
     @pytest.mark.parametrize("seed", range(60))
@@ -126,11 +154,37 @@ class TestSandwich:
         v = ordered(rng.uniform(0.05, 1.0, support).tolist())
         full = realize(v, ClockField(seed * 7 + 1), 1.0, 1.0)
         sr = split_from_realization(full, support // 2)
-        assert good_component_check(sr, report_from_split(sr).bad) == []
+        assert report_from_split(sr).good_violations == 0
+
+
+class TestSandwichProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        masses=hostile_masses(),
+        lam=HOSTILE_LAMBDAS,
+        t=HOSTILE_HORIZONS,
+        seed=st.integers(0, 2 ** 64 - 1),
+    )
+    @example(masses=[1e78], lam=0.0, t=0.3, seed=0)
+    def test_every_level_holds(self, masses, lam, t, seed):
+        # ties, zero tails and extreme magnitudes, at every level
+        full = realize(masses, ClockField(seed), lam, t)
+        for m in range(len(masses) + 1):
+            sr = split_from_realization(full, m)
+            try:
+                rep = report_from_split(sr)
+            except InvalidInput as exc:
+                # only a bound term past the float range is refused:
+                # (1 + t alpha)^2 with t <= 5, or alpha^1.5
+                assert "the truncation bound overflows" in str(exc)
+                assert sr.alpha > 1e153
+                continue
+            assert rep.holds
+            assert rep.good_violations == 0
 
 
 def _one_report(masses, m):
-    ((_, _, _, rep),) = truncation_report(masses, SEED, 1.0, 1.0, [m], 1)
+    ((_, _, rep),) = truncation_report(masses, SEED, 1.0, 1.0, [m], 1)
     return rep
 
 
@@ -163,12 +217,12 @@ class TestTruncationReportLoop:
     def test_one_realization_per_replica_serves_every_level(self):
         v = power_law_reference(0.6, 48)
         got = list(truncation_report(v, SEED, 1.0, 1.0, [24, 8], 3))
-        assert [(r, m) for r, m, _, _ in got] == [
+        assert [(r, m) for r, m, _ in got] == [
             (r, m) for r in range(3) for m in (24, 8)
         ]
-        for r, m, split, rep in got:
+        for r, m, rep in got:
             full = realize(v, ClockField(SEED).child(r), 1.0, 1.0)
-            assert split.level == m
+            assert rep.m == m
             assert rep == report_from_split(split_from_realization(full, m))
 
     @pytest.mark.parametrize(
@@ -205,7 +259,7 @@ class TestTruncationReportLoop:
         fail_sandwich_at(monkeypatch, 8)
         v = power_law_reference(0.6, 32)
         reports = truncation_report(v, SEED, 1.0, 1.0, [8, 16], 2)
-        got = {(r, m): rep for r, m, _, rep in reports}
+        got = {(r, m): rep for r, m, rep in reports}
         assert sorted(got) == [(0, 8), (0, 16), (1, 8), (1, 16)]
         for (r, m), rep in got.items():
             assert isinstance(rep, InvariantViolation) == (m == 8)
@@ -213,7 +267,7 @@ class TestTruncationReportLoop:
     def test_gap_cancelled_by_rounding_is_summed_exactly(self):
         # the outer graph's s2, 1e58 + 9, rounds to the inner graph's 1e58;
         # the gap summed in one pass is 9, and 3 * sqrt(9) bounds distance 3
-        ((_, _, _, rep),) = truncation_report([1e29, 3.0], SEED, 1.0, 0.0, [1], 1)
+        ((_, _, rep),) = truncation_report([1e29, 3.0], SEED, 1.0, 0.0, [1], 1)
         assert rep.s2_check - rep.s2_hat == 0.0
         assert (rep.gap, rep.distance, rep.holds) == (9.0, 3.0, True)
 
@@ -239,6 +293,11 @@ class TestAnalyticBounds:
     def test_truncation_bound_hypothesis(self):
         with pytest.raises(InvalidInput):
             truncation_bound(1.0, 1.0, 1.0, 1.0)
+
+    def test_truncation_bound_overflow_refused(self):
+        # beta = 0 meets the hypothesis; (1 + 0.3e156)^2 is past the float range
+        with pytest.raises(InvalidInput, match="the truncation bound overflows"):
+            truncation_bound(1e156, 0.0, 0.3, 0.0)
 
 
 class TestFellerBudget:
