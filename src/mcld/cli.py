@@ -23,7 +23,7 @@ from .clock_field import ClockField
 from .errors import InvalidInput, InvariantViolation
 from .events import deleted_mass_up_to, run_clocked
 from .frozen_percolation import fp_mcld_compare
-from .mass_state import OrderedMassVector, time_list
+from .mass_state import OrderedMassVector, rate, time_list
 from .truncation import truncation_report
 
 __all__ = ["main"]
@@ -113,13 +113,6 @@ def _seed_of(args) -> int:
     return 0
 
 
-def _rate(args) -> float:
-    lam = _number(args.lam, float, "--lambda")
-    if lam < 0:
-        raise InvalidInput("--lambda must be nonnegative")
-    return lam
-
-
 def _parse_grid(args) -> tuple[float, ...]:
     if (args.t is None) == (args.grid is None):
         raise InvalidInput("exactly one of --t or --grid must be given")
@@ -164,7 +157,7 @@ def cmd_simulate(args) -> int:
     seed = _seed_of(args)
     initial = _initial_state(args, seed)
     grid = _parse_grid(args)
-    lam = _rate(args)
+    lam = rate(args.lam, "--lambda")
     traj = run_clocked(initial, ClockField(seed), lam, grid)
     phi = deleted_mass_up_to(traj, grid[-1])
     with _writing(outdir):
@@ -200,7 +193,7 @@ def cmd_truncation(args) -> int:
     for r, m, rep in truncation_report(
         initial,
         seed,
-        _rate(args),
+        rate(args.lam, "--lambda"),
         _number(args.t, float, "--t"),
         _int_list(args.truncate, "--truncate"),
         _number(args.replicas, int, "--replicas"),
@@ -228,7 +221,7 @@ def cmd_fp(args) -> int:
         raise InvalidInput("--t is required")
     report = fp_mcld_compare(
         _int_list(args.n_list, "--n-list"),
-        _rate(args),
+        rate(args.lam, "--lambda"),
         _number(args.u, float, "--u"),
         _float_list(args.t, "--t"),
         replicas=_number(args.replicas, int, "--replicas"),

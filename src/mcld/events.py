@@ -18,7 +18,7 @@ import math
 
 from .clock_field import ClockField, edge_arrivals, strike_arrivals
 from .errors import InvalidInput
-from .mass_state import OrderedMassVector, mass_array, ordered, time_list
+from .mass_state import OrderedMassVector, mass_array, ordered, rate, time_list
 from .trajectory import Event, Trajectory
 
 __all__ = ["run_clocked", "deleted_mass_up_to"]
@@ -71,9 +71,9 @@ class _UnionFind:
 def run_clocked(masses, clocks: ClockField, lam: float, times) -> Trajectory:
     """Simulate forward to the last of ``times``, recording the state at each.
 
-    ``masses`` must pass :func:`~mcld.mass_state.mass_array` and ``times``
-    :func:`~mcld.mass_state.time_list`; both are checked before any clock is
-    read.
+    ``masses`` must pass :func:`~mcld.mass_state.mass_array`, ``times``
+    :func:`~mcld.mass_state.time_list` and ``lam``
+    :func:`~mcld.mass_state.rate`; all are checked before any clock is read.
 
     Edge events between vertices whose components are both alive merge them
     (same-root arrivals are no-ops); a strike at an alive vertex deletes its
@@ -81,6 +81,7 @@ def run_clocked(masses, clocks: ClockField, lam: float, times) -> Trajectory:
     """
     arr = mass_array(masses)
     times = time_list(times, "times")
+    lam = rate(lam, "deletion rate")
 
     ei, ej, et = edge_arrivals(clocks, arr, times[-1])
     sv, st = strike_arrivals(clocks, arr, lam, times[-1])

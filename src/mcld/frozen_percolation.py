@@ -28,7 +28,7 @@ from .clock_field import pair_count, pair_index_decode
 from .errors import InvalidInput
 from .events import _SAME, _UnionFind
 from .feller import ks_two_sample
-from .mass_state import time_list
+from .mass_state import rate, time_list
 from .serialize import format_number
 from .truncation import feller_budget, tail_truncation_index
 
@@ -122,9 +122,7 @@ def run_fp(
     labels = np.asarray(initial_labels)
     n = len(labels)
     raw_times = time_list(raw_times, "recording times")
-    lam = float(lightning_rate)
-    if not 0.0 <= lam < math.inf:
-        raise InvalidInput("lightning rate must be finite and nonnegative")
+    lam = rate(lightning_rate, "lightning rate")
 
     # each component's first vertex is its root and holds its size
     _, roots, inverse, counts = np.unique(
@@ -409,9 +407,9 @@ def fp_mcld_compare(
     """
     n_list = tuple(int(n) for n in n_list)
     t_list = time_list(t_list, "t_list")
-    lam_rescaled, u = float(lam_rescaled), float(u)
-    if not 0.0 <= lam_rescaled < math.inf or not math.isfinite(u):
-        raise InvalidInput("lam_rescaled must be finite and nonnegative, u finite")
+    lam_rescaled, u = rate(lam_rescaled, "lam_rescaled"), float(u)
+    if not math.isfinite(u):
+        raise InvalidInput("u must be finite")
     if not n_list or min(n_list) < 1:
         raise InvalidInput("n_list must be nonempty with every size at least 1")
     if n_ref is None:

@@ -12,9 +12,9 @@ With deletion rate 0 this reduces to the plain multiplicative coalescent:
 the state is just the ordered component weights of the clock graph.
 
 Assembly is output-sensitive: its Python work is O(edges + strikes) on top
-of O(n) numpy.  The replay searches only from struck vertices, and only the
-ends of surviving edges are grouped; every other survivor is a singleton
-whose weight is its own mass.
+of O(n) numpy.  The replay searches only from struck vertices, and
+``_spanned_weights``, which gives every sandwich sum of ``truncation`` too,
+groups only the ends of spanned edges.  A vertex set is a label mask.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .clock_field import ClockField, edge_arrivals, strike_arrivals
 from .errors import InvalidInput
 from .events import _UnionFind
-from .mass_state import OrderedMassVector, mass_array, ordered, time_list
+from .mass_state import OrderedMassVector, mass_array, ordered, rate, time_list
 
 __all__ = [
     "GraphRealization",
@@ -42,19 +42,17 @@ __all__ = [
 def _components_from_edges(
     n: int, edge_i: np.ndarray, edge_j: np.ndarray, members: np.ndarray | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """Components of the subgraph spanned by ``members`` (default: every label
-    1..n), enumerated by least label; an edge with an end outside ``members``
-    is dropped."""
+    """Components of the subgraph spanned by the label mask ``members``
+    (default: every label 1..n), enumerated by least label; an edge with an
+    end outside ``members`` is dropped."""
     if members is not None:
-        inside = np.zeros(n + 1, dtype=bool)
-        inside[members] = True
-        keep = inside[edge_i] & inside[edge_j]
+        keep = members[edge_i] & members[edge_j]
         edge_i, edge_j = edge_i[keep], edge_j[keep]
     uf = _UnionFind([1] * (n + 1))
     for a, b in zip(edge_i.tolist(), edge_j.tolist()):
         uf.union(a, b)
     groups: dict[int, list[int]] = {}
-    labels = range(1, n + 1) if members is None else members.tolist()
+    labels = range(1, n + 1) if members is None else np.flatnonzero(members).tolist()
     for v in labels:
         groups.setdefault(uf.find(v), []).append(v)
     comps = [tuple(sorted(g)) for g in groups.values()]
@@ -70,6 +68,20 @@ def _component_weights(masses, comps) -> list[float]:
 def _component_s2(masses, comps) -> float:
     """Sum of squared component weights."""
     return math.fsum(w * w for w in _component_weights(masses, comps))
+
+
+def _spanned_weights(
+    masses, edge_i: np.ndarray, edge_j: np.ndarray, members: np.ndarray
+) -> list[float]:
+    """Exactly rounded weights of the components spanned by the label mask
+    ``members``, but for lone members of mass 0; only the ends of spanned
+    edges are grouped, and every other member weighs its own mass."""
+    keep = members[edge_i] & members[edge_j]
+    linked = np.zeros(len(members), dtype=bool)
+    linked[edge_i[keep]] = linked[edge_j[keep]] = True
+    groups = _components_from_edges(len(masses), edge_i, edge_j, members=linked)
+    lone = np.asarray(masses)[(members & ~linked)[1:]]
+    return _component_weights(masses, groups) + lone[lone > 0].tolist()
 
 
 def _strike_order(strike_v: np.ndarray, strike_t: np.ndarray) -> list[tuple[float, int]]:
@@ -118,7 +130,7 @@ def _intact_after_strikes(
 @dataclass(frozen=True)
 class GraphRealization:
     """One seed's fixed-horizon construction: the edge and strike tables, the
-    intact set left by the strike replay, and the state at the horizon.
+    label mask left intact by the strike replay, and the state at the horizon.
 
     Vertex labels are 1-based over the full stored support, including any
     zero-mass tail (such vertices are isolated, never struck, and stay
@@ -133,7 +145,7 @@ class GraphRealization:
     edge_time: np.ndarray
     strike_vertex: np.ndarray
     strike_time: np.ndarray
-    intact: frozenset[int]
+    intact: np.ndarray
     state: OrderedMassVector
 
     @property
@@ -151,20 +163,10 @@ def _assemble(
     strike_v: np.ndarray,
     strike_t: np.ndarray,
 ) -> GraphRealization:
-    n = len(masses)
-    intact_mask = _intact_after_strikes(
-        n, edge_i, edge_j, edge_t, _strike_order(strike_v, strike_t)
+    intact = _intact_after_strikes(
+        len(masses), edge_i, edge_j, edge_t, _strike_order(strike_v, strike_t)
     )
-    survivors = np.flatnonzero(intact_mask)
-    # only ends of surviving edges need grouping; that set is closed under
-    # those edges, and every other survivor is a singleton whose fsum is its
-    # own mass, so the ordered state is the same bit for bit
-    keep = intact_mask[edge_i] & intact_mask[edge_j]
-    linked = np.zeros(n + 1, dtype=bool)
-    linked[edge_i[keep]] = linked[edge_j[keep]] = True
-    groups = _components_from_edges(n, edge_i, edge_j, members=np.flatnonzero(linked))
-    lone = masses[(intact_mask & ~linked)[1:]]
-    state = ordered(_component_weights(masses, groups) + lone[lone > 0].tolist())
+    state = ordered(_spanned_weights(masses, edge_i, edge_j, intact))
     return GraphRealization(
         horizon=float(t),
         lam=float(lam),
@@ -174,7 +176,7 @@ def _assemble(
         edge_time=edge_t,
         strike_vertex=strike_v,
         strike_time=strike_t,
-        intact=frozenset(survivors.tolist()),
+        intact=intact,
         state=state,
     )
 
@@ -182,13 +184,13 @@ def _assemble(
 def realize(masses, clocks: ClockField, lam: float, t: float) -> GraphRealization:
     """Build the clock graph at horizon ``t`` and replay all strikes.
 
-    ``masses`` must pass :func:`~mcld.mass_state.mass_array` and ``t`` must be
-    finite and nonnegative; both are checked before any clock is read.
+    ``masses`` must pass :func:`~mcld.mass_state.mass_array`, and ``t`` and
+    ``lam`` must be finite and nonnegative; all are checked before any clock
+    is read.
     """
     arr = mass_array(masses)
     (t,) = time_list((t,), "horizon")
-    if lam < 0:
-        raise InvalidInput("deletion rate must be nonnegative")
+    lam = rate(lam, "deletion rate")
     ei, ej, et = edge_arrivals(clocks, arr, t)
     sv, st = strike_arrivals(clocks, arr, lam, t)
     return _assemble(arr, lam, t, ei, ej, et, sv, st)

@@ -9,7 +9,8 @@ Every entry point checks its inputs here, before any work: a mass vector
 through :func:`mass_array` (an :class:`OrderedMassVector` is valid by
 construction and passes unchecked), unordered weights through
 :func:`weight_array`, a list of times through :func:`time_list` and a list
-of truncation levels through :func:`level_list`.
+of truncation levels through :func:`level_list` and a rate through
+:func:`rate`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import InvalidInput
 
 __all__ = ["OrderedMassVector", "mass_array", "weight_array", "time_list", "level_list",
-           "ordered", "dist", "truncate"]
+           "rate", "ordered", "dist", "truncate"]
 
 
 def mass_array(masses) -> np.ndarray:
@@ -84,6 +85,18 @@ def level_list(levels, support: int) -> tuple[int, ...]:
     if any(m < 0 or m > support for m in levels):
         raise InvalidInput(f"truncation levels must lie in [0, {support}]")
     return levels
+
+
+def rate(value, name: str) -> float:
+    """``value`` as a float that is finite and nonnegative; ``name`` names
+    the input in the error."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{name} must be a number: {exc}") from None
+    if not 0.0 <= out < math.inf:
+        raise InvalidInput(f"{name} must be finite and nonnegative, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,12 @@ from .errors import InvalidInput, InvariantViolation
 from .graphical import (
     GraphRealization,
     _component_s2,
-    _component_weights,
     _components_from_edges,
+    _spanned_weights,
     realize,
     truncated_realization,
 )
-from .mass_state import dist, level_list, mass_array, time_list, weight_array
+from .mass_state import dist, level_list, mass_array, rate, time_list, weight_array
 from .multigraph import ComponentMultigraph
 from .multigraph import classify_bad as _classify_multigraph
 
@@ -117,23 +117,10 @@ def component_multigraph(sr: SplitRealization) -> ComponentMultigraph:
 # sandwich graphs
 
 
-def _label_mask(n: int, labels) -> np.ndarray:
-    mask = np.zeros(n + 1, dtype=bool)
-    mask[np.fromiter(labels, np.int64, len(labels))] = True
-    return mask
-
-
 def _good_vertices(sr: SplitRealization, bad: frozenset[int]) -> np.ndarray:
     """Mask of the labels in lower components outside ``bad``."""
     lower = (sr.component >= 0) & (sr.component < sr.n_lower)
     return lower & ~np.isin(sr.component, list(bad))
-
-
-def _squares_spanned(full: GraphRealization, mask: np.ndarray) -> tuple[float, ...]:
-    comps = _components_from_edges(
-        full.n, full.edge_i, full.edge_j, members=np.flatnonzero(mask)
-    )
-    return tuple(w * w for w in _component_weights(full.masses, comps))
 
 
 def sandwich_graphs(
@@ -147,8 +134,7 @@ def sandwich_graphs(
     good components cut to the truncated run's intact set.  Raises when the
     bracketing inclusions fail, since that can only be a construction bug.
     """
-    intact_full = _label_mask(sr.full.n, sr.full.intact)
-    intact_trunc = _label_mask(sr.full.n, sr.truncated.intact)
+    full, intact_trunc = sr.full, sr.truncated.intact
     good = _good_vertices(sr, bad)
     v_hat = good & intact_trunc
     v_check = v_hat | ((sr.component >= 0) & ~good)
@@ -156,13 +142,16 @@ def sandwich_graphs(
     for name, inner, outer in (
         ("inner vs truncated-intact", v_hat, intact_trunc),
         ("truncated-intact vs outer", intact_trunc, v_check),
-        ("inner vs full-intact", v_hat, intact_full),
-        ("full-intact vs outer", intact_full, v_check),
+        ("inner vs full-intact", v_hat, full.intact),
+        ("full-intact vs outer", full.intact, v_check),
     ):
         if (inner & ~outer).any():
             raise InvariantViolation(f"sandwich inclusion failed: {name}")
 
-    return _squares_spanned(sr.full, v_hat), _squares_spanned(sr.full, v_check)
+    return tuple(
+        tuple(w * w for w in _spanned_weights(full.masses, full.edge_i, full.edge_j, v))
+        for v in (v_hat, v_check)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +193,7 @@ def truncation_report(masses, seed: int, lam: float, t: float, levels, replicas:
     that exception, for the caller to count."""
     arr = mass_array(masses)
     (t,) = time_list((t,), "horizon")
-    if lam < 0:
-        raise InvalidInput("deletion rate must be nonnegative")
+    lam = rate(lam, "deletion rate")
     levels = level_list(levels, len(arr))
     if replicas < 1:
         raise InvalidInput("need at least one replica")
@@ -229,9 +217,10 @@ def report_from_split(sr: SplitRealization) -> TruncationReport:
     s2_hat, s2_check = math.fsum(squares_hat), math.fsum(squares_check)
 
     # the graph spanned on the full run's intact set is its survivor graph
-    intact_trunc = _label_mask(sr.full.n, sr.truncated.intact)
-    s2_h = sr.full.state.norm_sq()
-    s2_hm = math.fsum(_squares_spanned(sr.full, intact_trunc))
+    full, intact_trunc = sr.full, sr.truncated.intact
+    s2_h = full.state.norm_sq()
+    spanned = _spanned_weights(full.masses, full.edge_i, full.edge_j, intact_trunc)
+    s2_hm = math.fsum(w * w for w in spanned)
     for mid, label in ((s2_h, "survivor"), (s2_hm, "truncated-intact spanned")):
         if not (s2_hat - SANDWICH_TOL <= mid <= s2_check + SANDWICH_TOL):
             raise InvariantViolation(
@@ -239,19 +228,18 @@ def report_from_split(sr: SplitRealization) -> TruncationReport:
             )
 
     # criterion 3: good components meet both intact sets identically
-    intact_full = _label_mask(sr.full.n, sr.full.intact)
-    differs = _good_vertices(sr, bad) & (intact_trunc != intact_full)
+    differs = _good_vertices(sr, bad) & (intact_trunc != full.intact)
     good_violations = len(np.unique(sr.component[differs]))
 
     gap = max(s2_check - s2_hat, 0.0)
-    distance = dist(sr.full.state, sr.truncated.state)
+    distance = dist(full.state, sr.truncated.state)
     holds = distance <= 3.0 * math.sqrt(gap) + SANDWICH_TOL
     if not holds:
         # the difference of two rounded sums can cancel the gap away; judge
         # again on the gap summed exactly in one pass
         gap = max(math.fsum(squares_check + tuple(-w for w in squares_hat)), 0.0)
         holds = distance <= 3.0 * math.sqrt(gap) + SANDWICH_TOL
-    t, lam = sr.full.horizon, sr.full.lam
+    t, lam = full.horizon, full.lam
     if t * t * sr.alpha * sr.beta <= 0.5:
         terms = truncation_bound_terms(sr.alpha, sr.beta, t, lam)
     else:
@@ -280,7 +268,7 @@ def bipartite_bound(a: float, b: float, t: float, n_lower: int) -> float:
     t^2*a*b <= 1/2."""
     if n_lower < 1:
         raise InvalidInput("the left vertex class must be finite and nonempty")
-    if a < 0 or b < 0 or t < 0:
+    if not all(v >= 0 for v in (a, b, t)):
         raise InvalidInput("a, b, t must be nonnegative")
     if t * t * a * b > 0.5:
         raise InvalidInput("hypothesis t^2*a*b <= 1/2 violated")
@@ -290,18 +278,44 @@ def bipartite_bound(a: float, b: float, t: float, n_lower: int) -> float:
 def truncation_bound_terms(
     alpha: float, beta: float, t: float, lam: float
 ) -> tuple[float, float]:
-    if alpha < 0 or beta < 0 or t < 0 or lam < 0:
+    if not all(v >= 0 for v in (alpha, beta, t, lam)):
         raise InvalidInput("alpha, beta, t, lam must be nonnegative")
     if t * t * alpha * beta > 0.5:
         raise InvalidInput("hypothesis t^2*alpha*beta <= 1/2 violated")
     try:
         term_bipartite = 2.0 * beta * (1.0 + t * alpha) ** 2
+    except OverflowError:
+        term_bipartite = math.inf
+    try:
         term_bad = 2.0 * t * t * lam * beta * (1.0 + t * alpha) * alpha ** 1.5
+    except OverflowError:
+        term_bad = math.inf
+    # a factor past the float range need not put the term there
+    if not math.isfinite(term_bipartite):
+        term_bipartite = _term_in_logs(alpha, t, 2.0, ((beta, 1.0),))
+    if not math.isfinite(term_bad):
+        factors = ((t, 2.0), (lam, 1.0), (beta, 1.0), (alpha, 1.5))
+        term_bad = _term_in_logs(alpha, t, 1.0, factors)
+    return term_bipartite, term_bad
+
+
+def _term_in_logs(alpha: float, t: float, growth: float, factors) -> float:
+    """``2 (1 + t alpha)^growth`` times each ``base^power`` of ``factors``,
+    summed in logs: 0 when a base is 0, refused past the float range."""
+    if any(base == 0.0 for base, _ in factors):
+        return 0.0
+    t_alpha = t * alpha
+    if math.isfinite(t_alpha):
+        log_term = growth * math.log1p(t_alpha)
+    else:  # 1 + t alpha is t alpha to the last bit
+        log_term = growth * (math.log(t) + math.log(alpha))
+    log_term += math.log(2.0) + sum(p * math.log(b) for b, p in factors)
+    try:
+        return math.exp(log_term)
     except OverflowError:
         raise InvalidInput(
             f"the truncation bound overflows at alpha={alpha}, t={t}"
         ) from None
-    return term_bipartite, term_bad
 
 
 def truncation_bound(alpha: float, beta: float, t: float, lam: float) -> float:
@@ -317,10 +331,9 @@ def _budget_constant(lam: float, t: float) -> float:
 def feller_budget(eps: float, M: float, t: float, lam: float) -> float:
     """Largest tail squared-norm budget compatible with both constraints of
     the truncation argument at accuracy ``eps`` and head bound ``M``."""
-    if eps <= 0 or M <= 0 or t <= 0:
+    if not all(v > 0 for v in (eps, M, t)):
         raise InvalidInput("eps, M, t must be positive")
-    if lam < 0:
-        raise InvalidInput("deletion rate must be nonnegative")
+    lam = rate(lam, "deletion rate")
     c = _budget_constant(lam, t)
     first = 0.5 / (t * t * M)
     try:
@@ -332,7 +345,7 @@ def feller_budget(eps: float, M: float, t: float, lam: float) -> float:
 
 def tail_truncation_index(masses, delta: float) -> int:
     """Smallest level whose tail squared norm is at most ``delta``."""
-    if delta < 0:
+    if not delta >= 0:
         raise InvalidInput("delta must be nonnegative")
     arr = mass_array(masses)
     sq = arr * arr
@@ -365,6 +378,7 @@ def bipartite_s2_samples(
     """
     x = weight_array(x, "x", False)
     y = weight_array(y, "y", False)
+    (t,) = time_list((t,), "t")
     if replicas < 1:
         raise InvalidInput("need at least one replica")
     a = float(np.sum(x * x))

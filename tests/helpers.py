@@ -265,8 +265,7 @@ def all_survivors_state(real) -> OrderedMassVector:
     """Oracle for ``GraphRealization.state``: every intact label, isolated
     ones included, grouped through the edge tables, each group's mass summed
     exactly, then ordered."""
-    members = np.array(sorted(real.intact), dtype=np.int64)
-    groups = _components_from_edges(real.n, real.edge_i, real.edge_j, members=members)
+    groups = _components_from_edges(real.n, real.edge_i, real.edge_j, members=real.intact)
     return ordered(_component_weights(np.asarray(real.masses), groups))
 
 

@@ -180,6 +180,29 @@ class TestTruncation:
         rep = json.loads((tmp_path / "report_m1_r0.json").read_text())
         assert (rep["gap"], rep["distance"], rep["holds"]) == (9, 3, True)
 
+    @pytest.mark.parametrize(
+        "state, terms",
+        [
+            # alpha^1.5 leaves the float range where t * t is 0: summed in logs
+            ("--masses 1e105,1e-5 --lambda 1 --t 1e-300", [2e-10, 2e-295]),
+            # (1 + t alpha)^2 leaves the float range where beta is 0
+            ("--gen constant:1e78:1 --lambda 0 --t 0.3", [0.0, 0.0]),
+        ],
+    )
+    def test_bound_factor_past_float_range_is_not_refused(self, tmp_path, state, terms):
+        argv = ["truncation", *state.split(), "--truncate", "1"]
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "report_m1_r0.json").read_text())
+        assert rep["bound_terms"] == pytest.approx(terms, rel=1e-12)
+
+    def test_bound_term_past_float_range_is_refused(self, tmp_path, capsys):
+        # the bad-set term of [1e150, 1e-160] at level 1 is about 2e430
+        argv = "truncation --masses 1e150,1e-160 --lambda 1 --t 1 --truncate 1".split()
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out-dir", str(out)]) == 2
+        assert "the truncation bound overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invariant_violation_reported_and_other_reports_written(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -359,6 +382,7 @@ class TestOutputAnchors:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+STATE_FLAGS = ("--masses", "--masses-file", "--gen")
 BAD_NUMBER_BASES = {
     "simulate": "simulate --masses 1,0.5 --lambda 1 --t 1",
     "truncation": "truncation --gen powerlaw:0.6:16 --lambda 1 --t 1 --truncate 4 "
@@ -389,8 +413,8 @@ class TestCheckedNumbers:
             ("truncation", "--truncate 4,4"),
             ("truncation", "--gen constant:1e200:4"),
             ("truncation", "--gen powerlaw:-1000:5"),
-            # beta = 0 meets the bound's hypothesis, but (1 + t alpha)^2 overflows
-            ("truncation", "--gen constant:1e78:1 --lambda 0 --t 0.3 --truncate 1"),
+            # the bad-set term, about 2e430, is past the float range
+            ("truncation", "--masses 1e150,1e-160 --lambda 1 --t 1 --truncate 1"),
             ("fp", "--replicas 0"),
             ("fp", "--replicas abc"),
             ("fp", "--top-r 0"),
@@ -414,8 +438,13 @@ class TestCheckedNumbers:
         argv = BAD_NUMBER_BASES[command].split()
         changes = changes.split()
         for flag, value in zip(changes[::2], changes[1::2]):
-            if flag in argv:
-                argv[argv.index(flag) + 1] = value
+            # an initial state replaces the base's, whichever flag gives it
+            old = flag
+            if flag in STATE_FLAGS:
+                old = next(a for a in argv if a in STATE_FLAGS)
+            if old in argv:
+                k = argv.index(old)
+                argv[k : k + 2] = [flag, value]
             else:
                 argv += [flag, value]
         out = tmp_path / "out"

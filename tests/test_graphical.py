@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from mcld.feller import power_law_reference
 from mcld.graphical import (
     _components_from_edges,
     _intact_after_strikes,
+    _spanned_weights,
     _strike_order,
     realize,
     s2_growth_estimate,
@@ -68,8 +71,8 @@ class TestBuildGraph:
 
 @st.composite
 def grouping_cases(draw):
-    """Vertex count, an edge list with repeats, and either no member list or
-    a shuffled union of whole components (a set closed under the edges)."""
+    """Vertex count, an edge list with repeats, and either no member mask or
+    a label mask (index 0 False) that may cut edges."""
     n = draw(st.integers(1, 30))
     vertex = st.integers(1, n)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
@@ -78,10 +81,8 @@ def grouping_cases(draw):
         edges += draw(st.lists(st.sampled_from(edges), max_size=n))
     if not draw(st.booleans()):
         return n, edges, None
-    blocks = brute_components(range(1, n + 1), edges)
-    kept = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
-    members = sorted(v for b, k in zip(blocks, kept) if k for v in b)
-    return n, edges, draw(st.permutations(members))
+    kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return n, edges, np.array([False, *kept])
 
 
 class TestComponentsFromEdges:
@@ -89,19 +90,59 @@ class TestComponentsFromEdges:
     @given(case=grouping_cases())
     def test_matches_brute_force_exactly(self, case):
         n, edges, members = case
-        vertices = sorted(range(1, n + 1) if members is None else members)
-        inside = set(vertices)  # closed: an edge is inside if one end is
-        comps = brute_components(vertices, [e for e in edges if e[0] in inside])
+        mask = np.ones(n + 1, dtype=bool) if members is None else members
+        inside = (np.flatnonzero(mask[1:]) + 1).tolist()
+        comps = brute_components(inside, [e for e in edges if mask[list(e)].all()])
         expected = tuple(sorted(tuple(sorted(c)) for c in comps))
         got = _components_from_edges(
             n,
             np.array([a for a, _ in edges], dtype=np.int64),
             np.array([b for _, b in edges], dtype=np.int64),
-            members=None if members is None else np.array(members, dtype=np.int64),
+            members=members,
         )
         # sorted tuples, ordered by least label
         assert got == expected
         assert all(type(v) is int for c in got for v in c)
+
+
+@st.composite
+def spanned_cases(draw):
+    """Hostile masses, an edge list between positive masses (as in every edge
+    table) and a label mask: empty, full or drawn, so that members may be
+    isolated, of mass 0, or cut off from an edge's other end."""
+    masses = draw(hostile_masses())
+    n, n_pos = len(masses), sum(m > 0 for m in masses)
+    edges = []
+    if n_pos >= 2:
+        vertex = st.integers(1, n_pos)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n_pos))
+        edges = [(min(p), max(p)) for p in pairs if p[0] != p[1]]
+    kind = draw(st.sampled_from(["empty", "full", "drawn"]))
+    if kind == "drawn":
+        kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        kept = [kind == "full"] * n
+    return masses, edges, np.array([False, *kept])
+
+
+class TestSpannedWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(case=spanned_cases())
+    # member 1 is cut off from its edge, 3 is isolated and 4 weighs nothing
+    @example(case=([2.0, 1.0, 0.5, 0.0], [(1, 2), (2, 3)], np.arange(5) % 2 == 1))
+    def test_matches_brute_force_exactly(self, case):
+        masses, edges, members = case
+        inside = np.flatnonzero(members).tolist()
+        comps = brute_components(inside, [e for e in edges if members[list(e)].all()])
+        weights = [math.fsum(masses[v - 1] for v in c) for c in comps]
+        got = _spanned_weights(
+            np.array(masses, dtype=np.float64),
+            np.array([a for a, _ in edges], dtype=np.int64),
+            np.array([b for _, b in edges], dtype=np.int64),
+            members,
+        )
+        # every component of weight 0 is a lone member of mass 0
+        assert sorted(got) == sorted(w for w in weights if w > 0)
 
 
 class TestLightningRecursion:
@@ -110,17 +151,20 @@ class TestLightningRecursion:
 
     def test_no_strikes_returns_component(self):
         f = StubClockField(pair_exps={(1, 2): 0.5})
-        assert realize(ordered([1.0, 1.0]), f, 0.0, 0.6).intact == {1, 2}
+        real = realize(ordered([1.0, 1.0]), f, 0.0, 0.6)
+        assert np.flatnonzero(real.intact).tolist() == [1, 2]
 
     def test_strike_before_edge_burns_one_vertex(self):
         # hand trace: the strike at 0.3 removes vertex 2 alone because the
         # edge only arrives at 0.5
         f = StubClockField(pair_exps={(1, 2): 0.5}, vertex_exps={2: 0.3})
-        assert realize(ordered([1.0, 1.0]), f, 1.0, 0.6).intact == {1}
+        real = realize(ordered([1.0, 1.0]), f, 1.0, 0.6)
+        assert np.flatnonzero(real.intact).tolist() == [1]
 
     def test_strike_after_edge_burns_both(self):
         f = StubClockField(pair_exps={(1, 2): 0.5}, vertex_exps={2: 0.55})
-        assert realize(ordered([1.0, 1.0]), f, 1.0, 0.6).intact == frozenset()
+        real = realize(ordered([1.0, 1.0]), f, 1.0, 0.6)
+        assert np.flatnonzero(real.intact).tolist() == []
 
     def test_strike_on_already_burnt_vertex_is_noop(self):
         # the strike at 2 (t=0.2) burns {2, 3}, joined at 0.1; the edge (3, 4)
@@ -131,7 +175,7 @@ class TestLightningRecursion:
         )
         real = realize(ordered([1.0] * 4), f, 1.0, 1.0)
         assert sorted(real.strike_vertex.tolist()) == [2, 3]
-        assert real.intact == {1, 4}
+        assert np.flatnonzero(real.intact).tolist() == [1, 4]
         assert real.state.masses == (1.0, 1.0)
 
 
@@ -230,7 +274,7 @@ class TestRealizationInvariants:
         early_edges = set(zip(early.edge_i.tolist(), early.edge_j.tolist()))
         late_edges = set(zip(late.edge_i.tolist(), late.edge_j.tolist()))
         assert early_edges <= late_edges
-        assert late.intact <= early.intact
+        assert not (late.intact & ~early.intact).any()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_survivor_s2_below_graph_s2(self, seed):
@@ -255,15 +299,12 @@ class TestRealizationInvariants:
         for ts, sv in strikes:
             before = realize(v, f, 3.0, np.nextafter(ts, 0.0))
             after = realize(v, f, 3.0, ts)
-            removed = before.intact - after.intact
-            if sv not in before.intact:
+            removed = set(np.flatnonzero(before.intact & ~after.intact).tolist())
+            if not before.intact[sv]:
                 assert removed == set()
                 continue
             survivors = _components_from_edges(
-                before.n,
-                before.edge_i,
-                before.edge_j,
-                members=np.array(sorted(before.intact), dtype=np.int64),
+                before.n, before.edge_i, before.edge_j, members=before.intact
             )
             comp_of_strike = next(set(c) for c in survivors if sv in c)
             assert removed == comp_of_strike
@@ -272,7 +313,7 @@ class TestRealizationInvariants:
         f = ClockField(SEED)
         full = realize(ordered([1.0, 0.8, 0.5, 0.4]), f, 1.0, 1.0)
         trunc = truncated_realization(full, 2)
-        assert {3, 4} <= trunc.intact
+        assert trunc.intact[[3, 4]].all()
         assert trunc.state == state_at(ordered([1.0, 0.8]), f, 1.0, 1.0)
 
 
@@ -296,7 +337,7 @@ class TestPrefixCoupling:
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert got.masses == want.masses
-            assert got.intact == want.intact
+            assert np.array_equal(got.intact, want.intact)
             assert got.state == want.state
 
 

@@ -9,17 +9,24 @@ from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
 from mcld.events import run_clocked
 from mcld.graphical import _component_s2, _component_weights, realize, s2_growth_estimate
+from mcld.frozen_percolation import fp_mcld_compare, run_fp
 from mcld.mass_state import (
     OrderedMassVector,
     dist,
     ordered,
+    rate,
     time_list,
     truncate,
     weight_array,
 )
-from mcld.truncation import tail_truncation_index, truncation_report
+from mcld.truncation import feller_budget, tail_truncation_index, truncation_report
 
-from helpers import brute_components, hostile_masses, ordered_weights
+from helpers import (
+    brute_components,
+    hostile_masses,
+    make_clocks_unreadable,
+    ordered_weights,
+)
 
 # masses at simulation scale: squaring must not underflow to zero
 mass_value = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0))
@@ -271,6 +278,34 @@ class TestOneInputContract:
     def test_weight_array_rejects(self, values):
         with pytest.raises(InvalidInput, match="weights"):
             weight_array(values, "weights", False)
+
+    @pytest.mark.parametrize("value", [-1.0, -math.inf, math.nan, math.inf, "x", None])
+    def test_rate_rejects(self, value):
+        with pytest.raises(InvalidInput, match="speed"):
+            rate(value, "speed")
+
+    def test_rate_accepts(self):
+        assert rate(0, "speed") == 0.0 and type(rate(0, "speed")) is float
+        assert rate("2.5", "speed") == 2.5
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("t", [0.0, 2.0])
+    def test_every_rate_refused_before_any_clock(self, monkeypatch, lam, t):
+        # a bad rate is refused even where no strike could be drawn: at
+        # t = 0 or when every mass is 0
+        make_clocks_unreadable(monkeypatch)
+        calls = (
+            lambda: run_clocked([1.0, 0.5], ClockField(3), lam, [t]),
+            lambda: realize([1.0, 0.5], ClockField(3), lam, t),
+            lambda: realize([0.0, 0.0], ClockField(3), lam, t),
+            lambda: list(truncation_report([1.0, 0.5], 3, lam, t, [1], 1)),
+            lambda: run_fp(np.arange(4), lam, [t], np.random.default_rng(0)),
+            lambda: fp_mcld_compare([10], lam, 0.0, [t], 1, 1, n_ref=20),
+            lambda: feller_budget(0.1, 1.0, 1.0, lam),
+        )
+        for call in calls:
+            with pytest.raises(InvalidInput, match="rate|lam_rescaled"):
+                call()
 
     def test_weight_array_orders_only_on_request(self):
         assert weight_array([0.5, 1.0, 0.0], "weights", False).tolist() == [0.5, 1.0, 0.0]

@@ -22,6 +22,7 @@ from mcld.truncation import (
     split_from_realization,
     tail_truncation_index,
     truncation_bound,
+    truncation_bound_terms,
     truncation_report,
 )
 
@@ -110,7 +111,7 @@ class TestSandwich:
             # the chain through both survivor graphs: the full run's, and the
             # graph spanned on the truncated run's intact set
             s2_survivor_full = full.state.norm_sq()
-            intact = sr.truncated.intact
+            intact = set(np.flatnonzero(sr.truncated.intact).tolist())
             edges = [
                 (a, b)
                 for a, b in zip(full.edge_i.tolist(), full.edge_j.tolist())
@@ -137,8 +138,8 @@ class TestSandwich:
             vertex_exps={1: 0.5 * 1.0},
         )
         sr = split_from_realization(realize(masses, f, 1.0, 1.0), 2)
-        assert sr.full.intact == frozenset()
-        assert sr.truncated.intact == frozenset({3})
+        assert np.flatnonzero(sr.full.intact).tolist() == []
+        assert np.flatnonzero(sr.truncated.intact).tolist() == [3]
         cm = component_multigraph(sr)
         assert cm.damaged_lower == (True,)
         assert cm.damaged_upper == (False,)
@@ -157,6 +158,21 @@ class TestSandwich:
         assert report_from_split(sr).good_violations == 0
 
 
+def brute_spanned_s2(real, mask) -> float:
+    """Squared norm of the graph spanned by ``mask``, by plain BFS."""
+    inside = set(np.flatnonzero(mask).tolist())
+    edges = [
+        (a, b)
+        for a, b in zip(real.edge_i.tolist(), real.edge_j.tolist())
+        if a in inside and b in inside
+    ]
+    weights = [
+        math.fsum(real.masses[v - 1] for v in c)
+        for c in brute_components(sorted(inside), edges)
+    ]
+    return math.fsum(w * w for w in weights)
+
+
 class TestSandwichProperty:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -166,6 +182,7 @@ class TestSandwichProperty:
         seed=st.integers(0, 2 ** 64 - 1),
     )
     @example(masses=[1e78], lam=0.0, t=0.3, seed=0)
+    @example(masses=[1e150, 1e-160], lam=1.0, t=1.0, seed=0)
     def test_every_level_holds(self, masses, lam, t, seed):
         # ties, zero tails and extreme magnitudes, at every level
         full = realize(masses, ClockField(seed), lam, t)
@@ -174,13 +191,23 @@ class TestSandwichProperty:
             try:
                 rep = report_from_split(sr)
             except InvalidInput as exc:
-                # only a bound term past the float range is refused:
-                # (1 + t alpha)^2 with t <= 5, or alpha^1.5
+                # only a bound term past the float range is refused: with
+                # t^2 alpha beta <= 1/2, t <= 5 and lam <= 2 the bad-set term
+                # is below 2 (sqrt(alpha) + 5 alpha^1.5), and the bipartite
+                # one stays in range
                 assert "the truncation bound overflows" in str(exc)
-                assert sr.alpha > 1e153
+                assert sr.alpha > 1e204
                 continue
             assert rep.holds
             assert rep.good_violations == 0
+            # the inner and outer graphs, rebuilt from their definitions
+            bad = classify_bad(component_multigraph(sr))
+            lower = (sr.component >= 0) & (sr.component < sr.n_lower)
+            good = lower & ~np.isin(sr.component, list(bad))
+            v_hat = good & sr.truncated.intact
+            v_check = v_hat | ((sr.component >= 0) & ~good)
+            assert rep.s2_hat == brute_spanned_s2(full, v_hat)
+            assert rep.s2_check == brute_spanned_s2(full, v_check)
 
 
 def _one_report(masses, m):
@@ -279,6 +306,14 @@ class TestAnalyticBounds:
     def test_bipartite_formula(self):
         assert bipartite_bound(1.0, 0.1, 1.0, 5) == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_bipartite_inputs_must_be_nonnegative(self, k, bad):
+        args = [1.0, 0.1, 1.0]
+        args[k] = bad
+        with pytest.raises(InvalidInput, match="must be nonnegative"):
+            bipartite_bound(*args, 5)
+
     def test_bipartite_hypothesis(self):
         with pytest.raises(InvalidInput):
             bipartite_bound(2.0, 2.0, 1.0, 5)
@@ -295,9 +330,26 @@ class TestAnalyticBounds:
             truncation_bound(1.0, 1.0, 1.0, 1.0)
 
     def test_truncation_bound_overflow_refused(self):
-        # beta = 0 meets the hypothesis; (1 + 0.3e156)^2 is past the float range
+        # the split of [1e150, 1e-160] at level 1, at t = lam = 1: the
+        # bad-set term is about 2e430, past the float range
         with pytest.raises(InvalidInput, match="the truncation bound overflows"):
-            truncation_bound(1e156, 0.0, 0.3, 0.0)
+            truncation_bound(1e150 ** 2, 1e-160 ** 2, 1.0, 1.0)
+
+    def test_factor_past_float_range_midway(self):
+        # beta = 0: (1 + 0.3e156)^2 leaves the float range, the terms are 0
+        assert truncation_bound_terms(1e156, 0.0, 0.3, 0.0) == (0.0, 0.0)
+        # alpha^1.5 leaves it where t * t is 0: the term is summed in logs
+        b1, b2 = truncation_bound_terms(1e210, 1e-10, 1e-300, 1.0)
+        assert b1 == 2e-10
+        assert b2 == pytest.approx(2e-295, rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_truncation_bound_inputs_must_be_nonnegative(self, k, bad):
+        args = [1.0, 0.1, 1.0, 1.0]
+        args[k] = bad
+        with pytest.raises(InvalidInput, match="must be nonnegative"):
+            truncation_bound_terms(*args)
 
 
 class TestFellerBudget:
@@ -326,6 +378,13 @@ class TestFellerBudget:
         with pytest.raises(InvalidInput):
             feller_budget(0.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("k", range(3))
+    def test_nan_inputs_refused(self, k):
+        args = [0.1, 1.0, 1.0]
+        args[k] = math.nan
+        with pytest.raises(InvalidInput, match="must be positive"):
+            feller_budget(*args, 1.0)
+
 
 class TestTailTruncationIndex:
     def test_basic(self):
@@ -334,6 +393,11 @@ class TestTailTruncationIndex:
         assert tail_truncation_index(v, 0.02) == 3
         assert tail_truncation_index(v, 10.0) == 0
         assert tail_truncation_index(v, 0.0) == 4
+
+    @pytest.mark.parametrize("delta", [math.nan, -1.0])
+    def test_delta_must_be_nonnegative(self, delta):
+        with pytest.raises(InvalidInput, match="delta"):
+            tail_truncation_index(ordered([1.0, 0.5]), delta)
 
 
 class TestMonteCarloStudies:
@@ -353,6 +417,13 @@ class TestMonteCarloStudies:
             bipartite_s2_samples(np.append(x, bad), x, 1.0, SEED, replicas=2)
         with pytest.raises(InvalidInput, match="y must be"):
             bipartite_s2_samples(x, np.append(x, bad), 1.0, SEED, replicas=2)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_bipartite_horizon_checked_before_any_clock(self, monkeypatch, t):
+        make_clocks_unreadable(monkeypatch)
+        x = np.full(4, 0.25)
+        with pytest.raises(InvalidInput, match="t must be"):
+            bipartite_s2_samples(x, x, t, SEED, replicas=2)
 
     def test_frozen_gap_bound_holds_small_run(self):
         lower = tuple(math.sqrt(0.75 / 40) for _ in range(40))
