@@ -38,13 +38,29 @@ PRF construction (fixed; documented so outputs are bit-reproducible):
 The integer layer is exact on any platform; the float layer uses IEEE-754
 double operations and ``log1p``.
 
-Edge enumeration (:func:`edge_arrivals`) walks the pairs in tiles of
-consecutive rows, hashing each tile as one broadcast so that the row prefix
-``mix64(mix64(seed ^ D) ^ i)`` is computed once per row and each pair costs
-one ``mix64``.  Masses are non-increasing, so row ``i``'s largest threshold
-is ``t * (m_i * m_{i+1})``; pairs whose hash lies above that threshold on the
-lattice are rejected in integer arithmetic, and the survivors go through the
-same float tests, in the same row-major order, as a plain all-pairs scan.
+Edge enumeration (:func:`edge_arrivals`) hashes the pairs in tiles of
+consecutive rows (``ClockField._pair_hits``).  Masses are non-increasing,
+so row ``i``'s largest threshold is ``t * (m_i * m_{i+1})``; pairs whose
+hash lies above that threshold on the lattice are rejected in integer
+arithmetic, and the survivors go through the same float tests, in the same
+row-major order, as a plain all-pairs scan.
+
+Two exact facts about ``mix64`` take most of the work out of each pair:
+
+* ``L30(z) = z ^ (z >> 30)`` is linear over GF(2), so the first step of the
+  pair's outer ``mix64`` splits as ``L30(p ^ j) = L30(p) ^ L30(j)``, where
+  ``p = mix64(mix64(seed ^ D) ^ i)`` is the row prefix.  Both keys are
+  computed once per call, one per row and one per column, and a pair costs
+  one xor, the two multiplies and the xor-shift by 27 between them, run in
+  place on buffers allocated once per call.
+* The last step, ``z ^ (z >> 31)``, leaves the top 31 bits of ``z``
+  unchanged.  So ``h <= b`` can hold only if ``z <= b | (2**33 - 1)``, and a
+  tile is prefiltered against that one scalar, taking for ``b`` the bound of
+  its first row (row bounds do not increase).  Only the survivors finish the
+  last step and meet the exact per-row bound.
+
+A corrupted field skips the prefilter, so its salt reaches every hash of a
+tile, in row-major order, as it would through ``_pair_hash``.
 """
 
 from __future__ import annotations
@@ -77,16 +93,32 @@ _U52 = 2.0 ** -52
 _LOW12 = np.uint64(0xFFF)
 
 # pairs hashed per row tile of edge_arrivals; of 2**12 .. 2**18, 2**15
-# measured fastest at both support 512 and support 4096
+# measured fastest at both support 512 and support 4096.  With the in-place
+# kernel, 2**16 ties with it at support 4096 and is 1.6x slower at 512.
 _TILE_PAIRS = 1 << 15
+# the bits below the 31 that the last step of mix64 leaves unchanged
+_LOW33 = np.uint64((1 << 33) - 1)
+_ALL64 = np.uint64((1 << 64) - 1)
+
+
+def _xorshift(z: np.ndarray, s: np.uint64, tmp: np.ndarray | None = None) -> np.ndarray:
+    """``z ^ (z >> s)`` in place on ``z``; ``tmp``, when given, takes the shift."""
+    return np.bitwise_xor(z, np.right_shift(z, s, out=tmp), out=z)
+
+
+def _mix_middle(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """The steps of mix64 between its first and last xor-shift, in place."""
+    z *= _M1
+    _xorshift(z, _S27, tmp)
+    z *= _M2
+    return z
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     # uint64 array arithmetic wraps mod 2**64 silently; scalars would warn,
-    # so every caller passes arrays (possibly length 1).
-    z = (z ^ (z >> _S30)) * _M1
-    z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
+    # so every caller passes arrays (possibly length 1).  The first step
+    # makes a new array, so the caller's z is never written.
+    return _xorshift(_mix_middle(z ^ (z >> _S30)), _S31)
 
 
 def _to_unit_exp(h: np.ndarray) -> np.ndarray:
@@ -134,6 +166,51 @@ class ClockField:
         base = np.array([self._seed_u64 ^ _PAIR_DOMAIN], dtype=np.uint64)
         h = _mix64(_mix64(_mix64(base) ^ i) ^ j)
         return self._finalize(h)
+
+    def _pair_hits(
+        self, n_pos: int, h_max: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs ``(i, j)`` of labels ``1..n_pos`` whose hash is at most
+        ``h_max[i - 1]``: arrays (i, j, hash) in row-major order, which may
+        hold pairs with ``j <= i`` too.
+
+        The hashes are those of :meth:`_pair_hash`, computed in tiles of rows
+        ``[r0, r1)`` by columns ``(r0, n_pos]``, about ``_TILE_PAIRS`` pairs
+        each, as the module docstring sets out.  Needs ``n_pos >= 2``, and
+        ``h_max`` must not increase.
+        """
+        base = np.array([self._seed_u64 ^ _PAIR_DOMAIN], dtype=np.uint64)
+        row_key = _xorshift(_mix64(_mix64(base) ^ np.arange(1, n_pos, dtype=np.uint64)), _S30)
+        col_key = _xorshift(np.arange(1, n_pos + 1, dtype=np.uint64), _S30)
+        # a tile is one row, or at most _TILE_PAIRS pairs with no more rows
+        # than columns
+        size = max(n_pos - 1, min(_TILE_PAIRS, (n_pos - 1) ** 2))
+        buf = np.empty(size, dtype=np.uint64)
+        tmp = np.empty(size, dtype=np.uint64)
+        out_i: list[np.ndarray] = []
+        out_j: list[np.ndarray] = []
+        out_h: list[np.ndarray] = []
+        r0 = 1
+        while r0 < n_pos:
+            width = n_pos - r0
+            r1 = min(n_pos, r0 + max(1, _TILE_PAIRS // width))
+            z = buf[: (r1 - r0) * width]
+            np.bitwise_xor(
+                row_key[r0 - 1 : r1 - 1, None], col_key[None, r0:], out=z.reshape(-1, width)
+            )
+            _mix_middle(z, tmp[: z.size])
+            # the last step keeps the top 31 bits; a corrupted field keeps
+            # every hash, so that its salt reaches all of them
+            loose = _ALL64 if self._corrupt else h_max[r0 - 1] | _LOW33
+            flat = np.flatnonzero(z <= loose)
+            h = self._finalize(_xorshift(z[flat], _S31))
+            hit = h <= h_max[flat // width + (r0 - 1)]
+            i, j = np.divmod(flat[hit], width)
+            out_i.append(i + r0)
+            out_j.append(j + (r0 + 1))
+            out_h.append(h[hit])
+            r0 = r1
+        return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_h)
 
     def _vertex_hash(self, i: np.ndarray) -> np.ndarray:
         base = np.array([self._seed_u64 ^ _VERTEX_DOMAIN], dtype=np.uint64)
@@ -191,56 +268,36 @@ def edge_arrivals(
     """All edges with arrival time <= t: arrays (i, j, time), i < j, 1-based,
     in row-major order.
 
-    The pairs of positive-mass vertices are hashed in tiles of rows
-    ``[r0, r1)`` by columns ``(r0, n_pos]``, about ``_TILE_PAIRS`` pairs per
-    tile, as one broadcast ``field._pair_hash(rows[:, None], cols[None, :])``.
     Masses are non-increasing, so every pair of row ``i`` has threshold at
-    most ``t * (m_i * m_{i+1})``; a hash whose lattice point lies above it
-    (clipped below 1, so the bound fits in 64 bits) is rejected without
-    leaving the integer domain.  On the survivors with ``j > i`` the float
-    tests are those of a plain scan: the cheap filter ``u <= t * m_i * m_j``
-    (valid because ``-log1p(-u) >= u``), then ``time <= t``.
+    most ``t * (m_i * m_{i+1})``; the field gives the pairs of positive-mass
+    vertices whose hash lattice point is not above it (``field._pair_hits``;
+    the bound is clipped below 1, so it fits in 64 bits).  Those with
+    ``j > i`` go through the tests of a plain scan: the cheap filter
+    ``u <= t * m_i * m_j`` (valid because ``-log1p(-u) >= u``), then
+    ``time <= t``.
     """
     masses = np.asarray(masses, dtype=np.float64)
     n_pos = _positive_support(masses)
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    out_t: list[np.ndarray] = []
-    if n_pos >= 2 and t > 0.0:
-        # masses are non-increasing, so m_1 bounds every pair's rate
-        m1 = float(masses[0])
-        _check_finite_rate(t * (m1 * m1), "t * m_1^2")
-        # row i keeps at most the lattice points k = h >> 12 with
-        # (k + 0.5) * 2**-52 <= t * (m_i * m_{i+1}), so k <= that bound times
-        # 2**52 (astype truncates, a floor on these nonnegative values);
-        # clipping below 1 keeps k_max <= 2**52 - 1 and h_max in 64 bits
-        row_max = np.minimum(t * (masses[: n_pos - 1] * masses[1:n_pos]), 1.0 - _U52)
-        h_max = ((row_max * 2.0 ** 52).astype(np.uint64) << _S12) | _LOW12
-        r0 = 1
-        while r0 < n_pos:
-            width = n_pos - r0
-            r1 = min(n_pos, r0 + max(1, _TILE_PAIRS // width))
-            rows = np.arange(r0, r1, dtype=np.uint64)
-            cols = np.arange(r0 + 1, n_pos + 1, dtype=np.uint64)
-            h = field._pair_hash(rows[:, None], cols[None, :])
-            flat = np.flatnonzero(h <= h_max[r0 - 1 : r1 - 1, None])
-            i, j = np.divmod(flat, width)
-            i += r0
-            j += r0 + 1
-            product = masses[i - 1] * masses[j - 1]
-            u = ((h.ravel()[flat] >> _S12).astype(np.float64) + 0.5) * _U52
-            rough = (j > i) & (u <= t * product)
-            i, j, u, product = i[rough], j[rough], u[rough], product[rough]
-            times = -np.log1p(-u) / product
-            keep = times <= t
-            out_i.append(i[keep])
-            out_j.append(j[keep])
-            out_t.append(times[keep])
-            r0 = r1
-    if not out_i:
+    if not (n_pos >= 2 and t > 0.0):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), np.empty(0, dtype=np.float64)
-    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_t)
+    # masses are non-increasing, so m_1 bounds every pair's rate
+    m1 = float(masses[0])
+    _check_finite_rate(t * (m1 * m1), "t * m_1^2")
+    # row i keeps at most the lattice points k = h >> 12 with
+    # (k + 0.5) * 2**-52 <= t * (m_i * m_{i+1}), so k <= that bound times
+    # 2**52 (astype truncates, a floor on these nonnegative values);
+    # clipping below 1 keeps k_max <= 2**52 - 1 and h_max in 64 bits
+    row_max = np.minimum(t * (masses[: n_pos - 1] * masses[1:n_pos]), 1.0 - _U52)
+    h_max = ((row_max * 2.0 ** 52).astype(np.uint64) << _S12) | _LOW12
+    i, j, h = field._pair_hits(n_pos, h_max)
+    product = masses[i - 1] * masses[j - 1]
+    u = ((h >> _S12).astype(np.float64) + 0.5) * _U52
+    rough = (j > i) & (u <= t * product)
+    i, j, u, product = i[rough], j[rough], u[rough], product[rough]
+    times = -np.log1p(-u) / product
+    keep = times <= t
+    return i[keep], j[keep], times[keep]
 
 
 def strike_arrivals(

@@ -96,7 +96,7 @@ def sample_critical_er(n: int, u: float, rng: np.random.Generator) -> np.ndarray
     return gnp_component_labels(n, max(p, 0.0), rng)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FPTrajectory:
     sizes: tuple[np.ndarray, ...]  # alive component sizes, descending
     events: tuple[tuple[float, str, int], ...]  # (raw time, kind, size)
@@ -193,7 +193,7 @@ def run_fp(
     return FPTrajectory(sizes=tuple(records), events=tuple(events))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FPCompareReport:
     n_list: tuple[int, ...]
     t_list: tuple[float, ...]

@@ -127,7 +127,7 @@ def _intact_after_strikes(
     return np.array(intact, dtype=bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphRealization:
     """One seed's fixed-horizon construction: the edge and strike tables, the
     label mask left intact by the strike replay, and the state at the horizon.

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clock_field import ClockField
+from .clock_field import ClockField, edge_arrivals, strike_arrivals
 from .errors import InvalidInput, InvariantViolation
 from .graphical import (
     GraphRealization,
+    _assemble,
     _component_s2,
     _components_from_edges,
     _spanned_weights,
@@ -55,7 +56,7 @@ SANDWICH_TOL = 1e-9
 # split realizations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitRealization:
     """Full and truncated runs plus the level-m component split: ``component``
     maps each label to its side's component, numbered by least label, so the
@@ -413,28 +414,6 @@ def _mean_sem(samples: np.ndarray) -> tuple[float, float]:
     return float(np.mean(samples)), float(sem)
 
 
-class _SplitResampleField(ClockField):
-    """Pair clocks within each side frozen; cross pairs and all vertex clocks
-    taken from a per-replica field.  Test device for the conditional bound."""
-
-    __slots__ = ("_frozen", "_resample", "_level")
-
-    def __init__(self, frozen: ClockField, resample: ClockField, level: int):
-        super().__init__(resample.seed)
-        self._frozen = frozen
-        self._resample = resample
-        self._level = level
-
-    def _pair_hash(self, i, j):
-        cross = (i <= np.uint64(self._level)) & (j > np.uint64(self._level))
-        return np.where(
-            cross, self._resample._pair_hash(i, j), self._frozen._pair_hash(i, j)
-        )
-
-    def _vertex_hash(self, i):
-        return self._resample._vertex_hash(i)
-
-
 @dataclass(frozen=True)
 class GapStudy:
     alpha: float
@@ -448,15 +427,36 @@ def frozen_split_gap_samples(
     masses, lam: float, t: float, m: int, base_seed: int, replicas: int
 ) -> GapStudy:
     """Resample lightning and cross edges with the split graphs held fixed;
-    the mean sandwich gap is compared against the conditional bound."""
+    the mean sandwich gap is compared against the conditional bound.
+
+    The pairs within each side keep the clocks of ``ClockField(base_seed)``,
+    realized once; replica ``r`` takes its cross pairs ``i <= m < j`` and its
+    vertex clocks from that field's ``child(r)``.
+    """
+    arr = mass_array(masses)
+    (t,) = time_list((t,), "horizon")
+    lam = rate(lam, "deletion rate")
+    (m,) = level_list((m,), len(arr))
     if replicas < 1:
         raise InvalidInput("need at least one replica")
     frozen = ClockField(base_seed)
+    ei, ej, et = edge_arrivals(frozen, arr, t)
+    side = ~((ei <= m) & (ej > m))
+    ei, ej, et = ei[side], ej[side], et[side]
+    n = len(arr)
     gaps = np.empty(replicas)
     alpha = beta = None
     for r in range(replicas):
-        field = _SplitResampleField(frozen, frozen.child(r), m)
-        sr = split_from_realization(realize(masses, field, lam, t), m)
+        field = frozen.child(r)
+        ci, cj, ct = edge_arrivals(field, arr, t)
+        cross = (ci <= m) & (cj > m)
+        ci, cj, ct = ci[cross], cj[cross], ct[cross]
+        # both tables are row-major, and so is their merge
+        i, j, times = (np.concatenate(c) for c in ((ei, ci), (ej, cj), (et, ct)))
+        order = np.argsort(i * (n + 1) + j)
+        sv, st = strike_arrivals(field, arr, lam, t)
+        full = _assemble(arr, lam, t, i[order], j[order], times[order], sv, st)
+        sr = split_from_realization(full, m)
         if alpha is None:
             alpha, beta = sr.alpha, sr.beta
             if t * t * alpha * beta > 0.5:

@@ -31,7 +31,21 @@ def _hash_for_exp(xi: float) -> int:
     return h << 12
 
 
-class StubClockField(ClockField):
+class PairHashHits:
+    """Mixin for test fields that redefine ``_pair_hash``: the hits are read
+    off the hashes of all rows against all columns as one tile,
+    ``nonzero(_pair_hash(rows, cols) <= bound)``, so the field's own hashes
+    decide every pair."""
+
+    def _pair_hits(self, n_pos, h_max):
+        rows = np.arange(1, n_pos, dtype=np.uint64)
+        cols = np.arange(2, n_pos + 1, dtype=np.uint64)
+        h = self._pair_hash(rows[:, None], cols[None, :])
+        i, j = np.nonzero(h <= h_max[:, None])
+        return i + 1, j + 2, h[i, j]
+
+
+class StubClockField(PairHashHits, ClockField):
     """Clock field with hand-picked exponentials; unspecified clocks are huge.
 
     Values pass through the real lattice encoding, so they reproduce the
@@ -291,7 +305,7 @@ def make_clocks_unreadable(monkeypatch) -> None:
     def unreadable(*args, **kwargs):
         raise AssertionError("a clock was read")
 
-    for name in ("child", "_pair_hash", "_vertex_hash"):
+    for name in ("child", "_pair_hash", "_pair_hits", "_vertex_hash"):
         monkeypatch.setattr(ClockField, name, unreadable)
 
 

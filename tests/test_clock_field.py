@@ -19,9 +19,11 @@ from mcld.clock_field import (
 )
 from mcld.errors import InvalidInput
 from mcld.feller import power_law_reference
+from mcld.graphical import realize
 
 from helpers import (
     EventClockView,
+    PairHashHits,
     StubClockField,
     all_pairs_edge_arrivals,
     unit_pair_exp,
@@ -237,9 +239,12 @@ def hostile_arrival_cases(draw, log_rate_lo=-3.0, log_rate_hi=3.0):
     return masses, min(t, limit)
 
 
-class _LowLatticeField(ClockField):
+class _LowLatticeField(PairHashHits, ClockField):
     """Pair hashes on the lattice points 0..15 with arbitrary low 12 bits, so
-    that pair thresholds of a few lattice steps meet the row bound exactly."""
+    that pair thresholds of a few lattice steps meet the row bound exactly.
+    Its hits are the mixin's whole-tile ones, so it checks the row bounds and
+    float tests of ``edge_arrivals``; the tile kernel's own boundary is
+    :class:`TestPairHitsBoundary`'s."""
 
     __slots__ = ()
 
@@ -248,12 +253,10 @@ class _LowLatticeField(ClockField):
         return ((h >> np.uint64(60)) << np.uint64(12)) | (h & np.uint64(0xFFF))
 
 
-def _assert_matches_oracle(field, masses, t, tile):
-    # small tiles force several tiles per call and a ragged last one
-    with mock.patch.object(clock_field, "_TILE_PAIRS", tile):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = edge_arrivals(field, masses, t)
+def _assert_matches_oracle(field, masses, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = edge_arrivals(field, masses, t)
     want = all_pairs_edge_arrivals(field, masses, t)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -270,16 +273,17 @@ class TestRowTiledEnumeration:
     @example(case=(np.array([1e150, 1e150, 0.0]), 1.0), seed=2, tile=1)
     @example(case=(np.full(9, 0.5), 20.0), seed=3, tile=7)
     def test_equals_all_pairs_oracle(self, case, seed, tile):
-        _assert_matches_oracle(ClockField(seed), *case, tile)
+        # small tiles force several tiles per call and a ragged last one
+        with mock.patch.object(clock_field, "_TILE_PAIRS", tile):
+            _assert_matches_oracle(ClockField(seed), *case)
 
     @settings(max_examples=200, deadline=None)
     @given(
         case=hostile_arrival_cases(_LOG_LATTICE_STEP - 1.0, _LOG_LATTICE_STEP + 1.3),
         seed=st.integers(0, 2 ** 64 - 1),
-        tile=_TILES,
     )
-    def test_row_bound_boundary_equals_oracle(self, case, seed, tile):
-        _assert_matches_oracle(_LowLatticeField(seed), *case, tile)
+    def test_row_bound_boundary_equals_oracle(self, case, seed):
+        _assert_matches_oracle(_LowLatticeField(seed), *case)
 
     def test_reference_replica_pinned(self):
         # sha256 of (i, j, time) for criterion 7's support, recorded from the
@@ -292,6 +296,98 @@ class TestRowTiledEnumeration:
         assert len(ei) == 2236
         assert digest.hexdigest() == (
             "24b2865bd5eb03cf84bb051322c26a457489c98111efd78b4a39967259dbc452"
+        )
+
+
+class TestPairHitsBoundary:
+    # one tile: rows 1..39 against columns 2..40, every row at the same bound
+    N_POS = 40
+
+    @staticmethod
+    def _tile_hashes(field, n_pos):
+        rows = np.arange(1, n_pos, dtype=np.uint64)
+        cols = np.arange(2, n_pos + 1, dtype=np.uint64)
+        return field._pair_hash(rows[:, None], cols[None, :])
+
+    def _assert_whole_tile_hits(self, field, h, bound):
+        """``field``'s hits at ``bound`` on every row are the pairs of the
+        tile hashes ``h`` at most ``bound``; returns their hashes."""
+        i, j, got = field._pair_hits(self.N_POS, np.full(self.N_POS - 1, bound, dtype=np.uint64))
+        want = np.flatnonzero(h <= bound)
+        assert np.array_equal((i - 1) * (self.N_POS - 1) + (j - 2), want)
+        assert np.array_equal(got, h.ravel()[want])
+        return got
+
+    @pytest.mark.parametrize("band", ["at", "one_below", "same_top_31_bits"])
+    def test_hits_equal_the_whole_tile_test(self, band):
+        f = ClockField(SEED)
+        h = self._tile_hashes(f, self.N_POS)
+        h_star = np.sort(h.ravel())[h.size // 2]
+        low33 = np.uint64((1 << 33) - 1)
+        bound = {
+            "at": h_star,
+            "one_below": h_star - np.uint64(1),
+            # passes the 31-bit prefilter with h* itself, which the exact
+            # per-row test must then reject
+            "same_top_31_bits": h_star & ~low33,
+        }[band]
+        assert bound >> np.uint64(33) == h_star >> np.uint64(33)
+        got = self._assert_whole_tile_hits(f, h, bound)
+        assert (h_star in got) == (band == "at")
+
+    @pytest.mark.parametrize("tile", [1, 7, 45, 300, 1 << 15])
+    def test_descending_row_bounds_across_tiles(self, tile):
+        # every row's bound is at, one below, or in the loose band of a hash
+        # realized in that row, and no bound is above the previous row's, so
+        # a tile's later rows pass its prefilter but must meet their own bound
+        f = ClockField(SEED)
+        n = self.N_POS
+        h = self._tile_hashes(f, n)
+        upper = np.triu(np.ones((n - 1, n - 1), dtype=bool))  # j > i
+        low33 = np.uint64((1 << 33) - 1)
+        h_max = np.empty(n - 1, dtype=np.uint64)
+        anchors = []
+        previous = np.uint64(2 ** 64 - 1)
+        for r in range(n - 1):
+            row = h[r, r:]
+            below = row[row <= previous]
+            if below.size == 0:
+                h_max[r] = previous
+                continue
+            h_star = below.max()
+            band = len(anchors) % 3
+            h_max[r] = (h_star, h_star - np.uint64(1), h_star & ~low33)[band]
+            anchors.append((r, h_star, band))
+            previous = h_max[r]
+        # the bounds take distinct realized values along most rows
+        assert len(anchors) >= 20
+        assert np.all(np.diff(h_max.astype(object)) <= 0)
+        with mock.patch.object(clock_field, "_TILE_PAIRS", tile):
+            i, j, got = f._pair_hits(n, h_max)
+        assert np.all(h[i - 1, j - 2] == got)
+        assert np.all(got <= h_max[i - 1])
+        above = j > i
+        want = np.flatnonzero(upper & (h <= h_max[:, None]))
+        assert np.array_equal(((i - 1) * (n - 1) + (j - 2))[above], want)
+        for r, h_star, band in anchors:
+            hit = np.any((i == r + 1) & (got == h_star))
+            assert hit == (band == 0)
+
+    def test_corrupted_field_salts_every_hash_of_the_tile(self):
+        # no prefilter: the hits are those of the salted whole-tile hashes,
+        # salted in the same order as through _pair_hash
+        h = self._tile_hashes(ClockField(SEED, _corrupt=True), self.N_POS)
+        self._assert_whole_tile_hits(ClockField(SEED, _corrupt=True), h, np.uint64(1 << 63))
+
+    def test_corrupted_field_tables_differ_between_calls(self):
+        f = ClockField(SEED, _corrupt=True)
+        masses = np.full(self.N_POS, 1.0)
+        first = realize(masses, f, 1.0, 1.0)
+        second = realize(masses, f, 1.0, 1.0)
+        assert not (
+            np.array_equal(first.edge_i, second.edge_i)
+            and np.array_equal(first.edge_j, second.edge_j)
+            and np.array_equal(first.edge_time, second.edge_time)
         )
 
 

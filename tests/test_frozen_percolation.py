@@ -249,6 +249,14 @@ class TestRunFp:
         deleted = sum(size for _, kind, size in raw.events if kind == "delete")
         assert deleted + int(raw.sizes[0].sum()) == n
 
+    def test_equality_is_identity(self):
+        a, b = (
+            run_fp(np.arange(50) % 7, 0.1, [1.0, 2.0], np.random.default_rng(SEED))
+            for _ in range(2)
+        )
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
     def test_partition_labels_need_not_be_contiguous(self):
         # only the partition matters: any label values name the same run
         labels = sample_critical_er(300, 0.0, np.random.default_rng(SEED))
@@ -655,6 +663,7 @@ class TestCompareReport:
         rep1 = fp_mcld_compare(**kwargs)
         rep2 = fp_mcld_compare(**kwargs)
         assert rep1.ks_vs_reference == rep2.ks_vs_reference
+        assert rep1 == rep1 and rep1 != rep2 and len({rep1, rep2}) == 2
         assert rep1.samples[300].shape == (12, 1, 2)
         for stats in rep1.ks_vs_reference.values():
             assert all(0.0 <= s <= 1.0 for s in stats[0])

@@ -10,6 +10,7 @@ from mcld.errors import InvalidInput
 from mcld.events import run_clocked
 from mcld.feller import power_law_reference
 from mcld.graphical import (
+    _assemble,
     _components_from_edges,
     _intact_after_strikes,
     _spanned_weights,
@@ -19,7 +20,7 @@ from mcld.graphical import (
     state_at,
     truncated_realization,
 )
-from mcld.mass_state import ordered
+from mcld.mass_state import mass_array, ordered
 
 from helpers import (
     HOSTILE_HORIZONS,
@@ -309,6 +310,12 @@ class TestRealizationInvariants:
             comp_of_strike = next(set(c) for c in survivors if sv in c)
             assert removed == comp_of_strike
 
+    def test_equality_is_identity(self):
+        # the array fields have no truth value, so == and hash go by identity
+        a, b = (realize([1.0, 0.5, 0.2], ClockField(1), 1.0, 1.0) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
     def test_zero_mass_tail_vertices_stay_intact(self):
         f = ClockField(SEED)
         full = realize(ordered([1.0, 0.8, 0.5, 0.4]), f, 1.0, 1.0)
@@ -337,6 +344,44 @@ class TestPrefixCoupling:
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert got.masses == want.masses
+            assert np.array_equal(got.intact, want.intact)
+            assert got.state == want.state
+
+
+class TestTimePrefixCoupling:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        masses=hostile_masses(),
+        lam=HOSTILE_LAMBDAS,
+        t=HOSTILE_HORIZONS,
+        seed=st.integers(0, 2 ** 64 - 1),
+    )
+    def test_earlier_horizon_equals_filtered_tables(self, masses, lam, t, seed):
+        # an arrival time does not depend on the horizon, so the run to g <= t
+        # is the horizon-t run's tables filtered to times <= g, at every
+        # event time (where the filter is tight) and at 0.  Only a hash on
+        # the lowest lattice points (about 2**-51 per pair), where
+        # -log1p(-u) rounds to u, could fail the cheap test u <= g * m_i * m_j
+        # at g = its own time
+        f = ClockField(seed)
+        full = realize(masses, f, lam, t)
+        for g in sorted({0.0, *full.edge_time.tolist(), *full.strike_time.tolist()}):
+            e, s = full.edge_time <= g, full.strike_time <= g
+            got = realize(masses, f, lam, g)
+            want = _assemble(
+                mass_array(masses),
+                lam,
+                g,
+                full.edge_i[e],
+                full.edge_j[e],
+                full.edge_time[e],
+                full.strike_vertex[s],
+                full.strike_time[s],
+            )
+            for name in ("edge_i", "edge_j", "edge_time", "strike_vertex", "strike_time"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert got.horizon == want.horizon and got.masses == want.masses
             assert np.array_equal(got.intact, want.intact)
             assert got.state == want.state
 

@@ -52,6 +52,12 @@ class TestSplit:
         assert sr.n_lower == 0
         assert sr.alpha == 0.0
 
+    def test_equality_is_identity(self):
+        full = realize([1.0, 0.5, 0.2], ClockField(1), 1.0, 1.0)
+        a, b = split_from_realization(full, 1), split_from_realization(full, 1)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
     @pytest.mark.parametrize("seed", range(6))
     def test_alpha_plus_beta_at_most_full_s2(self, seed):
         # cross edges only merge blocks, so the split squared norms cannot
@@ -446,6 +452,13 @@ class TestMonteCarloStudies:
         make_clocks_unreadable(monkeypatch)
         with pytest.raises(InvalidInput, match="need at least one replica"):
             self._studies(0)[study]()
+
+    @pytest.mark.parametrize("m", [-1, 9])
+    def test_frozen_gap_level_refused_before_any_clock(self, monkeypatch, m):
+        make_clocks_unreadable(monkeypatch)
+        v = ordered([0.25] * 4 + [0.05] * 4)
+        with pytest.raises(InvalidInput, match="levels must lie in"):
+            frozen_split_gap_samples(v, 1.0, 1.0, m, SEED, 2)
 
     @pytest.mark.parametrize(
         "study, mean", [(0, "mean_excess"), (1, "mean_gap")], ids=["bipartite", "frozen_gap"]
