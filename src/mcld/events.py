@@ -7,8 +7,9 @@ indices).  Deletion marks the component's root burnt; members observe the
 flag lazily, so no un-union is ever needed.
 
 ``_UnionFind`` is the package's one disjoint-set forest: static grouping,
-this engine and the frozen percolation run use it.  The initial G(n, p)
-components of that run are grouped by scipy's ``connected_components``.
+this engine, the frozen percolation run and the bad-set classifier use it.
+The initial G(n, p) components of that run are grouped by scipy's
+``connected_components``.
 ``deleted_mass_up_to`` reads the deleted mass off an event log.
 """
 
@@ -34,8 +35,9 @@ class _UnionFind:
 
     The package's one union-find.  Static grouping passes unit weights,
     ``run_clocked`` the vertex masses, ``run_fp`` the initial component
-    sizes with their first vertices as roots.  Labels index ``weight``
-    directly, so 1-based callers leave slot 0 unused.
+    sizes with their first vertices as roots, ``classify_bad`` the damage
+    flags and unit weights.  Labels index ``weight`` directly, so 1-based
+    callers leave slot 0 unused.
     """
 
     __slots__ = ("parent", "weight")

@@ -5,12 +5,16 @@ each cross edge of the underlying graph contributes one parallel edge.  A
 lower vertex is *bad* when an edge-simple walk of length at least one leads
 from it to a damaged vertex (possibly itself, via a circuit).
 
-The fast classifier reduces this to connectivity plus bridge detection:
+The fast classifier reduces this to two union-find passes:
 
 * a walk can reach a damaged vertex w != k iff w lies in k's connected
-  component (any simple path is edge-simple);
-* a damaged k can reach *itself* iff some edge incident to k lies on a
-  circuit, i.e. is not a bridge (parallel edges are never bridges).
+  component (any simple path is edge-simple), so one forest over all edges,
+  weighted by damage, counts the damage of each component;
+* a damaged k that is its component's only damage can reach itself iff it
+  lies on a circuit, i.e. two of its edges end in one component of the graph
+  without k (two parallel edges end at the same vertex).  Each component
+  holds at most one such k, so one second forest over the edges not at any
+  of them answers for all.
 
 ``classify_bad_bruteforce`` enumerates edge-simple trails directly and is
 kept as the oracle the fast path is certified against.
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInput
+from .events import _UnionFind
 
 __all__ = ["ComponentMultigraph", "classify_bad", "classify_bad_bruteforce"]
 
@@ -70,74 +75,31 @@ def _adjacency(cm: ComponentMultigraph) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def _non_bridge_edges(cm: ComponentMultigraph, adj) -> tuple[set[int], list[int]]:
-    """Edge ids lying on a circuit (iterative lowpoint computation), and each
-    vertex's component label: the vertex the search of its component started
-    from.
-
-    Parallel edges are distinct ids, so a doubled edge shows up as a back
-    edge for its twin and neither is reported as a bridge.
-    """
-    n = cm.n_vertices
-    disc = [-1] * n
-    low = [0] * n
-    label = list(range(n))  # a search start labels itself
-    bridges: set[int] = set()
-    counter = 0
-    for start in range(n):
-        if disc[start] != -1:
-            continue
-        # frames: (vertex, parent edge id, iterator index into adj[vertex])
-        stack = [(start, -1, 0)]
-        disc[start] = low[start] = counter
-        counter += 1
-        while stack:
-            u, pe, idx = stack.pop()
-            if idx < len(adj[u]):
-                stack.append((u, pe, idx + 1))
-                w, eid = adj[u][idx]
-                if eid == pe:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = counter
-                    label[w] = start
-                    counter += 1
-                    stack.append((w, eid, 0))
-                else:
-                    low[u] = min(low[u], disc[w])
-            else:
-                if pe != -1:
-                    # u finished; propagate lowpoint to its parent
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] > disc[parent]:
-                        bridges.add(pe)
-    all_ids = set(range(len(cm.edges)))
-    return all_ids - bridges, label
-
-
 def classify_bad(cm: ComponentMultigraph) -> frozenset[int]:
     """Lower ids from which an edge-simple walk reaches damage."""
-    adj = _adjacency(cm)
-    non_bridge, label = _non_bridge_edges(cm, adj)
-    damage_count = [0] * cm.n_vertices
-    for v in range(cm.n_vertices):
-        if cm.damaged(v):
-            damage_count[label[v]] += 1
     flat = cm.flat_edges()
-    on_circuit = [False] * cm.n_vertices
-    for eid in non_bridge:
-        u, v = flat[eid]
-        on_circuit[u] = True
-        on_circuit[v] = True
-
+    damage = [int(d) for d in cm.damaged_lower + cm.damaged_upper]
+    components = _UnionFind(damage[:])  # a root's weight: its block's damage
+    for u, v in flat:
+        components.union(u, v)
     bad: set[int] = set()
+    alone: dict[int, set[int]] = {}  # k, its block's only damage -> roots seen
     for k in range(cm.n_lower):
-        others = damage_count[label[k]] - (1 if cm.damaged_lower[k] else 0)
+        others = components.weight[components.find(k)] - damage[k]
         if others >= 1:
             bad.add(k)
-        elif cm.damaged_lower[k] and on_circuit[k]:
-            bad.add(k)
+        elif damage[k]:
+            alone[k] = set()
+    without = _UnionFind([1] * cm.n_vertices)
+    for u, v in flat:
+        if u not in alone:
+            without.union(u, v)
+    for k, v in flat:
+        if k in alone:
+            root = without.find(v)
+            if root in alone[k]:
+                bad.add(k)
+            alone[k].add(root)
     return frozenset(bad)
 
 

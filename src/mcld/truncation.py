@@ -193,6 +193,8 @@ def truncation_report(masses, seed: int, lam: float, t: float, levels, replicas:
     report)``; a report that raised :class:`InvariantViolation` is yielded as
     that exception, for the caller to count."""
     arr = mass_array(masses)
+    if not math.isfinite(sum(m * m for m in arr.tolist())):
+        raise InvalidInput("the squared norm of the masses overflows")
     (t,) = time_list((t,), "horizon")
     lam = rate(lam, "deletion rate")
     levels = level_list(levels, len(arr))
@@ -269,11 +271,7 @@ def bipartite_bound(a: float, b: float, t: float, n_lower: int) -> float:
     t^2*a*b <= 1/2."""
     if n_lower < 1:
         raise InvalidInput("the left vertex class must be finite and nonempty")
-    if not all(v >= 0 for v in (a, b, t)):
-        raise InvalidInput("a, b, t must be nonnegative")
-    if t * t * a * b > 0.5:
-        raise InvalidInput("hypothesis t^2*a*b <= 1/2 violated")
-    return 2.0 * b * (1.0 + t * a) ** 2
+    return truncation_bound_terms(a, b, t, 0.0)[0]
 
 
 def truncation_bound_terms(
@@ -336,7 +334,8 @@ def feller_budget(eps: float, M: float, t: float, lam: float) -> float:
         raise InvalidInput("eps, M, t must be positive")
     lam = rate(lam, "deletion rate")
     c = _budget_constant(lam, t)
-    first = 0.5 / (t * t * M)
+    # a product below the float range leaves the first constraint unbounded
+    first = 0.5 / (t * t * M) if t * t * M > 0 else math.inf
     try:
         second = eps ** 3 / (9.0 * c * ((1.0 + t * M) ** 2 + (1.0 + t * M) * M ** 1.5))
     except OverflowError:

@@ -237,6 +237,15 @@ class TestFp:
         assert lines[0] == "n,replica,t,rank,scaled_mass"
         assert len(lines) == 1 + 3  # one row per (t, rank)
 
+    def test_horizon_below_float_range_of_the_budget(self, tmp_path):
+        # t * t * M underflows to 0 in the tail budget's first constraint
+        argv = (
+            "fp --n-list 5 --t 1e-300 --replicas 1 --top-r 1 --workers 1"
+        ).split()
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "samples.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 1
+
     def test_multiple_times_in_one_run(self, tmp_path):
         code = cli.main(
             [
@@ -415,6 +424,9 @@ class TestCheckedNumbers:
             ("truncation", "--gen powerlaw:-1000:5"),
             # the bad-set term, about 2e430, is past the float range
             ("truncation", "--masses 1e150,1e-160 --lambda 1 --t 1 --truncate 1"),
+            # the squared norm of the masses overflows, with no rate to check
+            ("truncation", "--masses 1e200,1e200 --t 0 --truncate 1"),
+            ("truncation", "--masses 1e200 --truncate 1"),
             ("fp", "--replicas 0"),
             ("fp", "--replicas abc"),
             ("fp", "--top-r 0"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcld.errors import InvalidInput
 from mcld.multigraph import (
@@ -53,6 +55,24 @@ class TestClassifyBad:
         cm = mg(1, 0, [], damaged_lower={0})
         assert classify_bad(cm) == frozenset()
 
+    def test_one_second_forest_serves_every_component(self):
+        # three components, each with one damaged lower vertex as its only
+        # damage: k0 on two parallel edges, k1 on the 4-cycle k1 l1 k2 l2,
+        # k3 a leaf of the tree k3 - l3 - k4 - l4
+        cm = mg(
+            5,
+            5,
+            [(3, 3), (0, 0), (1, 1), (4, 3), (2, 1), (0, 0), (2, 2), (4, 4), (1, 2)],
+            damaged_lower={0, 1, 3},
+        )
+        assert classify_bad(cm) == frozenset({0, 1, 2, 4})
+
+    def test_damaged_cut_vertex_of_a_tree_is_good(self):
+        # k1 joins l1 and l2 in a tree: its two edges end in different
+        # components without k1, whatever forest k0's parallel edges need
+        cm = mg(2, 3, [(0, 0), (0, 0), (1, 1), (1, 2)], damaged_lower={0, 1})
+        assert classify_bad(cm) == frozenset({0})
+
     def test_flag_length_validated(self):
         with pytest.raises(InvalidInput):
             ComponentMultigraph(
@@ -82,7 +102,43 @@ def random_multigraph(rng) -> ComponentMultigraph:
     )
 
 
+def _fixed(elements, size):
+    return st.lists(elements, min_size=size, max_size=size)
+
+
+@st.composite
+def multigraphs(draw) -> ComponentMultigraph:
+    """Up to 12 vertices and 14 edges; each vertex joins one of three blocks
+    and edges stay inside their block, so most draws have several
+    components."""
+    n_lower = draw(st.integers(1, 6))
+    n_upper = draw(st.integers(1, 12 - n_lower))
+    lower_block = draw(_fixed(st.integers(0, 2), n_lower))
+    upper_block = draw(_fixed(st.integers(0, 2), n_upper))
+    pairs = [
+        (k, l)
+        for k in range(n_lower)
+        for l in range(n_upper)
+        if lower_block[k] == upper_block[l]
+    ]
+    edges = []
+    if pairs:
+        edges = draw(_fixed(st.sampled_from(pairs), draw(st.integers(0, 14))))
+    return ComponentMultigraph(
+        n_lower=n_lower,
+        n_upper=n_upper,
+        edges=tuple(edges),
+        damaged_lower=tuple(draw(_fixed(st.booleans(), n_lower))),
+        damaged_upper=tuple(draw(_fixed(st.booleans(), n_upper))),
+    )
+
+
 class TestOracleEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(multigraphs())
+    def test_equals_oracle_on_several_components(self, cm):
+        assert classify_bad(cm) == classify_bad_bruteforce(cm)
+
     def test_thousand_random_instances(self):
         rng = np.random.default_rng(424242)
         for _ in range(1000):

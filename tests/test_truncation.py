@@ -271,6 +271,8 @@ class TestTruncationReportLoop:
             {"t": -1.0},
             {"masses": [0.5, 1.0]},
             {"masses": [1.0, math.nan]},
+            {"masses": [1e200, 1e200], "t": 0.0, "levels": [1]},
+            {"masses": [1e200], "levels": [1]},
         ],
     )
     def test_every_input_checked_before_any_clock(self, monkeypatch, changes):
@@ -319,6 +321,14 @@ class TestAnalyticBounds:
         args[k] = bad
         with pytest.raises(InvalidInput, match="must be nonnegative"):
             bipartite_bound(*args, 5)
+
+    def test_bipartite_factor_past_float_range(self):
+        # (1 + t a)^2 overflows, the bound does not: it is the bipartite term
+        bound = bipartite_bound(1e155, 1e-160, 1.0, 1)
+        assert bound == truncation_bound_terms(1e155, 1e-160, 1.0, 0.0)[0]
+        assert bound == 1.99999999999998e150
+        study = bipartite_s2_samples([3.2e77], [1e-80], 1.0, 0, 2)
+        assert math.isfinite(study.bound) and study.bound > 0.0
 
     def test_bipartite_hypothesis(self):
         with pytest.raises(InvalidInput):
@@ -383,6 +393,13 @@ class TestFellerBudget:
     def test_positive_inputs_required(self):
         with pytest.raises(InvalidInput):
             feller_budget(0.0, 1.0, 1.0, 1.0)
+
+    def test_horizon_below_float_range(self):
+        # t * t * M is 0: the first constraint is unbounded, the budget is
+        # the second
+        delta = feller_budget(1.2, 2.0, 1e-300, 1.0)
+        assert math.isfinite(delta) and delta > 0.0
+        assert delta == 1.2 ** 3 / (9.0 * 2.0 * (1.0 + 2.0 ** 1.5))
 
     @pytest.mark.parametrize("k", range(3))
     def test_nan_inputs_refused(self, k):
