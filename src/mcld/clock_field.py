@@ -54,10 +54,12 @@ Two exact facts about ``mix64`` take most of the work out of each pair:
   one xor, the two multiplies and the xor-shift by 27 between them, run in
   place on buffers allocated once per call.
 * The last step, ``z ^ (z >> 31)``, leaves the top 31 bits of ``z``
-  unchanged.  So ``h <= b`` can hold only if ``z <= b | (2**33 - 1)``, and a
+  unchanged.  So ``h <= b`` can hold only if ``z <= b | (2**33 - 1)``.  A
   tile is prefiltered against that one scalar, taking for ``b`` the bound of
-  its first row (row bounds do not increase).  Only the survivors finish the
-  last step and meet the exact per-row bound.
+  its first row (row bounds do not increase), unless the bounds fall by more
+  than half across the tile; then each row is prefiltered against its own
+  bound.  Only the survivors finish the last step and meet the exact per-row
+  bound.
 
 A corrupted field skips the prefilter, so its salt reaches every hash of a
 tile, in row-major order, as it would through ``_pair_hash``.
@@ -88,6 +90,7 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
+_S1 = np.uint64(1)
 _S12 = np.uint64(12)
 _U52 = 2.0 ** -52
 _LOW12 = np.uint64(0xFFF)
@@ -201,8 +204,15 @@ class ClockField:
             _mix_middle(z, tmp[: z.size])
             # the last step keeps the top 31 bits; a corrupted field keeps
             # every hash, so that its salt reaches all of them
-            loose = _ALL64 if self._corrupt else h_max[r0 - 1] | _LOW33
-            flat = np.flatnonzero(z <= loose)
+            if self._corrupt:
+                loose = _ALL64
+            elif h_max[r0 - 1] >> _S1 > h_max[r1 - 2]:
+                # bounds fall by more than half across the tile: each row
+                # meets its own
+                loose = (h_max[r0 - 1 : r1 - 1] | _LOW33)[:, None]
+            else:
+                loose = h_max[r0 - 1] | _LOW33
+            flat = np.flatnonzero(z.reshape(-1, width) <= loose)
             h = self._finalize(_xorshift(z[flat], _S31))
             hit = h <= h_max[flat // width + (r0 - 1)]
             i, j = np.divmod(flat[hit], width)

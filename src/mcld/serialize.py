@@ -4,12 +4,22 @@ Floats are rendered with %.17g (17 significant digits uniquely identify an
 IEEE double, so every value round-trips exactly), dict keys keep insertion
 order, and rows are written in caller order.  Identical inputs therefore
 produce byte-identical files.
+
+Each distinct float is formatted once per file: within one call of
+:func:`dumps` or :func:`write_csv`, the text of a nonzero finite ``float``
+is kept in a dict for that call, and the bytes are those of formatting every
+value afresh.  Zeros are formatted each time, since ``0.0 == -0.0`` but they
+print as ``0`` and ``-0``; only exact floats use the dict, since ``1``,
+``1.0`` and ``True`` hash alike.  Values of the exact types ``float``,
+``int``, ``str``, ``dict``, ``list``, ``tuple``, ``None`` and ``bool`` are
+dispatched on their type; subclasses, ``np.float64`` among them, go through
+``isinstance`` tests.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote  # as json.dumps(str)
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -29,36 +39,84 @@ def format_number(x: Any) -> str:
     return "%.17g" % x
 
 
-def _encode(obj: Any, out: list[str]) -> None:
-    if obj is None:
+def _float_text(x: float, memo: dict[float, str]) -> str:
+    """``format_number(x)`` of a float ``x`` not in ``memo``; a nonzero
+    ``x`` is entered there."""
+    if not math.isfinite(x):
+        raise InvalidInput("non-finite numbers cannot be serialized")
+    text = "%.17g" % x
+    if x:
+        memo[x] = text
+    return text
+
+
+def _encode(obj: Any, out: list[str], memo: dict[float, str]) -> None:
+    kind = type(obj)
+    if kind is float:
+        out.append(memo.get(obj) or _float_text(obj, memo))
+    elif kind is str:
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is dict:
+        _encode_dict(obj, out, memo)
+    elif kind is list or kind is tuple:
+        _encode_items(obj, out, memo)
+    elif obj is None:
         out.append("null")
+    elif kind is bool:
+        out.append("true" if obj else "false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     elif isinstance(obj, (bool, int, float)):
         out.append(format_number(obj))
     elif isinstance(obj, dict):
-        out.append("{")
-        for k, (key, value) in enumerate(obj.items()):
-            if k:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _encode(value, out)
-        out.append("}")
+        _encode_dict(obj, out, memo)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for k, value in enumerate(obj):
-            if k:
-                out.append(", ")
-            _encode(value, out)
-        out.append("]")
+        _encode_items(obj, out, memo)
     else:
         raise InvalidInput(f"cannot serialize object of type {type(obj).__name__}")
 
 
+# Containers append ", " after each value and turn the last one into their
+# closing bracket.
+
+
+def _encode_dict(obj: dict, out: list[str], memo: dict[float, str]) -> None:
+    start = len(out)
+    out.append("{")
+    for key, value in obj.items():
+        out.append(_quote(key if type(key) is str else str(key)))
+        out.append(": ")
+        if type(value) is float:
+            out.append(memo.get(value) or _float_text(value, memo))
+        else:
+            _encode(value, out, memo)
+        out.append(", ")
+    if len(out) > start + 1:
+        out[-1] = "}"
+    else:
+        out.append("}")
+
+
+def _encode_items(obj: list | tuple, out: list[str], memo: dict[float, str]) -> None:
+    start = len(out)
+    out.append("[")
+    for value in obj:
+        if type(value) is float:
+            out.append(memo.get(value) or _float_text(value, memo))
+        else:
+            _encode(value, out, memo)
+        out.append(", ")
+    if len(out) > start + 1:
+        out[-1] = "]"
+    else:
+        out.append("]")
+
+
 def dumps(obj: Any) -> str:
     out: list[str] = []
-    _encode(obj, out)
+    _encode(obj, out, {})
     return "".join(out)
 
 
@@ -67,9 +125,17 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    memo: dict[float, str] = {}
+    known = memo.get
     lines = [",".join(header)]
     for row in rows:
         lines.append(
-            ",".join(c if isinstance(c, str) else format_number(c) for c in row)
+            ",".join([
+                (known(c) or _float_text(c, memo)) if type(c) is float
+                else str(c) if type(c) is int
+                else c if isinstance(c, str)
+                else format_number(c)
+                for c in row
+            ])
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

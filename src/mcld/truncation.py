@@ -186,6 +186,15 @@ class TruncationReport:
         }
 
 
+def _squared_norm(w: np.ndarray, what: str) -> float:
+    """``np.sum(w * w)``, refused when it is past the float range."""
+    with np.errstate(over="ignore"):
+        s2 = float(np.sum(w * w))
+    if not math.isfinite(s2):
+        raise InvalidInput(f"the squared norm of {what} overflows")
+    return s2
+
+
 def truncation_report(masses, seed: int, lam: float, t: float, levels, replicas: int):
     """Sandwich reports at every level of every replica, after every input
     is checked and before any clock is read.  Replica ``r`` is realized once,
@@ -193,8 +202,7 @@ def truncation_report(masses, seed: int, lam: float, t: float, levels, replicas:
     report)``; a report that raised :class:`InvariantViolation` is yielded as
     that exception, for the caller to count."""
     arr = mass_array(masses)
-    if not math.isfinite(sum(m * m for m in arr.tolist())):
-        raise InvalidInput("the squared norm of the masses overflows")
+    _squared_norm(arr, "the masses")
     (t,) = time_list((t,), "horizon")
     lam = rate(lam, "deletion rate")
     levels = level_list(levels, len(arr))
@@ -381,8 +389,8 @@ def bipartite_s2_samples(
     (t,) = time_list((t,), "t")
     if replicas < 1:
         raise InvalidInput("need at least one replica")
-    a = float(np.sum(x * x))
-    b = float(np.sum(y * y))
+    a = _squared_norm(x, "x")
+    b = _squared_norm(y, "y")
     bound = bipartite_bound(a, b, t, len(x))
     nl, nr = len(x), len(y)
     li = np.repeat(np.arange(1, nl + 1), nr)
@@ -433,6 +441,7 @@ def frozen_split_gap_samples(
     vertex clocks from that field's ``child(r)``.
     """
     arr = mass_array(masses)
+    _squared_norm(arr, "the masses")
     (t,) = time_list((t,), "horizon")
     lam = rate(lam, "deletion rate")
     (m,) = level_list((m,), len(arr))

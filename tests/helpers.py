@@ -6,6 +6,7 @@ realizations that a truncation sweep must reproduce."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from mcld import truncation
 from mcld.clock_field import ClockField, pair_count, pair_index_decode
-from mcld.errors import InvariantViolation
+from mcld.errors import InvalidInput, InvariantViolation
 from mcld.graphical import _component_weights, _components_from_edges, realize
 from mcld.mass_state import OrderedMassVector, dist, ordered
 
@@ -342,3 +343,57 @@ def hostile_masses(draw, max_support=25):
 # product t * m_1 * m_1 and lam * m_1 stays finite for masses up to 1e150
 HOSTILE_LAMBDAS = st.sampled_from([0.0, 0.5, 2.0])
 HOSTILE_HORIZONS = st.sampled_from([1e-300, 0.3, 1.0, 5.0])
+
+
+def _oracle_number(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    x = float(x)
+    if not math.isfinite(x):
+        raise InvalidInput("non-finite numbers cannot be serialized")
+    return "%.17g" % x
+
+
+def _oracle_encode(obj, out: list[str]) -> None:
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (bool, int, float)):
+        out.append(_oracle_number(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for k, (key, value) in enumerate(obj.items()):
+            if k:
+                out.append(", ")
+            out.append(json.dumps(str(key)))
+            out.append(": ")
+            _oracle_encode(value, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for k, value in enumerate(obj):
+            if k:
+                out.append(", ")
+            _oracle_encode(value, out)
+        out.append("]")
+    else:
+        raise InvalidInput(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def oracle_dumps(obj) -> str:
+    """Oracle for ``serialize.dumps``: one ``isinstance`` chain, every float
+    through its own ``%.17g`` and every string through ``json.dumps``."""
+    out: list[str] = []
+    _oracle_encode(obj, out)
+    return "".join(out)
+
+
+def oracle_csv_text(header, rows) -> str:
+    """Oracle for the text ``serialize.write_csv`` writes."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else _oracle_number(c) for c in row))
+    return "\n".join(lines) + "\n"

@@ -373,6 +373,55 @@ class TestPairHitsBoundary:
             hit = np.any((i == r + 1) & (got == h_star))
             assert hit == (band == 0)
 
+    def _halving_bounds(self, h):
+        """Row bounds that halve every other row, each at most its row's
+        largest hash below the halving cap, never above the row before."""
+        h_max = np.empty(self.N_POS - 1, dtype=np.uint64)
+        previous = np.uint64(2 ** 64 - 1)
+        for r in range(self.N_POS - 1):
+            cap = np.uint64(2 ** 64 - 1) >> np.uint64(r // 2)
+            below = h[r][h[r] <= cap]
+            h_max[r] = min(below.max() if below.size else cap, previous)
+            previous = h_max[r]
+        return h_max
+
+    @pytest.mark.parametrize("tile", [1, 7, 300, 1 << 15])
+    def test_bounds_falling_by_more_than_half_in_a_tile(self, tile):
+        # tiles of many rows have bounds that fall by more than half, so
+        # their rows are prefiltered one by one
+        f = ClockField(SEED)
+        n = self.N_POS
+        h = self._tile_hashes(f, n)
+        h_max = self._halving_bounds(h)
+        with mock.patch.object(clock_field, "_TILE_PAIRS", tile):
+            i, j, got = f._pair_hits(n, h_max)
+        assert np.all(h[i - 1, j - 2] == got)
+        upper = np.triu(np.ones((n - 1, n - 1), dtype=bool))  # j > i
+        want = np.flatnonzero(upper & (h <= h_max[:, None]))
+        assert want.size > n
+        above = j > i
+        assert np.array_equal(((i - 1) * (n - 1) + (j - 2))[above], want)
+
+    def test_each_row_finishes_only_the_hashes_its_own_bound_passes(self):
+        # one tile: the last step keeps the top 31 bits, so a hash finishes
+        # exactly when those bits are not above its own row's
+        f = ClockField(SEED)
+        h = self._tile_hashes(f, self.N_POS)
+        h_max = self._halving_bounds(h)
+        finished = []
+        finalize = ClockField._finalize
+
+        def counted(field, hashes):
+            finished.append(hashes.size)
+            return finalize(field, hashes)
+
+        with mock.patch.object(ClockField, "_finalize", counted):
+            f._pair_hits(self.N_POS, h_max)
+        top = np.uint64(33)
+        own = int(np.sum((h >> top) <= (h_max >> top)[:, None]))
+        first_row = int(np.sum((h >> top) <= (h_max[0] >> top)))
+        assert sum(finished) == own < first_row // 4
+
     def test_corrupted_field_salts_every_hash_of_the_tile(self):
         # no prefilter: the hits are those of the salted whole-tile hashes,
         # salted in the same order as through _pair_hash

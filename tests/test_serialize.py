@@ -1,12 +1,43 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcld.errors import InvalidInput
 from mcld.serialize import dumps, format_number, write_csv, write_json
+
+from helpers import oracle_csv_text, oracle_dumps
+
+# values that hash alike or print alike, drawn often so that one structure
+# repeats them: 1, 1.0 and True hash alike; 0.0 and -0.0 compare equal
+_CLASHING = [0.0, -0.0, 0, False, 1, 1.0, True, -1.0, 0.1, 5e-324, -5e-324,
+             2.2250738585072014e-308, 1.7976931348623157e308, 2.0 ** 53, 2 ** 53]
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.sampled_from(_CLASHING),
+    _FLOATS,
+    st.floats(min_value=-1e-307, max_value=1e-307),  # subnormals among them
+    _FLOATS.map(np.float64),
+    st.integers(-(10 ** 300), 10 ** 300),
+    st.booleans(),
+    st.none(),
+    st.text(),  # non-ASCII and control characters among them
+)
+_KEYS = st.one_of(st.text(), st.integers(), _FLOATS, st.booleans(), st.none())
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=6),
+    ),
+    max_leaves=60,
+)
 
 
 class TestFormatNumber:
@@ -34,6 +65,38 @@ class TestDumps:
     def test_unknown_type_rejected(self):
         with pytest.raises(InvalidInput):
             dumps({"x": object()})
+
+
+class TestAgainstOracle:
+    """The writers give the bytes of formatting every value afresh."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TREES)
+    def test_dumps_matches_the_oracle(self, obj):
+        assert dumps(obj) == oracle_dumps(obj)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.text(), min_size=1, max_size=4),
+        st.lists(st.lists(_SCALARS.filter(lambda c: c is not None), max_size=5), max_size=12),
+    )
+    def test_write_csv_matches_the_oracle(self, header, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "o.csv"
+            write_csv(path, header, rows)
+            assert path.read_bytes() == oracle_csv_text(header, rows).encode("utf-8")
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.nan)])
+    def test_non_finite_refused_deep_after_equal_finite_values(self, tmp_path, bad):
+        obj = {"a": [1.5, 1.5, {"b": [(1.5, -0.0, [bad])]}]}
+        with pytest.raises(InvalidInput):
+            oracle_dumps(obj)
+        with pytest.raises(InvalidInput):
+            dumps(obj)
+        path = tmp_path / "o.csv"
+        with pytest.raises(InvalidInput):
+            write_csv(path, ("x", "y"), [(1.5, 1.5), (1.5, 2), (1.5, bad)])
+        assert not path.exists()
 
 
 def test_writers_round_trip(tmp_path):

@@ -470,6 +470,23 @@ class TestMonteCarloStudies:
         with pytest.raises(InvalidInput, match="need at least one replica"):
             self._studies(0)[study]()
 
+    @pytest.mark.parametrize(
+        "args",
+        [([1e200, 1e200], 1.0, 0.0, 1, 0, 2), ([1e200], 1.0, 1.0, 1, 0, 2)],
+        ids=["two_masses", "one_mass"],
+    )
+    def test_frozen_gap_overflowing_norm_refused_before_any_clock(self, monkeypatch, args):
+        make_clocks_unreadable(monkeypatch)
+        with pytest.raises(InvalidInput, match="the squared norm of the masses overflows"):
+            frozen_split_gap_samples(*args)
+
+    def test_bipartite_overflowing_norm_refused_before_any_clock(self, monkeypatch):
+        make_clocks_unreadable(monkeypatch)
+        with pytest.raises(InvalidInput, match="the squared norm of x overflows"):
+            bipartite_s2_samples([1e200], [0.0], 1.0, 0, 2)
+        with pytest.raises(InvalidInput, match="the squared norm of y overflows"):
+            bipartite_s2_samples([0.0], [1e200], 1.0, 0, 2)
+
     @pytest.mark.parametrize("m", [-1, 9])
     def test_frozen_gap_level_refused_before_any_clock(self, monkeypatch, m):
         make_clocks_unreadable(monkeypatch)
