@@ -1,4 +1,4 @@
-"""Forward event engine and the package's one union-find.
+"""Forward event engine and the union-find of the event loops.
 
 ``run_clocked`` replays the same exponential clocks as the fixed-horizon
 construction, processing edge arrivals and lightning strikes in one global
@@ -6,10 +6,12 @@ time order (ties: time, then edges before strikes, then lexicographic
 indices).  Deletion marks the component's root burnt; members observe the
 flag lazily, so no un-union is ever needed.
 
-``_UnionFind`` is the package's one disjoint-set forest: static grouping,
-this engine, the frozen percolation run and the bad-set classifier use it.
-The initial G(n, p) components of that run are grouped by scipy's
-``connected_components``.
+``_UnionFind`` is the disjoint-set forest of the loops that merge one event
+at a time: this engine, the frozen percolation run and criterion 6's
+connectivity loop.  Every static grouping (states, splits, sandwich sums,
+the bad-set classifier) runs on ``graphical._least_labels`` instead, and the
+initial G(n, p) components of the frozen percolation run are grouped by
+scipy's ``connected_components``.
 ``deleted_mass_up_to`` reads the deleted mass off an event log.
 """
 
@@ -33,11 +35,10 @@ _SAME = -1  # what _UnionFind.union returns when the labels share a root
 class _UnionFind:
     """Disjoint-set forest with path compression and union by weight.
 
-    The package's one union-find.  Static grouping passes unit weights,
-    ``run_clocked`` the vertex masses, ``run_fp`` the initial component
-    sizes with their first vertices as roots, ``classify_bad`` the damage
-    flags and unit weights.  Labels index ``weight`` directly, so 1-based
-    callers leave slot 0 unused.
+    ``run_clocked`` passes the vertex masses, ``run_fp`` the initial
+    component sizes with their first vertices as roots, and criterion 6's
+    loop unit weights.  Labels index ``weight`` directly, so 1-based callers
+    leave slot 0 unused.
     """
 
     __slots__ = ("parent", "weight")

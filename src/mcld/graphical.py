@@ -12,9 +12,11 @@ With deletion rate 0 this reduces to the plain multiplicative coalescent:
 the state is just the ordered component weights of the clock graph.
 
 Assembly is output-sensitive: its Python work is O(edges + strikes) on top
-of O(n) numpy.  The replay searches only from struck vertices, and
-``_spanned_weights``, which gives every sandwich sum of ``truncation`` too,
-groups only the ends of spanned edges.  A vertex set is a label mask.
+of O(n) numpy.  The replay searches only from struck vertices.  Every static
+grouping of the package runs on one numpy kernel, ``_least_labels``, which
+gives each label its component's least label; ``_spanned_weights``, which
+gives the state and every sandwich sum of ``truncation`` too, weighs the
+groups it finds exactly.  A vertex set is a label mask.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 
 from .clock_field import ClockField, edge_arrivals, strike_arrivals
 from .errors import InvalidInput
-from .events import _UnionFind
 from .mass_state import OrderedMassVector, mass_array, ordered, rate, time_list
 
 __all__ = [
@@ -39,49 +40,68 @@ __all__ = [
 ]
 
 
-def _components_from_edges(
-    n: int, edge_i: np.ndarray, edge_j: np.ndarray, members: np.ndarray | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Components of the subgraph spanned by the label mask ``members``
-    (default: every label 1..n), enumerated by least label; an edge with an
-    end outside ``members`` is dropped."""
-    if members is not None:
-        keep = members[edge_i] & members[edge_j]
-        edge_i, edge_j = edge_i[keep], edge_j[keep]
-    uf = _UnionFind([1] * (n + 1))
-    for a, b in zip(edge_i.tolist(), edge_j.tolist()):
-        uf.union(a, b)
-    groups: dict[int, list[int]] = {}
-    labels = range(1, n + 1) if members is None else np.flatnonzero(members).tolist()
-    for v in labels:
-        groups.setdefault(uf.find(v), []).append(v)
-    comps = [tuple(sorted(g)) for g in groups.values()]
-    comps.sort(key=lambda c: c[0])
-    return tuple(comps)
+def _least_labels(n: int, edge_i: np.ndarray, edge_j: np.ndarray) -> np.ndarray:
+    """The least label of every label's component in the graph on the labels
+    0..n with the edges ``(edge_i, edge_j)``.
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin 1982): each
+    round hooks the larger current label of every edge to the smaller one,
+    then jumps every pointer twice.  Labels only fall, so the loop ends; a
+    round that changes nothing leaves both ends of every edge on one root,
+    and a component's root is its least label.
+    """
+    least = np.arange(n + 1)
+    while True:
+        a, b = least[edge_i], least[edge_j]
+        hooked = least.copy()
+        np.minimum.at(hooked, np.maximum(a, b), np.minimum(a, b))
+        hooked = hooked[hooked]
+        hooked = hooked[hooked]
+        if (hooked == least).all():
+            return least
+        least = hooked
 
 
-def _component_weights(masses, comps) -> list[float]:
-    """Exactly rounded total mass of each component of 1-based labels."""
-    return [math.fsum(masses[v - 1] for v in c) for c in comps]
+def _grouped_weights(masses: np.ndarray, roots: np.ndarray, total=math.fsum) -> list[float]:
+    """Weight of each group of ``masses`` that share a root, in root order.
 
-
-def _component_s2(masses, comps) -> float:
-    """Sum of squared component weights."""
-    return math.fsum(w * w for w in _component_weights(masses, comps))
+    A group of one weighs its mass and a group of two one addition, which is
+    correctly rounded and so equals ``fsum``; a larger group weighs ``total``
+    of its masses in their given order (default: exactly rounded).
+    """
+    order = np.argsort(roots, kind="stable")
+    roots, masses = roots[order], masses[order]
+    cut = np.ones(len(roots) + 1, dtype=bool)  # where a group starts or all end
+    np.not_equal(roots[1:], roots[:-1], out=cut[1:-1])
+    bounds = np.flatnonzero(cut)
+    start, end = bounds[:-1], bounds[1:]
+    size = end - start
+    weights = masses[start]
+    two = size == 2
+    weights[two] += masses[start[two] + 1]
+    out = weights.tolist()
+    big = np.flatnonzero(size > 2)
+    if len(big):
+        listed = masses.tolist()
+        for g, a, b in zip(big.tolist(), start[big].tolist(), end[big].tolist()):
+            out[g] = total(listed[a:b])
+    return out
 
 
 def _spanned_weights(
-    masses, edge_i: np.ndarray, edge_j: np.ndarray, members: np.ndarray
+    masses: np.ndarray, edge_i: np.ndarray, edge_j: np.ndarray, members: np.ndarray
 ) -> list[float]:
     """Exactly rounded weights of the components spanned by the label mask
     ``members``, but for lone members of mass 0; only the ends of spanned
     edges are grouped, and every other member weighs its own mass."""
     keep = members[edge_i] & members[edge_j]
+    edge_i, edge_j = edge_i[keep], edge_j[keep]
     linked = np.zeros(len(members), dtype=bool)
-    linked[edge_i[keep]] = linked[edge_j[keep]] = True
-    groups = _components_from_edges(len(masses), edge_i, edge_j, members=linked)
-    lone = np.asarray(masses)[(members & ~linked)[1:]]
-    return _component_weights(masses, groups) + lone[lone > 0].tolist()
+    linked[edge_i] = linked[edge_j] = True
+    ends = np.flatnonzero(linked)
+    least = _least_labels(len(masses), edge_i, edge_j)
+    lone = masses[(members & ~linked)[1:]]
+    return _grouped_weights(masses[ends - 1], least[ends]) + lone[lone > 0].tolist()
 
 
 def _strike_order(strike_v: np.ndarray, strike_t: np.ndarray) -> list[tuple[float, int]]:
@@ -134,12 +154,13 @@ class GraphRealization:
 
     Vertex labels are 1-based over the full stored support, including any
     zero-mass tail (such vertices are isolated, never struck, and stay
-    intact; they carry no weight).
+    intact; they carry no weight).  ``masses`` is a read-only float64 copy of
+    the initial vector.
     """
 
     horizon: float
     lam: float
-    masses: tuple[float, ...]
+    masses: np.ndarray
     edge_i: np.ndarray
     edge_j: np.ndarray
     edge_time: np.ndarray
@@ -167,10 +188,12 @@ def _assemble(
         len(masses), edge_i, edge_j, edge_t, _strike_order(strike_v, strike_t)
     )
     state = ordered(_spanned_weights(masses, edge_i, edge_j, intact))
+    masses = masses.copy()
+    masses.flags.writeable = False
     return GraphRealization(
         horizon=float(t),
         lam=float(lam),
-        masses=tuple(masses.tolist()),
+        masses=masses,
         edge_i=edge_i,
         edge_j=edge_j,
         edge_time=edge_t,
@@ -205,7 +228,7 @@ def truncated_realization(real: GraphRealization, m: int) -> GraphRealization:
     """
     if m < 0 or m > real.n:
         raise InvalidInput(f"truncation level must be in [0, {real.n}]")
-    arr = np.asarray(real.masses, dtype=np.float64).copy()
+    arr = real.masses.copy()
     arr[m:] = 0.0
     ekeep = real.edge_j <= m  # edges store i < j
     skeep = real.strike_vertex <= m
@@ -248,10 +271,12 @@ def s2_growth_estimate(masses, clocks: ClockField, t: float, replicas: int) -> S
         )
     if replicas < 1:
         raise InvalidInput("need at least one replica")
+    everyone = np.arange(len(arr) + 1) > 0
     samples = []
     for r in range(replicas):
         ei, ej, _ = edge_arrivals(clocks.child(r), arr, t)
-        samples.append(_component_s2(arr, _components_from_edges(len(arr), ei, ej)))
+        weights = _spanned_weights(arr, ei, ej, everyone)
+        samples.append(math.fsum(w * w for w in weights))
     mean = math.fsum(samples) / replicas
     if replicas > 1:
         var = math.fsum((s - mean) ** 2 for s in samples) / (replicas - 1)

@@ -143,14 +143,12 @@ def ordered(values: Iterable[float]) -> OrderedMassVector:
 
 def dist(a: OrderedMassVector, b: OrderedMassVector) -> float:
     """l2 distance between two states, padding the shorter with zeros."""
-    la, lb = len(a), len(b)
-    diffs = []
-    for k in range(max(la, lb)):
-        x = a.masses[k] if k < la else 0.0
-        y = b.masses[k] if k < lb else 0.0
-        d = x - y
-        diffs.append(d * d)
-    return math.sqrt(math.fsum(diffs))
+    n = max(len(a), len(b))
+    x, y = np.zeros(n), np.zeros(n)
+    x[: len(a)] = a.masses
+    y[: len(b)] = b.masses
+    d = x - y
+    return math.sqrt(math.fsum((d * d).tolist()))
 
 
 def truncate(v: OrderedMassVector, m: int) -> OrderedMassVector:

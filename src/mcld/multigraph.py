@@ -5,16 +5,18 @@ each cross edge of the underlying graph contributes one parallel edge.  A
 lower vertex is *bad* when an edge-simple walk of length at least one leads
 from it to a damaged vertex (possibly itself, via a circuit).
 
-The fast classifier reduces this to two union-find passes:
+The fast classifier reduces this to two groupings by least label
+(``graphical._least_labels``):
 
 * a walk can reach a damaged vertex w != k iff w lies in k's connected
-  component (any simple path is edge-simple), so one forest over all edges,
-  weighted by damage, counts the damage of each component;
+  component (any simple path is edge-simple), so one grouping over all
+  edges, and a count of damage per component, answers for every such k;
 * a damaged k that is its component's only damage can reach itself iff it
   lies on a circuit, i.e. two of its edges end in one component of the graph
   without k (two parallel edges end at the same vertex).  Each component
-  holds at most one such k, so one second forest over the edges not at any
-  of them answers for all.
+  holds at most one such k, so one second grouping over the edges not at
+  any of them answers for all: k is bad when a label repeats among the
+  pairs (k, label of the other end) over k's edges.
 
 ``classify_bad_bruteforce`` enumerates edge-simple trails directly and is
 kept as the oracle the fast path is certified against.
@@ -24,8 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInput
-from .events import _UnionFind
+from .graphical import _least_labels
 
 __all__ = ["ComponentMultigraph", "classify_bad", "classify_bad_bruteforce"]
 
@@ -77,30 +81,19 @@ def _adjacency(cm: ComponentMultigraph) -> list[list[tuple[int, int]]]:
 
 def classify_bad(cm: ComponentMultigraph) -> frozenset[int]:
     """Lower ids from which an edge-simple walk reaches damage."""
-    flat = cm.flat_edges()
-    damage = [int(d) for d in cm.damaged_lower + cm.damaged_upper]
-    components = _UnionFind(damage[:])  # a root's weight: its block's damage
-    for u, v in flat:
-        components.union(u, v)
-    bad: set[int] = set()
-    alone: dict[int, set[int]] = {}  # k, its block's only damage -> roots seen
-    for k in range(cm.n_lower):
-        others = components.weight[components.find(k)] - damage[k]
-        if others >= 1:
-            bad.add(k)
-        elif damage[k]:
-            alone[k] = set()
-    without = _UnionFind([1] * cm.n_vertices)
-    for u, v in flat:
-        if u not in alone:
-            without.union(u, v)
-    for k, v in flat:
-        if k in alone:
-            root = without.find(v)
-            if root in alone[k]:
-                bad.add(k)
-            alone[k].add(root)
-    return frozenset(bad)
+    n, nl = cm.n_vertices - 1, cm.n_lower  # flat labels 0..n
+    edges = np.array(cm.edges, dtype=np.int64).reshape(-1, 2)
+    lower, upper = edges[:, 0], edges[:, 1] + nl
+    damage = np.array(cm.damaged_lower + cm.damaged_upper, dtype=bool)
+    least = _least_labels(n, lower, upper)
+    per_block = np.bincount(least[damage], minlength=n + 1)
+    bad = per_block[least[:nl]] > damage[:nl]  # damage beside k's own
+    alone = ~bad & damage[:nl]  # k, its block's only damage
+    at = alone[lower]
+    without = _least_labels(n, lower[~at], upper[~at])
+    seen = np.sort(lower[at] * (n + 1) + without[upper[at]])
+    bad[seen[1:][seen[1:] == seen[:-1]] // (n + 1)] = True
+    return frozenset(np.flatnonzero(bad).tolist())
 
 
 def classify_bad_bruteforce(cm: ComponentMultigraph) -> frozenset[int]:

@@ -20,8 +20,8 @@ from .errors import InvalidInput, InvariantViolation
 from .graphical import (
     GraphRealization,
     _assemble,
-    _component_s2,
-    _components_from_edges,
+    _grouped_weights,
+    _least_labels,
     _spanned_weights,
     realize,
     truncated_realization,
@@ -75,23 +75,22 @@ def split_from_realization(full: GraphRealization, m: int) -> SplitRealization:
     """The level-m truncated run under the full run's clocks, and the full
     graph's components spanned on the labels ``[1, m]`` and ``(m, n]``."""
     trunc = truncated_realization(full, m)
-    # without the cross edges every component lies on one side; they come
-    # ordered by least label, so the lower ones are a prefix
+    # without the cross edges every component lies on one side; numbered by
+    # least label, the lower ones are a prefix
     side = ~((full.edge_i <= m) & (full.edge_j > m))
-    comps = _components_from_edges(full.n, full.edge_i[side], full.edge_j[side])
-    k = sum(c[0] <= m for c in comps)
-    component = np.full(full.n + 1, -1, dtype=np.int64)
-    component[[v for c in comps for v in c]] = np.repeat(
-        np.arange(len(comps)), [len(c) for c in comps]
-    )
+    least = _least_labels(full.n, full.edge_i[side], full.edge_j[side])
+    roots = least == np.arange(full.n + 1)
+    component = (np.cumsum(roots) - 2)[least]  # label 0, its own root, is -1
+    k = int(np.count_nonzero(roots[1 : m + 1]))
+    squares = [w * w for w in _grouped_weights(full.masses, least[1:])]
     return SplitRealization(
         level=m,
         full=full,
         truncated=trunc,
         component=component,
         n_lower=k,
-        alpha=_component_s2(full.masses, comps[:k]),
-        beta=_component_s2(full.masses, comps[k:]),
+        alpha=math.fsum(squares[:k]),
+        beta=math.fsum(squares[k:]),
     )
 
 
@@ -120,8 +119,12 @@ def component_multigraph(sr: SplitRealization) -> ComponentMultigraph:
 
 def _good_vertices(sr: SplitRealization, bad: frozenset[int]) -> np.ndarray:
     """Mask of the labels in lower components outside ``bad``."""
-    lower = (sr.component >= 0) & (sr.component < sr.n_lower)
-    return lower & ~np.isin(sr.component, list(bad))
+    # one slot per component number, and a last one, always False, that
+    # label 0's number -1 reads
+    good = np.zeros(int(sr.component.max()) + 2, dtype=bool)
+    good[: sr.n_lower] = True
+    good[list(bad)] = False
+    return good[sr.component]
 
 
 def sandwich_graphs(
@@ -396,20 +399,24 @@ def bipartite_s2_samples(
     li = np.repeat(np.arange(1, nl + 1), nr)
     rj = np.tile(np.arange(nl + 1, nl + nr + 1), nl)
     thresholds = t * np.repeat(x, nr) * np.tile(y, nl)
-    weight = [0.0] + x.tolist() + y.tolist()  # by vertex label
+    weight = np.concatenate((x, y))  # by vertex label - 1
     base = ClockField(base_seed)
     samples = np.empty(replicas)
     for r in range(replicas):
         present = base.child(r).pair_exps(li, rj) <= thresholds
-        squares = []
-        for comp in _components_from_edges(nl + nr, li[present], rj[present]):
-            w = 0.0
-            for v in comp:  # in label order, one rounding per addition
-                w += weight[v]
-            squares.append(w * w)
-        samples[r] = math.fsum(squares)
+        least = _least_labels(nl + nr, li[present], rj[present])
+        weights = _grouped_weights(weight, least[1:], total=_sum_in_order)
+        samples[r] = math.fsum(w * w for w in weights)
     mean, sem = _mean_sem(samples - a)
     return BipartiteStudy(a=a, b=b, bound=bound, mean_excess=mean, sem=sem)
+
+
+def _sum_in_order(values: list[float]) -> float:
+    """Sum in the given order, with one rounding per addition."""
+    w = 0.0
+    for v in values:
+        w += v
+    return w
 
 
 def _mean_sem(samples: np.ndarray) -> tuple[float, float]:

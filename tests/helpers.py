@@ -1,8 +1,9 @@
 """Small independent utilities shared by the test suite.  They are kept
 free of the package's own graph machinery so they can serve as oracles;
-``all_survivors_state`` and ``coupled_distance`` are the exceptions: a
-plainer assembly from the package's grouping helper, and two independent
-realizations that a truncation sweep must reproduce."""
+``coupled_distance`` is the exception: two independent realizations that a
+truncation sweep must reproduce.  The union-find grouping and the
+``fsum`` weights here are the ones the package used before its least-label
+kernel, kept as that kernel's oracles."""
 
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from scipy.sparse.csgraph import connected_components
 from mcld import truncation
 from mcld.clock_field import ClockField, pair_count, pair_index_decode
 from mcld.errors import InvalidInput, InvariantViolation
-from mcld.graphical import _component_weights, _components_from_edges, realize
+from mcld.events import _UnionFind
+from mcld.graphical import realize
 from mcld.mass_state import OrderedMassVector, dist, ordered
 
 _LATTICE = 2.0 ** 52
@@ -236,6 +238,51 @@ def full_cumsum_aggregate_top(
     return rows
 
 
+def components_from_edges(
+    n: int, edge_i: np.ndarray, edge_j: np.ndarray, members: np.ndarray | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Components of the subgraph spanned by the label mask ``members``
+    (default: every label 1..n), enumerated by least label, by a union-find
+    pass over the edges; an edge with an end outside ``members`` is
+    dropped."""
+    if members is not None:
+        keep = members[edge_i] & members[edge_j]
+        edge_i, edge_j = edge_i[keep], edge_j[keep]
+    uf = _UnionFind([1] * (n + 1))
+    for a, b in zip(edge_i.tolist(), edge_j.tolist()):
+        uf.union(a, b)
+    groups: dict[int, list[int]] = {}
+    labels = range(1, n + 1) if members is None else np.flatnonzero(members).tolist()
+    for v in labels:
+        groups.setdefault(uf.find(v), []).append(v)
+    comps = [tuple(sorted(g)) for g in groups.values()]
+    comps.sort(key=lambda c: c[0])
+    return tuple(comps)
+
+
+def component_weights(masses, comps) -> list[float]:
+    """Exactly rounded total mass of each component of 1-based labels."""
+    return [math.fsum(masses[v - 1] for v in c) for c in comps]
+
+
+def component_s2(masses, comps) -> float:
+    """Sum of squared component weights."""
+    return math.fsum(w * w for w in component_weights(masses, comps))
+
+
+def loop_dist(a: OrderedMassVector, b: OrderedMassVector) -> float:
+    """l2 distance between two states by a Python loop over the padded
+    entries, one subtraction and one square each, summed by ``fsum``."""
+    la, lb = len(a), len(b)
+    diffs = []
+    for k in range(max(la, lb)):
+        x = a.masses[k] if k < la else 0.0
+        y = b.masses[k] if k < lb else 0.0
+        d = x - y
+        diffs.append(d * d)
+    return math.sqrt(math.fsum(diffs))
+
+
 def brute_components(vertices, edges) -> list[frozenset[int]]:
     """Connected components by plain BFS over an adjacency dict."""
     adj: dict[int, set[int]] = {v: set() for v in vertices}
@@ -280,8 +327,8 @@ def all_survivors_state(real) -> OrderedMassVector:
     """Oracle for ``GraphRealization.state``: every intact label, isolated
     ones included, grouped through the edge tables, each group's mass summed
     exactly, then ordered."""
-    groups = _components_from_edges(real.n, real.edge_i, real.edge_j, members=real.intact)
-    return ordered(_component_weights(np.asarray(real.masses), groups))
+    groups = components_from_edges(real.n, real.edge_i, real.edge_j, members=real.intact)
+    return ordered(component_weights(real.masses, groups))
 
 
 def coupled_distance(initial_a, initial_b, lam: float, t: float, seed: int) -> float:

@@ -3,7 +3,10 @@ tolerance.  Failures print the full detail payload.  Where a criterion's
 payload is a pinned anchor, the test also asserts its exact values: a
 speed-up or refactor that moves any of them changes behaviour."""
 
+import dataclasses
+
 from mcld import acceptance
+from mcld.multigraph import classify_bad
 
 from helpers import fail_sandwich_at
 
@@ -40,6 +43,18 @@ def test_sandwich_bundle_counts_an_invariant_violation(monkeypatch):
 
 def test_criterion_4_bad_set_oracle():
     _check(acceptance.criterion_bad_set_oracle())
+
+
+def test_criterion_4_catches_a_classifier_blind_to_upper_damage(monkeypatch):
+    # negative control: a classifier that never sees a struck upper
+    # component must disagree with the trail enumeration somewhere
+    def blind(cm):
+        return classify_bad(dataclasses.replace(cm, damaged_upper=(False,) * cm.n_upper))
+
+    monkeypatch.setattr(acceptance, "classify_multigraph", blind)
+    result = acceptance.criterion_bad_set_oracle()
+    assert result.passed is False
+    assert result.details["mismatches"] > 0
 
 
 def test_criterion_5_analytic_bounds():

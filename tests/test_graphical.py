@@ -11,8 +11,9 @@ from mcld.events import run_clocked
 from mcld.feller import power_law_reference
 from mcld.graphical import (
     _assemble,
-    _components_from_edges,
+    _grouped_weights,
     _intact_after_strikes,
+    _least_labels,
     _spanned_weights,
     _strike_order,
     realize,
@@ -29,6 +30,8 @@ from helpers import (
     all_survivors_state,
     brute_components,
     brute_strike_replay,
+    component_weights,
+    components_from_edges,
     hostile_masses,
 )
 
@@ -38,7 +41,7 @@ SEED = 31415
 def graph_components(masses, field, t):
     """Components of the clock graph at horizon ``t``, with no deletion."""
     real = realize(masses, field, 0.0, t)
-    return _components_from_edges(real.n, real.edge_i, real.edge_j)
+    return components_from_edges(real.n, real.edge_i, real.edge_j)
 
 
 class TestBuildGraph:
@@ -95,7 +98,7 @@ class TestComponentsFromEdges:
         inside = (np.flatnonzero(mask[1:]) + 1).tolist()
         comps = brute_components(inside, [e for e in edges if mask[list(e)].all()])
         expected = tuple(sorted(tuple(sorted(c)) for c in comps))
-        got = _components_from_edges(
+        got = components_from_edges(
             n,
             np.array([a for a, _ in edges], dtype=np.int64),
             np.array([b for _, b in edges], dtype=np.int64),
@@ -104,6 +107,109 @@ class TestComponentsFromEdges:
         # sorted tuples, ordered by least label
         assert got == expected
         assert all(type(v) is int for c in got for v in c)
+
+
+def oracle_least_labels(n: int, edge_i, edge_j) -> np.ndarray:
+    """Least label of every label 0..n, from the union-find oracle."""
+    everyone = np.ones(n + 1, dtype=bool)
+    want = np.arange(n + 1)
+    for comp in components_from_edges(n, edge_i, edge_j, members=everyone):
+        want[list(comp)] = comp[0]
+    return want
+
+
+@st.composite
+def labelling_cases(draw):
+    """Labels 0..n and an edge list on them: random edges with parallel and
+    repeated ones, a star, or a path, each under a shuffle of the labels,
+    and always some labels left isolated beside the rest."""
+    n = draw(st.integers(0, 40))
+    shape = draw(st.sampled_from(["random", "star", "path"]))
+    used = draw(st.integers(1, n + 1))  # labels the shape may touch
+    perm = draw(st.permutations(range(n + 1)))[:used]
+    if shape == "star":
+        ends = [(0, k) for k in range(1, used)]
+    elif shape == "path":
+        ends = [(k, k + 1) for k in range(used - 1)]
+    else:
+        k = st.integers(0, used - 1)
+        ends = draw(st.lists(st.tuples(k, k), max_size=3 * used))
+        ends += draw(st.lists(st.sampled_from(ends), max_size=used)) if ends else []
+    edge_i = np.array([perm[a] for a, _ in ends], dtype=np.int64)
+    edge_j = np.array([perm[b] for _, b in ends], dtype=np.int64)
+    return n, edge_i, edge_j
+
+
+class TestLeastLabels:
+    @settings(max_examples=300, deadline=None)
+    @given(case=labelling_cases())
+    @example(case=(0, np.array([], dtype=np.int64), np.array([], dtype=np.int64)))
+    @example(case=(1, np.array([], dtype=np.int64), np.array([], dtype=np.int64)))
+    @example(case=(1, np.array([1, 0, 1]), np.array([0, 1, 1])))  # parallel, loop
+    def test_matches_union_find(self, case):
+        n, edge_i, edge_j = case
+        got = _least_labels(n, edge_i, edge_j)
+        assert np.array_equal(got, oracle_least_labels(n, edge_i, edge_j))
+
+    def test_long_shuffled_path(self):
+        # the deepest case for pointer jumping: one path through 100,000
+        # labels in random order, beside the isolated label 0
+        n = 100_000
+        perm = np.random.default_rng(SEED).permutation(n) + 1
+        got = _least_labels(n, perm[:-1], perm[1:])
+        assert np.array_equal(got, oracle_least_labels(n, perm[:-1], perm[1:]))
+        assert got.tolist() == [0] + [1] * n
+
+
+# masses on which a careless sum rounds differently from ``fsum``
+HOSTILE_WEIGHTS = st.sampled_from(
+    [1.0, 1.0, 2.0 ** -53, 2.0 ** -52, 1.0 + 2.0 ** -52, 0.0, 5e-324, 2.5e-308,
+     1e-300, 1e150, 0.1, 0.2, 0.3, 3.0]
+)
+
+
+@st.composite
+def grouped_cases(draw):
+    """Hostile masses and a root for each, so that groups of one, two and
+    more members mix, with members of one group apart from each other."""
+    masses = draw(st.lists(HOSTILE_WEIGHTS | st.floats(0.0, 1e300), max_size=30))
+    roots = draw(st.lists(st.integers(0, 8), min_size=len(masses), max_size=len(masses)))
+    return np.array(masses, dtype=np.float64), np.array(roots, dtype=np.int64)
+
+
+class TestGroupedWeights:
+    @settings(max_examples=500, deadline=None)
+    @given(case=grouped_cases())
+    # a pair whose exact sum lies halfway between two floats, a triple whose
+    # sum in order loses its tail, and subnormals beside zeros
+    @example(case=(np.array([1.0, 2.0 ** -53]), np.array([3, 3])))
+    @example(case=(np.array([1e150, 1e-300, 1.0, 2.0 ** -53]), np.array([1, 1, 1, 1])))
+    @example(case=(np.array([5e-324, 0.0, 5e-324, 2.5e-308]), np.array([2, 0, 2, 0])))
+    def test_matches_fsum_bit_for_bit(self, case):
+        masses, roots = case
+        order = sorted(set(roots.tolist()))
+        comps = [
+            tuple(v + 1 for v in np.flatnonzero(roots == r).tolist()) for r in order
+        ]
+        want = component_weights(masses.tolist(), comps)
+        got = _grouped_weights(masses, roots)
+        assert [w.hex() for w in got] == [w.hex() for w in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=grouped_cases())
+    def test_given_total_sums_larger_groups_in_order(self, case):
+        masses, roots = case
+
+        def in_order(values):
+            w = 0.0
+            for v in values:
+                w += v
+            return w
+
+        order = sorted(set(roots.tolist()))
+        want = [in_order(masses[roots == r].tolist()) for r in order]
+        got = _grouped_weights(masses, roots, total=in_order)
+        assert [w.hex() for w in got] == [w.hex() for w in want]
 
 
 @st.composite
@@ -285,7 +391,7 @@ class TestRealizationInvariants:
         arr = np.asarray(real.masses)
         s2_graph = sum(
             sum(arr[i - 1] for i in c) ** 2
-            for c in _components_from_edges(real.n, real.edge_i, real.edge_j)
+            for c in components_from_edges(real.n, real.edge_i, real.edge_j)
         )
         assert real.state.norm_sq() <= s2_graph + 1e-12
 
@@ -304,7 +410,7 @@ class TestRealizationInvariants:
             if not before.intact[sv]:
                 assert removed == set()
                 continue
-            survivors = _components_from_edges(
+            survivors = components_from_edges(
                 before.n, before.edge_i, before.edge_j, members=before.intact
             )
             comp_of_strike = next(set(c) for c in survivors if sv in c)
@@ -343,7 +449,7 @@ class TestPrefixCoupling:
             for name in ("edge_i", "edge_j", "edge_time", "strike_vertex", "strike_time"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
-            assert got.masses == want.masses
+            assert np.array_equal(got.masses, want.masses)
             assert np.array_equal(got.intact, want.intact)
             assert got.state == want.state
 
@@ -381,7 +487,8 @@ class TestTimePrefixCoupling:
             for name in ("edge_i", "edge_j", "edge_time", "strike_vertex", "strike_time"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
-            assert got.horizon == want.horizon and got.masses == want.masses
+            assert got.horizon == want.horizon
+            assert np.array_equal(got.masses, want.masses)
             assert np.array_equal(got.intact, want.intact)
             assert got.state == want.state
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
 from mcld.events import run_clocked
-from mcld.graphical import _component_s2, _component_weights, realize, s2_growth_estimate
+from mcld.graphical import realize, s2_growth_estimate
 from mcld.frozen_percolation import fp_mcld_compare, run_fp
 from mcld.mass_state import (
     OrderedMassVector,
@@ -23,7 +23,10 @@ from mcld.truncation import feller_budget, tail_truncation_index, truncation_rep
 
 from helpers import (
     brute_components,
+    component_s2,
+    component_weights,
     hostile_masses,
+    loop_dist,
     make_clocks_unreadable,
     ordered_weights,
 )
@@ -59,6 +62,9 @@ class TestOrdered:
         assert ordered(shuffled) == ordered(values)
 
 
+SUBNORMALS = st.lists(st.sampled_from([5e-324, 1e-310, 2.5e-308, 2.0 ** -1022]), max_size=4)
+
+
 class TestDist:
     def test_single_entry_vs_empty(self):
         assert dist(ordered([1.0]), ordered([])) == 1.0
@@ -84,23 +90,34 @@ class TestDist:
         va, vb, vc = ordered(a), ordered(b), ordered(c)
         assert dist(va, vc) <= dist(va, vb) + dist(vb, vc) + 1e-9
 
+    @settings(max_examples=150, deadline=None)
+    @given(hostile_masses(), hostile_masses(), SUBNORMALS, SUBNORMALS)
+    @example([], [], [], [])
+    @example([1.0], [], [5e-324], [])
+    @example([], [], [], [2.5e-308, 5e-324])
+    def test_matches_padded_loop_bit_for_bit(self, a, b, tail_a, tail_b):
+        # unequal lengths, empty states and subnormal entries, whose
+        # differences and squares round (or vanish) alike in both
+        va, vb = ordered(a + tail_a), ordered(b + tail_b)
+        assert dist(va, vb).hex() == loop_dist(va, vb).hex()
+
 
 class TestS2:
     """Sum of squared component weights, as truncation reads it off a
     realization: masses are indexed by 1-based vertex labels."""
 
     def test_two_blocks(self):
-        assert _component_s2([2.0, 1.0, 1.0], ((1, 2), (3,))) == pytest.approx(
+        assert component_s2([2.0, 1.0, 1.0], ((1, 2), (3,))) == pytest.approx(
             10.0, abs=1e-12
         )
 
     def test_singletons(self):
         masses = [float(k) for k in range(1, 6)]
         comps = tuple((k,) for k in range(1, 6))
-        assert _component_s2(masses, comps) == pytest.approx(sum(k * k for k in masses))
+        assert component_s2(masses, comps) == pytest.approx(sum(k * k for k in masses))
 
     def test_single_block(self):
-        assert _component_s2([1.0] * 4, ((1, 2, 3, 4),)) == pytest.approx(16.0)
+        assert component_s2([1.0] * 4, ((1, 2, 3, 4),)) == pytest.approx(16.0)
 
     @given(
         st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=2, max_size=10),
@@ -115,7 +132,7 @@ class TestS2:
         merged = [blk for k, blk in enumerate(blocks) if k not in (a, b)]
         merged.append(tuple(sorted(blocks[a] + blocks[b])))
         wa, wb = values[a], values[b]
-        assert _component_s2(values, merged) - _component_s2(
+        assert component_s2(values, merged) - component_s2(
             values, blocks
         ) == pytest.approx(2 * wa * wb, rel=1e-9)
 
@@ -205,7 +222,7 @@ class TestCompareViaS2:
 
 def test_state_of_partition_matches_ordered_weights():
     # a realization's state is the decreasing rearrangement of its block weights
-    weights = _component_weights([0.5, 2.0, 1.0], ((1, 3), (2,)))
+    weights = component_weights([0.5, 2.0, 1.0], ((1, 3), (2,)))
     assert ordered(weights).masses == (2.0, 1.5)
 
 

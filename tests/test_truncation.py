@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput, InvariantViolation
 from mcld.feller import power_law_reference
-from mcld.graphical import _components_from_edges, realize
+from mcld.graphical import realize
 from mcld.mass_state import ordered
 from mcld.multigraph import classify_bad
 from mcld.truncation import (
+    _good_vertices,
     bipartite_bound,
     bipartite_s2_samples,
     component_multigraph,
@@ -31,6 +32,7 @@ from helpers import (
     HOSTILE_LAMBDAS,
     StubClockField,
     brute_components,
+    components_from_edges,
     fail_sandwich_at,
     hostile_masses,
     make_clocks_unreadable,
@@ -65,7 +67,7 @@ class TestSplit:
         v = power_law_reference(0.6, 40)
         full = realize(v, ClockField(seed), 1.0, 1.0)
         arr = np.asarray(full.masses)
-        comps = _components_from_edges(full.n, full.edge_i, full.edge_j)
+        comps = components_from_edges(full.n, full.edge_i, full.edge_j)
         s2_full = sum(sum(arr[i - 1] for i in c) ** 2 for c in comps)
         sr = split_from_realization(full, 20)
         assert sr.alpha + sr.beta <= s2_full + 1e-9
@@ -77,7 +79,7 @@ class TestSplit:
         full = realize(v, ClockField(SEED + 1), 1.0, 1.0)
         sr = split_from_realization(full, 12)
         side = ~((full.edge_i <= 12) & (full.edge_j > 12))
-        comps = _components_from_edges(30, full.edge_i[side], full.edge_j[side])
+        comps = components_from_edges(30, full.edge_i[side], full.edge_j[side])
         assert 1 < sr.n_lower < len(comps)
         want = np.full(31, -1)
         for number, comp in enumerate(comps):
@@ -153,6 +155,15 @@ class TestSandwich:
         rep = report_from_split(sr)
         assert rep.good_violations == 0
         assert rep.holds
+
+    def test_label_zero_is_never_good(self):
+        # at the full level every component is lower and good, the last one
+        # too; label 0, numbered -1, must not read the last component's flag
+        v = ordered([1.0, 0.8, 0.5, 0.3])
+        sr = split_from_realization(realize(v, ClockField(SEED), 0.0, 1.0), 4)
+        good = _good_vertices(sr, frozenset())
+        assert good.tolist() == [False, True, True, True, True]
+        assert not _good_vertices(sr, frozenset(range(sr.n_lower))).any()
 
     @pytest.mark.parametrize("seed", range(60))
     def test_good_component_identity_random(self, seed):
