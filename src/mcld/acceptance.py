@@ -19,10 +19,10 @@ import numpy as np
 
 from .clock_field import ClockField, edge_arrivals
 from .errors import InvariantViolation
-from .events import _UnionFind, deleted_mass_up_to, run_clocked
+from .events import deleted_mass_up_to, run_clocked
 from .feller import feller_sweep, power_law_reference
 from .frozen_percolation import fp_mcld_compare
-from .graphical import s2_growth_estimate, state_at
+from .graphical import _least_labels, s2_growth_estimate, state_at
 from .mass_state import dist, ordered, truncate
 from .multigraph import ComponentMultigraph, classify_bad_bruteforce
 from .multigraph import classify_bad as classify_multigraph
@@ -303,14 +303,12 @@ def criterion_connectivity_bound():
     bound = masses[0] * masses[1] * t / (1.0 - t * 0.5)
     base = ClockField(SEED_CONNECT)
     replicas = 100_000
-    hits = 0
-    for r in range(replicas):
-        ei, ej, _ = edge_arrivals(base.child(r), masses, t)
-        uf = _UnionFind([1] * (n + 1))
-        for a, b in zip(ei.tolist(), ej.tolist()):
-            uf.union(a, b)
-        if uf.find(1) == uf.find(2):
-            hits += 1
+    # one block-diagonal union: replica r's label v becomes r * (n + 1) + v
+    ends = [edge_arrivals(base.child(r), masses, t)[:2] for r in range(replicas)]
+    ei, ej = (np.concatenate(e) for e in zip(*ends))
+    shift = np.repeat(np.arange(replicas) * (n + 1), [len(e) for e, _ in ends])
+    least = _least_labels(replicas * (n + 1) - 1, ei + shift, ej + shift)
+    hits = int(np.count_nonzero(least[1 :: n + 1] == least[2 :: n + 1]))
     p_hat = hits / replicas
     sem = math.sqrt(p_hat * (1.0 - p_hat) / replicas)
     return (

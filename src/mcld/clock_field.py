@@ -188,8 +188,9 @@ class ClockField:
         # a tile is one row, or at most _TILE_PAIRS pairs with no more rows
         # than columns
         size = max(n_pos - 1, min(_TILE_PAIRS, (n_pos - 1) ** 2))
-        buf = np.empty(size, dtype=np.uint64)
-        tmp = np.empty(size, dtype=np.uint64)
+        # one allocation for both scratch buffers, so that it is not trimmed
+        # back to the system and faulted in again on every call
+        buf, tmp = np.split(np.empty(2 * size, dtype=np.uint64), 2)
         out_i: list[np.ndarray] = []
         out_j: list[np.ndarray] = []
         out_h: list[np.ndarray] = []

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .clock_field import pair_count, pair_index_decode
 from .errors import InvalidInput
 from .events import _SAME, _UnionFind
 from .feller import ks_two_sample
+from .graphical import _least_labels
 from .mass_state import rate, time_list
 from .serialize import format_number
 from .truncation import feller_budget, tail_truncation_index
@@ -54,7 +53,9 @@ def gnp_component_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     stream comes in batches.  A sort finds the values repeated within a
     batch (almost never any), so only their positions need a stable
     first-occurrence pass; a sorted copy of the values kept so far drops
-    the draws of earlier batches.
+    the draws of earlier batches.  Components are grouped by
+    ``graphical._least_labels`` and numbered 0, 1, ... in the order of their
+    least vertices.
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidInput(f"edge probability {p} outside [0, 1]")
@@ -81,9 +82,8 @@ def gnp_component_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarr
             new.sort()
             seen = np.insert(seen, np.searchsorted(seen, new), new)
     i, j = pair_index_decode(chosen, n)
-    graph = coo_matrix((np.ones(k), (i - 1, j - 1)), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    return labels.astype(np.int64)
+    least = _least_labels(n - 1, i - 1, j - 1)
+    return (np.cumsum(least == np.arange(n)) - 1)[least]
 
 
 def sample_critical_er(n: int, u: float, rng: np.random.Generator) -> np.ndarray:

@@ -13,10 +13,11 @@ the state is just the ordered component weights of the clock graph.
 
 Assembly is output-sensitive: its Python work is O(edges + strikes) on top
 of O(n) numpy.  The replay searches only from struck vertices.  Every static
-grouping of the package runs on one numpy kernel, ``_least_labels``, which
-gives each label its component's least label; ``_spanned_weights``, which
-gives the state and every sandwich sum of ``truncation`` too, weighs the
-groups it finds exactly.  A vertex set is a label mask.
+grouping of the package (G(n, p) and criterion 6's count included) runs on
+one numpy kernel, ``_least_labels``, which gives each label its component's
+least label; ``_spanned_weights``, which gives the state and every
+sandwich sum of ``truncation`` too, weighs the groups it finds exactly.  A
+vertex set is a label mask.
 """
 
 from __future__ import annotations
@@ -45,21 +46,28 @@ def _least_labels(n: int, edge_i: np.ndarray, edge_j: np.ndarray) -> np.ndarray:
     0..n with the edges ``(edge_i, edge_j)``.
 
     Min-label hooking with pointer jumping (Shiloach & Vishkin 1982): each
-    round hooks the larger current label of every edge to the smaller one,
-    then jumps every pointer twice.  Labels only fall, so the loop ends; a
-    round that changes nothing leaves both ends of every edge on one root,
-    and a component's root is its least label.
+    round hooks the larger current label of every live edge to the smaller
+    one, then jumps every pointer twice.  An edge stays live while its ends
+    differ, so settled edges drop out; when none is left, one pass over
+    every edge confirms it, since a later hook may have split the ends of a
+    settled one.  Every label stays a label of its own component and at
+    most the label it belongs to, so once the ends of every edge agree the
+    label is constant on each component and is its least label.
     """
     least = np.arange(n + 1)
+    ends_i, ends_j = edge_i, edge_j
     while True:
-        a, b = least[edge_i], least[edge_j]
-        hooked = least.copy()
-        np.minimum.at(hooked, np.maximum(a, b), np.minimum(a, b))
-        hooked = hooked[hooked]
-        hooked = hooked[hooked]
-        if (hooked == least).all():
-            return least
-        least = hooked
+        a, b = least[ends_i], least[ends_j]
+        live = a != b
+        if not live.any():
+            if ends_i is edge_i:
+                return least
+            ends_i, ends_j = edge_i, edge_j  # confirm on every edge
+            continue
+        ends_i, ends_j, a, b = ends_i[live], ends_j[live], a[live], b[live]
+        np.minimum.at(least, np.maximum(a, b), np.minimum(a, b))
+        least = least[least]
+        least = least[least]
 
 
 def _grouped_weights(masses: np.ndarray, roots: np.ndarray, total=math.fsum) -> list[float]:

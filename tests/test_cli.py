@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -650,3 +652,18 @@ class TestParsing:
             ]
         )
         assert code == 2
+
+
+class TestImports:
+    def test_package_and_cli_load_no_scipy(self):
+        # scipy is a test dependency only; in a fresh interpreter the package
+        # and its CLI must not load it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import mcld, mcld.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "[]"

@@ -146,6 +146,17 @@ class TestSamplersBitForBit:
             assert np.array_equal(got, want)
             assert ours.bit_generator.state == theirs.bit_generator.state
 
+    @pytest.mark.parametrize("n", [20_000, 80_000])
+    def test_gnp_labels_match_set_loop_at_critical_sizes(self, n):
+        # the property test stops at n = 40, where the kernel runs only a
+        # few rounds; critical draws here need many
+        ours, theirs = np.random.default_rng(SEED), np.random.default_rng(SEED)
+        for _ in range(3):
+            got = gnp_component_labels(n, 1.0 / n, ours)
+            want = set_loop_gnp_labels(n, 1.0 / n, theirs)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     @settings(max_examples=300, deadline=None)
     @given(
         weights=weight_vectors(-6.0, 6.0, 16),

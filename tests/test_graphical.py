@@ -146,6 +146,15 @@ class TestLeastLabels:
     @example(case=(0, np.array([], dtype=np.int64), np.array([], dtype=np.int64)))
     @example(case=(1, np.array([], dtype=np.int64), np.array([], dtype=np.int64)))
     @example(case=(1, np.array([1, 0, 1]), np.array([0, 1, 1])))  # parallel, loop
+    # a later hook splits the ends of the settled edge (14, 5): without a
+    # last pass over every edge, label 14 ends at 1
+    @example(
+        case=(
+            24,
+            np.array([17, 3, 17, 13, 2, 15, 3, 14, 15, 23]),
+            np.array([2, 23, 1, 1, 20, 0, 20, 5, 13, 5]),
+        )
+    )
     def test_matches_union_find(self, case):
         n, edge_i, edge_j = case
         got = _least_labels(n, edge_i, edge_j)
