@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +293,9 @@ def cmd_selftest(args) -> int:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="mcld",
         description="Multiplicative coalescent with linear deletion: "
@@ -319,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--t", help="time horizon")
     p_sim.add_argument("--grid", help="comma-separated recording times")
     add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_tr = sub.add_parser("truncation", help="sandwich reports per level and seed")
     add_state_args(p_tr)
@@ -328,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--truncate", required=True, help="comma-separated levels")
     p_tr.add_argument("--replicas", default="1")
     add_common(p_tr)
-    p_tr.set_defaults(func=cmd_truncation)
 
     p_fp = sub.add_parser("fp", help="frozen percolation scaling experiment")
     p_fp.add_argument("--n-list", required=True, help="comma-separated sizes")
@@ -341,27 +341,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fp.add_argument("--workers", default=str(os.cpu_count() or 1),
                       help="parallel replica workers")
     add_common(p_fp)
-    p_fp.set_defaults(func=cmd_fp)
 
     p_st = sub.add_parser("selftest", help="run the acceptance suites")
     p_st.add_argument("--suite", choices=("quick", "full"), default="quick")
     p_st.add_argument("--corrupt-clock-prf", action="store_true",
                       help=argparse.SUPPRESS)  # negative-control test hook
     p_st.add_argument("--out-dir", default=None, help="where to write results JSON")
-    p_st.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching the invalid-input contract
         return EXIT_INVALID_INPUT if exc.code else EXIT_OK
+    # looked up per call, so a cmd_* replaced after the parser was built runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -3,20 +3,28 @@
 ``run_clocked`` replays the same exponential clocks as the fixed-horizon
 construction, processing edge arrivals and lightning strikes in one global
 time order (ties: time, then edges before strikes, then lexicographic
-indices).  Deletion marks the component's root burnt; members observe the
-flag lazily, so no un-union is ever needed.
+indices).  The order is one ``np.lexsort`` over the arrival tables; the
+arrivals are then applied in one loop over plain lists.  Deletion marks the
+component's root burnt; members observe the flag lazily, so no un-union is
+ever needed.
 
 ``_UnionFind`` is the disjoint-set forest of the two loops that merge one
-event at a time: this engine and the frozen percolation run.  Every static
-grouping (states, splits, sandwich sums, the bad-set classifier, the initial
-G(n, p) components of the frozen percolation run and criterion 6's
-connectivity count) runs on ``graphical._least_labels`` instead.
+event at a time: this engine and the frozen percolation run.  Its ``link``
+merges two roots under the weight rule; ``union`` finds the roots and links
+them, and ``run_clocked``, which holds the roots already, calls ``link``
+directly.  Every static grouping (states, splits, sandwich sums, the
+bad-set classifier, the initial G(n, p) components of the frozen percolation
+run and criterion 6's connectivity count) runs on
+``graphical._least_labels`` instead.
 ``deleted_mass_up_to`` reads the deleted mass off an event log.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
+
+import numpy as np
 
 from .clock_field import ClockField, edge_arrivals, strike_arrivals
 from .errors import InvalidInput
@@ -24,9 +32,6 @@ from .mass_state import OrderedMassVector, mass_array, ordered, rate, time_list
 from .trajectory import Event, Trajectory
 
 __all__ = ["run_clocked", "deleted_mass_up_to"]
-
-_EDGE, _STRIKE = 0, 1  # tie rank: edges apply before strikes at equal times
-
 
 _SAME = -1  # what _UnionFind.union returns when the labels share a root
 
@@ -54,19 +59,24 @@ class _UnionFind:
             parent[v], v = root, parent[v]
         return root
 
-    def union(self, a: int, b: int) -> int:
-        """Merge the blocks of ``a`` and ``b``: the heavier root (on a tie,
-        ``a``'s) absorbs the other.  Returns the absorbed root, or ``_SAME``
-        when ``a`` and ``b`` already share a root."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return _SAME
+    def link(self, ra: int, rb: int) -> int:
+        """Merge the distinct roots ``ra`` and ``rb``: the heavier (on a tie,
+        ``ra``) absorbs the other.  Returns the absorbed root."""
         weight = self.weight
         if weight[ra] < weight[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
         weight[ra] += weight[rb]
         return rb
+
+    def union(self, a: int, b: int) -> int:
+        """Merge the blocks of ``a`` and ``b`` by :meth:`link`.  Returns the
+        absorbed root, or ``_SAME`` when ``a`` and ``b`` already share a
+        root."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return _SAME
+        return self.link(ra, rb)
 
 
 def run_clocked(masses, clocks: ClockField, lam: float, times) -> Trajectory:
@@ -86,49 +96,46 @@ def run_clocked(masses, clocks: ClockField, lam: float, times) -> Trajectory:
 
     ei, ej, et = edge_arrivals(clocks, arr, times[-1])
     sv, st = strike_arrivals(clocks, arr, lam, times[-1])
-    queue: list[tuple[float, int, int, int]] = [
-        (t, _EDGE, int(a), int(b))
-        for t, a, b in zip(et.tolist(), ei.tolist(), ej.tolist())
-    ]
-    queue.extend((t, _STRIKE, int(v), 0) for t, v in zip(st.tolist(), sv.tolist()))
-    queue.sort()
+    # strikes are kind 1 with second label 0: edges apply first at equal times
+    at = np.concatenate((et, st))
+    kind = np.concatenate((np.zeros(len(et), np.int8), np.ones(len(st), np.int8)))
+    a = np.concatenate((ei, sv))
+    b = np.concatenate((ej, np.zeros(len(st), ej.dtype)))
+    order = np.lexsort((b, a, kind, at))
+    at = at[order]
+    # every arrival is at or before times[-1], so the last grid time drains them
+    ends = np.searchsorted(at, times, side="right").tolist()
+    arrivals = zip(at.tolist(), kind[order].tolist(), a[order].tolist(), b[order].tolist())
 
     n = len(arr)
     forest = _UnionFind([0.0] + arr.tolist())
-    find, parent, weight = forest.find, forest.parent, forest.weight
+    find, link, parent, weight = forest.find, forest.link, forest.parent, forest.weight
     burnt = [False] * (n + 1)
     minlabel = list(range(n + 1))
     events: list[Event] = []
     states: list[OrderedMassVector] = []
     pos = 0
-
-    def apply_event(time: float, kind: int, a: int, b: int) -> None:
-        if kind == _EDGE:
-            ra, rb = find(a), find(b)
-            if ra == rb or burnt[ra] or burnt[rb]:
-                return
-            ids = (minlabel[ra], minlabel[rb])
-            root = parent[forest.union(ra, rb)]
-            minlabel[root] = min(ids)
-            events.append(Event(time, "merge", (min(ids), max(ids)), weight[root]))
-        else:
-            root = find(a)
-            if burnt[root]:
-                return
-            burnt[root] = True
-            events.append(Event(time, "delete", (minlabel[root],), weight[root]))
-
-    # every queued arrival is at or before times[-1], so the loop drains it
-    for g in times:
-        while pos < len(queue) and queue[pos][0] <= g:
-            apply_event(*queue[pos])
-            pos += 1
+    for end in ends:
+        for time, strike, i, j in islice(arrivals, end - pos):
+            if strike:
+                root = find(i)
+                if burnt[root]:
+                    continue
+                burnt[root] = True
+                events.append(Event(time, "delete", (minlabel[root],), weight[root]))
+                continue
+            ri, rj = find(i), find(j)
+            if ri == rj or burnt[ri] or burnt[rj]:
+                continue
+            low, high = minlabel[ri], minlabel[rj]
+            if high < low:
+                low, high = high, low
+            root = parent[link(ri, rj)]
+            minlabel[root] = low
+            events.append(Event(time, "merge", (low, high), weight[root]))
+        pos = end
         states.append(
-            ordered(
-                weight[v]
-                for v in range(1, n + 1)
-                if parent[v] == v and not burnt[v]
-            )
+            ordered([weight[v] for v in range(1, n + 1) if parent[v] == v and not burnt[v]])
         )
 
     return Trajectory(times=times, states=tuple(states), events=tuple(events))

@@ -309,9 +309,11 @@ def _aggregate_mcld_top(
             next_rec += 1
         if now > t_list[-1]:
             break
-        tail = w[low:].copy()
-        tail[0] += prefix[low]
-        np.cumsum(tail, out=cum[low:])
+        # w[low] carries the sum before it through one cumsum, then is restored
+        head = w[low]
+        w[low] = head + prefix[low]
+        np.cumsum(w[low:], out=cum[low:])
+        w[low] = head
         if rng.uniform() * total < merge_rate:
             if w2 <= 0.5 * w1 * w1:
                 while True:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -180,6 +181,11 @@ class GraphRealization:
     @property
     def n(self) -> int:
         return len(self.masses)
+
+    @cached_property
+    def s2(self) -> float:
+        """``state.norm_sq()``, summed once per realization."""
+        return self.state.norm_sq()
 
 
 def _assemble(

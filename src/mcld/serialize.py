@@ -13,12 +13,16 @@ print as ``0`` and ``-0``; only exact floats use the dict, since ``1``,
 ``1.0`` and ``True`` hash alike.  Values of the exact types ``float``,
 ``int``, ``str``, ``dict``, ``list``, ``tuple``, ``None`` and ``bool`` are
 dispatched on their type; subclasses, ``np.float64`` among them, go through
-``isinstance`` tests.
+``isinstance`` tests.  :func:`write_csv` formats rows of one nonzero width
+column by column: a column of exact floats, none zero or non-finite, through
+the dict, one of exact ints by ``str``, and any other column, like rows of
+mixed width, cell by cell.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote  # as json.dumps(str)
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -124,18 +128,51 @@ def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(dumps(obj) + "\n", encoding="utf-8")
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    memo: dict[float, str] = {}
+def _cells(cells: Iterable[Any], memo: dict[float, str]) -> list[str]:
+    """The CSV text of each of ``cells``, one at a time."""
     known = memo.get
-    lines = [",".join(header)]
+    return [
+        (known(c) or _float_text(c, memo)) if type(c) is float
+        else str(c) if type(c) is int
+        else c if isinstance(c, str)
+        else format_number(c)
+        for c in cells
+    ]
+
+
+def _column(cells: list, memo: dict[float, str]) -> list[str]:
+    """``_cells(cells, memo)``, formatting each distinct value of a column of
+    exact nonzero finite floats once, and a column of exact ints by ``str``."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        fresh = set(cells).difference(memo)
+        # a non-finite sum (a non-finite value, or finite ones past the float
+        # range) sends the column, like a zero, to the per-cell rules
+        if 0.0 not in fresh and math.isfinite(sum(fresh)):
+            memo.update(zip(fresh, map("%.17g".__mod__, fresh)))
+            return list(map(memo.__getitem__, cells))
+    elif kinds == {int}:
+        return list(map(str, cells))
+    return _cells(cells, memo)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write ``header`` and ``rows``; rows of one nonzero width are formatted
+    column by column, others row by row, to the same bytes."""
+    memo: dict[float, str] = {}
+    # the cells in one flat list and each row's width, so that no row is
+    # kept: a file's worth of live rows would set off the garbage collector
+    flat: list = []
+    widths: list[int] = []
     for row in rows:
-        lines.append(
-            ",".join([
-                (known(c) or _float_text(c, memo)) if type(c) is float
-                else str(c) if type(c) is int
-                else c if isinstance(c, str)
-                else format_number(c)
-                for c in row
-            ])
-        )
+        widths.append(len(row))
+        flat.extend(row)
+    lines = [",".join(header)]
+    width = widths[0] if widths else 0
+    if width and widths.count(width) == len(widths):
+        columns = [_column(flat[k::width], memo) for k in range(width)]
+        lines.extend(map(",".join, zip(*columns)))
+    else:
+        cells = iter(flat)
+        lines.extend(",".join(_cells(islice(cells, n), memo)) for n in widths)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -9,7 +9,7 @@ event time already includes the event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidInput
 from .mass_state import OrderedMassVector
@@ -17,8 +17,7 @@ from .mass_state import OrderedMassVector
 __all__ = ["Event", "Trajectory"]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One merge or deletion.
 
     ``components`` carries the component ids involved: for a merge the two

@@ -232,7 +232,7 @@ def report_from_split(sr: SplitRealization) -> TruncationReport:
 
     # the graph spanned on the full run's intact set is its survivor graph
     full, intact_trunc = sr.full, sr.truncated.intact
-    s2_h = full.state.norm_sq()
+    s2_h = full.s2
     spanned = _spanned_weights(full.masses, full.edge_i, full.edge_j, intact_trunc)
     s2_hm = math.fsum(w * w for w in spanned)
     for mid, label in ((s2_h, "survivor"), (s2_hm, "truncated-intact spanned")):

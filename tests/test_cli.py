@@ -654,6 +654,46 @@ class TestParsing:
         assert code == 2
 
 
+class TestCachedParser:
+    SIMULATE = [
+        "simulate", "--gen", "powerlaw:0.6:32", "--lambda", "1",
+        "--grid", "0.25,1", "--seed", "11",
+    ]
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("cmd_simulate", ["simulate", "--masses", "1", "--t", "1"]),
+            ("cmd_truncation", ["truncation", "--masses", "1", "--t", "1", "--truncate", "1"]),
+        ],
+    )
+    def test_command_replaced_after_the_first_call_runs(
+        self, tmp_path, monkeypatch, name, argv
+    ):
+        assert cli.main([*self.SIMULATE, "--out-dir", str(tmp_path / "first")]) == 0
+        seen = []
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args.out_dir) or 0)
+        out = str(tmp_path / "second")
+        assert cli.main([*argv, "--out-dir", out]) == 0
+        assert seen == [out]
+        assert not (tmp_path / "second").exists()
+
+    def test_bad_usage_then_good_call_matches_a_fresh_process(self, tmp_path):
+        assert cli.main(["simulate", "--no-such-option"]) == 2
+        assert cli.main([*self.SIMULATE, "--out-dir", str(tmp_path / "in")]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "mcld.cli", *self.SIMULATE,
+             "--out-dir", str(tmp_path / "fresh")],
+            capture_output=True, check=True, env=env,
+        )
+        for name in ("trajectory.csv", "events.json", "summary.json"):
+            assert (tmp_path / "in" / name).read_bytes() == (
+                tmp_path / "fresh" / name
+            ).read_bytes()
+
+
 class TestImports:
     def test_package_and_cli_load_no_scipy(self):
         # scipy is a test dependency only; in a fresh interpreter the package

@@ -6,6 +6,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcld import events
 from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
 from mcld.events import deleted_mass_up_to, run_clocked
@@ -144,6 +145,33 @@ class TestRunClocked:
         v = ordered([1.0])
         with pytest.raises(InvalidInput):
             run_clocked(v, ClockField(1), 0.0, [0.5, 0.5])
+
+
+class TestTieOrder:
+    @pytest.mark.parametrize("shuffle", range(4))
+    def test_equal_times_apply_edges_first_then_by_labels(self, monkeypatch, shuffle):
+        # every arrival at 0.5: edge with edge, edge with strike and strike
+        # with strike tie, so only the tie rule orders the log
+        rng = np.random.default_rng(shuffle)
+        edges = rng.permutation([(1, 2), (1, 3), (2, 3), (4, 5)])
+        strikes = rng.permutation([3, 5])
+        monkeypatch.setattr(
+            events, "edge_arrivals",
+            lambda clocks, masses, t: (edges[:, 0], edges[:, 1], np.full(len(edges), 0.5)),
+        )
+        monkeypatch.setattr(
+            events, "strike_arrivals",
+            lambda clocks, masses, lam, t: (strikes, np.full(len(strikes), 0.5)),
+        )
+        traj = run_clocked(ordered([5.0, 4.0, 3.0, 2.0, 1.0]), ClockField(0), 1.0, [1.0])
+        assert [(e.time, e.kind, e.components, e.weight) for e in traj.events] == [
+            (0.5, "merge", (1, 2), 9.0),
+            (0.5, "merge", (1, 3), 12.0),
+            (0.5, "merge", (4, 5), 3.0),
+            (0.5, "delete", (1,), 12.0),
+            (0.5, "delete", (4,), 3.0),
+        ]
+        assert traj.states[-1].masses == ()
 
 
 class TestEventCounts:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcld.errors import InvalidInput
@@ -80,11 +80,31 @@ class TestAgainstOracle:
         st.lists(st.text(), min_size=1, max_size=4),
         st.lists(st.lists(_SCALARS.filter(lambda c: c is not None), max_size=5), max_size=12),
     )
+    @example(["a"], [[]])
+    @example(["a", "b"], [[1.5, 2], [1.5], [], [0.25, "x", 3], [1.5, 2]])
+    @example(
+        ["x", "y"],
+        [[0.0, 1.5], [-0.0, 1.5], [1.5, 0.0], [0.0, -0.0], [1.5, 1.5], [-0.0, 0.25]],
+    )
+    @example(
+        ["x", "y"],
+        [[1.5, 0.5], [1, 0.5], [True, 0.5], [np.float64(1.5), 0.5], ["1.5", 0.5], [1.0, 2]],
+    )
+    @example(["x", "y"], [[1.5, 2], [2.5, 2], [1.5, 2], [2.5, 2], [math.inf, 2], [1.5, 2]])
     def test_write_csv_matches_the_oracle(self, header, rows):
+        try:
+            want = oracle_csv_text(header, rows).encode("utf-8")
+        except InvalidInput:
+            want = None  # a non-finite cell: the file is refused
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "o.csv"
-            write_csv(path, header, rows)
-            assert path.read_bytes() == oracle_csv_text(header, rows).encode("utf-8")
+            if want is None:
+                with pytest.raises(InvalidInput):
+                    write_csv(path, header, rows)
+                assert not path.exists()
+            else:
+                write_csv(path, header, rows)
+                assert path.read_bytes() == want
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.nan)])
     def test_non_finite_refused_deep_after_equal_finite_values(self, tmp_path, bad):
