@@ -9,10 +9,10 @@ component's root burnt; members observe the flag lazily, so no un-union is
 ever needed.
 
 ``_UnionFind`` is the disjoint-set forest of the two loops that merge one
-event at a time: this engine and the frozen percolation run.  Its ``link``
-merges two roots under the weight rule; ``union`` finds the roots and links
-them, and ``run_clocked``, which holds the roots already, calls ``link``
-directly.  Every static grouping (states, splits, sandwich sums, the
+event at a time: this engine, over vertices, and the frozen percolation
+run, over the initial components.  Both find the roots of an arrival's ends
+themselves and merge distinct roots with ``link``, which holds the weight
+rule.  Every static grouping (states, splits, sandwich sums, the
 bad-set classifier, the initial G(n, p) components of the frozen percolation
 run and criterion 6's connectivity count) runs on
 ``graphical._least_labels`` instead.
@@ -33,22 +33,20 @@ from .trajectory import Event, Trajectory
 
 __all__ = ["run_clocked", "deleted_mass_up_to"]
 
-_SAME = -1  # what _UnionFind.union returns when the labels share a root
-
 
 class _UnionFind:
     """Disjoint-set forest with path compression and union by weight.
 
-    ``run_clocked`` passes the vertex masses and ``run_fp`` the initial
-    component sizes with their first vertices as roots.  Labels index
+    ``run_clocked`` passes the vertex masses and ``run_fp`` the sizes of the
+    initial components; every label starts as its own root.  Labels index
     ``weight`` directly, so 1-based callers leave slot 0 unused.
     """
 
     __slots__ = ("parent", "weight")
 
-    def __init__(self, weight: list, parent: list[int] | None = None):
+    def __init__(self, weight: list):
         self.weight = weight
-        self.parent = list(range(len(weight))) if parent is None else parent
+        self.parent = list(range(len(weight)))
 
     def find(self, v: int) -> int:
         parent = self.parent
@@ -68,15 +66,6 @@ class _UnionFind:
         self.parent[rb] = ra
         weight[ra] += weight[rb]
         return rb
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the blocks of ``a`` and ``b`` by :meth:`link`.  Returns the
-        absorbed root, or ``_SAME`` when ``a`` and ``b`` already share a
-        root."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return _SAME
-        return self.link(ra, rb)
 
 
 def run_clocked(masses, clocks: ClockField, lam: float, times) -> Trajectory:

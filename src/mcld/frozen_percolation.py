@@ -16,7 +16,6 @@ carries two-sample KS statistics per time and rank.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .clock_field import pair_count, pair_index_decode
 from .errors import InvalidInput
-from .events import _SAME, _UnionFind
+from .events import _UnionFind
 from .feller import ks_two_sample
 from .graphical import _least_labels
 from .mass_state import rate, time_list
@@ -44,8 +43,9 @@ __all__ = [
 BUDGET_EPS, BUDGET_M = 1.2, 2.0
 
 
-def gnp_component_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Component labels of one G(n, p) draw; sparse generation, O(edges).
+def _gnp_least_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Each vertex's least component-mate (0-based) in one G(n, p) draw;
+    sparse generation, O(edges).
 
     The edge count is binomial over all pairs; the edge set is then a
     uniform subset of that size, collected as the first distinct draws of a
@@ -54,8 +54,7 @@ def gnp_component_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     batch (almost never any), so only their positions need a stable
     first-occurrence pass; a sorted copy of the values kept so far drops
     the draws of earlier batches.  Components are grouped by
-    ``graphical._least_labels`` and numbered 0, 1, ... in the order of their
-    least vertices.
+    ``graphical._least_labels``.
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidInput(f"edge probability {p} outside [0, 1]")
@@ -82,18 +81,30 @@ def gnp_component_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarr
             new.sort()
             seen = np.insert(seen, np.searchsorted(seen, new), new)
     i, j = pair_index_decode(chosen, n)
-    least = _least_labels(n - 1, i - 1, j - 1)
+    return _least_labels(n - 1, i - 1, j - 1)
+
+
+def gnp_component_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Component labels of one G(n, p) draw (see ``_gnp_least_labels``),
+    numbered 0, 1, ... in the order of their least vertices."""
+    least = _gnp_least_labels(n, p, rng)
     return (np.cumsum(least == np.arange(n)) - 1)[least]
 
 
-def sample_critical_er(n: int, u: float, rng: np.random.Generator) -> np.ndarray:
-    """Initial component partition: edge probability (1 + u*n^(-1/3))/n."""
+def _critical_p(n: int, u: float) -> float:
+    """Edge probability (1 + u*n^(-1/3))/n of the critical window, floored
+    at 0; refused above 1."""
     if n < 1:
         raise InvalidInput("n must be at least 1")
     p = (1.0 + u * n ** (-1.0 / 3.0)) / n
     if p > 1.0:
         raise InvalidInput(f"edge probability {p} exceeds 1")
-    return gnp_component_labels(n, max(p, 0.0), rng)
+    return max(p, 0.0)
+
+
+def sample_critical_er(n: int, u: float, rng: np.random.Generator) -> np.ndarray:
+    """Initial component partition: edge probability (1 + u*n^(-1/3))/n."""
+    return gnp_component_labels(n, _critical_p(n, u), rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,35 +127,42 @@ def run_fp(
     ``raw_times`` must be a :func:`~mcld.mass_state.time_list` and the rate
     finite and nonnegative; both are checked before any draw.  Randomness
     draw order per event (fixed so that reference simulators can replay the
-    stream): holding time, channel uniform, then vertex draws, each vertex
-    draw rejecting burnt vertices.
+    stream): holding time (``exponential``), channel (``random()``), then
+    vertex draws (``integers``), each vertex draw rejecting burnt vertices;
+    a merge redraws its second vertex while it equals the first.
+
+    The union-find runs over the initial components, not the vertices: a
+    vertex draw finds the root of its component's index, and a recording
+    takes the positive entries of an array that holds each live
+    component's size at its root.
     """
     labels = np.asarray(initial_labels)
     n = len(labels)
     raw_times = time_list(raw_times, "recording times")
     lam = rate(lightning_rate, "lightning rate")
 
-    # each component's first vertex is its root and holds its size
-    _, roots, inverse, counts = np.unique(
-        labels, return_index=True, return_inverse=True, return_counts=True
-    )
-    sizes = [0] * n
-    for r, s in zip(roots.tolist(), counts.tolist()):
-        sizes[r] = s
-    forest = _UnionFind(sizes, parent=roots[inverse].tolist())
-    find, parent = forest.find, forest.parent
-    burnt = [False] * n
-    live_roots = set(roots.tolist())
+    # the initial components, numbered in label order, are the forest's labels
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    comp, sizes = inverse.item, counts.tolist()  # comp(v): v's component
+    forest = _UnionFind(sizes)
+    find, link, parent = forest.find, forest.link, forest.parent
+    burnt = [False] * len(sizes)
+    live = len(sizes)  # components neither absorbed nor burnt
+    held = counts.astype(np.int64)  # their sizes at their roots, 0 elsewhere
     alive = n
+    integers, random, exponential = rng.integers, rng.random, rng.exponential
 
-    def draw_alive() -> int:
+    def draw_alive() -> tuple[int, int]:
+        """A uniform vertex, redrawn while its component is burnt, and the
+        root of that component."""
         while True:
-            v = int(rng.integers(0, n))
-            if not burnt[find(v)]:
-                return v
+            v = int(integers(0, n))
+            root = find(comp(v))
+            if not burnt[root]:
+                return v, root
 
     def snapshot() -> np.ndarray:
-        out = np.fromiter((sizes[r] for r in live_roots), dtype=np.int64)
+        out = held[held > 0]
         out[::-1].sort()
         return out
 
@@ -161,31 +179,33 @@ def run_fp(
 
     horizon = raw_times[-1]
     # with no lightning and one component left, every arrival is a no-op
-    while lam > 0.0 or len(live_roots) > 1:
+    while lam > 0.0 or live > 1:
         edge_rate = alive * (alive - 1) / (2.0 * n)
         strike_rate = lam * alive
         total = edge_rate + strike_rate
         if total <= 0.0:
             break
-        now += rng.exponential(1.0 / total)
+        now += exponential(1.0 / total)
         if now > horizon:
             break
         record_until(now)
-        if rng.uniform() * total < edge_rate:
-            v1 = draw_alive()
-            v2 = draw_alive()
+        if random() * total < edge_rate:
+            v1, r1 = draw_alive()
+            v2, r2 = draw_alive()
             while v2 == v1:
-                v2 = draw_alive()
-            absorbed = forest.union(v1, v2)
-            if absorbed == _SAME:
+                v2, r2 = draw_alive()
+            if r1 == r2:
                 continue  # intra-component arrival: no-op for components
-            live_roots.discard(absorbed)
-            events.append((now, "merge", sizes[parent[absorbed]]))
+            absorbed = link(r1, r2)
+            root = parent[absorbed]
+            held[root], held[absorbed] = sizes[root], 0
+            live -= 1
+            events.append((now, "merge", sizes[root]))
         else:
-            v = draw_alive()
-            root = find(v)
+            _, root = draw_alive()
             burnt[root] = True
-            live_roots.discard(root)
+            held[root] = 0
+            live -= 1
             alive -= sizes[root]
             events.append((now, "delete", sizes[root]))
     record_until(math.inf)
@@ -283,6 +303,9 @@ def _aggregate_mcld_top(
     cum = prefix[1:]
     low = 0  # lowest index of w written since cum was last redone
     count = int(np.count_nonzero(w))  # alive components of positive weight
+    # c * random() is uniform(0.0, c) bit for bit: numpy's uniform(low, high)
+    # draws low + (high - low) * random()
+    exponential, random = rng.exponential, rng.random
 
     def snapshot() -> np.ndarray:
         out = np.sort(w[alive])[::-1]
@@ -291,8 +314,7 @@ def _aggregate_mcld_top(
         return head
 
     def pick(c: np.ndarray, skip: int = -1) -> int:
-        x = rng.uniform(0.0, c[-1])
-        k = int(np.searchsorted(c, x, side="right"))
+        k = int(np.searchsorted(c, c[-1] * random(), side="right"))
         while k >= len(alive) or not alive[k] or k == skip:
             k = k + 1 if k < len(alive) - 1 else int(np.argmax(alive))
         return k
@@ -303,7 +325,7 @@ def _aggregate_mcld_top(
         total = merge_rate + delete_rate
         if total <= 0.0:
             break
-        now += rng.exponential(1.0 / total)
+        now += exponential(1.0 / total)
         while next_rec < len(t_list) and t_list[next_rec] < now:
             rows[next_rec] = snapshot()
             next_rec += 1
@@ -314,7 +336,7 @@ def _aggregate_mcld_top(
         w[low] = head + prefix[low]
         np.cumsum(w[low:], out=cum[low:])
         w[low] = head
-        if rng.uniform() * total < merge_rate:
+        if random() * total < merge_rate:
             if w2 <= 0.5 * w1 * w1:
                 while True:
                     a, b = pick(cum), pick(cum)
@@ -325,17 +347,19 @@ def _aggregate_mcld_top(
                 rest = w.copy()
                 rest[a] = 0.0
                 b = pick(np.cumsum(rest), skip=a)
-            count -= int(w[a] > 0.0 and w[b] > 0.0)
-            w2 += 2.0 * w[a] * w[b]
-            w[a] += w[b]
+            wa, wb = w.item(a), w.item(b)
+            count -= int(wa > 0.0 and wb > 0.0)
+            w2 += 2.0 * wa * wb
+            w[a] = wa + wb
             alive[b] = False
             w[b] = 0.0
             low = min(a, b)
         else:
             a = pick(cum)
-            count -= int(w[a] > 0.0)
-            w1 -= w[a]
-            w2 -= w[a] * w[a]
+            wa = w.item(a)
+            count -= int(wa > 0.0)
+            w1 -= wa
+            w2 -= wa * wa
             alive[a] = False
             w[a] = 0.0
             low = a
@@ -360,8 +384,10 @@ def reference_replica_rows(
     the time list."""
     scale = n_ref ** (-2.0 / 3.0)
     rng = np.random.default_rng([seed, 1, r])
-    labels = sample_critical_er(n_ref, u, rng)
-    sizes = np.bincount(labels)
+    # each size is counted at its component's least vertex; the zero counts of
+    # the other vertices are dropped before the sort (no level counts a zero)
+    sizes = np.bincount(_gnp_least_labels(n_ref, _critical_p(n_ref, u), rng))
+    sizes = sizes[sizes > 0]
     sizes[::-1].sort()
     masses = sizes.astype(np.float64) * scale
     level = tail_truncation_index(masses, delta)
@@ -444,6 +470,9 @@ def fp_mcld_compare(
         for r in range(replicas)
     ]
     if workers > 1:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_task, tasks, chunksize=8))
     else:

@@ -3,7 +3,9 @@ free of the package's own graph machinery so they can serve as oracles;
 ``coupled_distance`` is the exception: two independent realizations that a
 truncation sweep must reproduce.  The union-find grouping and the
 ``fsum`` weights here are the ones the package used before its least-label
-kernel, kept as that kernel's oracles."""
+kernel, kept as that kernel's oracles; ``vertex_run_fp``,
+``full_cumsum_aggregate_top`` and ``numbered_reference_replica_rows`` are
+earlier versions of the frozen-percolation samplers, kept as their oracles."""
 
 from __future__ import annotations
 
@@ -21,8 +23,9 @@ from mcld import truncation
 from mcld.clock_field import ClockField, pair_count, pair_index_decode
 from mcld.errors import InvalidInput, InvariantViolation
 from mcld.events import _UnionFind
+from mcld.frozen_percolation import FPTrajectory, _aggregate_mcld_top, sample_critical_er
 from mcld.graphical import realize
-from mcld.mass_state import OrderedMassVector, dist, ordered
+from mcld.mass_state import OrderedMassVector, dist, ordered, rate, time_list
 
 _LATTICE = 2.0 ** 52
 
@@ -238,6 +241,100 @@ def full_cumsum_aggregate_top(
     return rows
 
 
+def vertex_run_fp(
+    initial_labels: np.ndarray,
+    lightning_rate: float,
+    raw_times: Sequence[float],
+    rng: np.random.Generator,
+) -> FPTrajectory:
+    """Oracle for ``run_fp``: the same draws, with the union-find over the
+    vertices (each component rooted at its first vertex), a set of the live
+    roots, and the channel drawn by ``rng.uniform()``."""
+    labels = np.asarray(initial_labels)
+    n = len(labels)
+    raw_times = time_list(raw_times, "recording times")
+    lam = rate(lightning_rate, "lightning rate")
+
+    _, roots, inverse, counts = np.unique(
+        labels, return_index=True, return_inverse=True, return_counts=True
+    )
+    sizes = [0] * n
+    for r, s in zip(roots.tolist(), counts.tolist()):
+        sizes[r] = s
+    forest = _UnionFind(sizes)
+    forest.parent = roots[inverse].tolist()
+    find, parent = forest.find, forest.parent
+    burnt = [False] * n
+    live_roots = set(roots.tolist())
+    alive = n
+
+    def draw_alive() -> int:
+        while True:
+            v = int(rng.integers(0, n))
+            if not burnt[find(v)]:
+                return v
+
+    def snapshot() -> np.ndarray:
+        out = np.fromiter((sizes[r] for r in live_roots), dtype=np.int64)
+        out[::-1].sort()
+        return out
+
+    records: list[np.ndarray] = []
+    events: list[tuple[float, str, int]] = []
+    now = 0.0
+    next_rec = 0
+
+    def record_until(limit: float) -> None:
+        nonlocal next_rec
+        while next_rec < len(raw_times) and raw_times[next_rec] < limit:
+            records.append(snapshot())
+            next_rec += 1
+
+    horizon = raw_times[-1]
+    while lam > 0.0 or len(live_roots) > 1:
+        edge_rate = alive * (alive - 1) / (2.0 * n)
+        strike_rate = lam * alive
+        total = edge_rate + strike_rate
+        if total <= 0.0:
+            break
+        now += rng.exponential(1.0 / total)
+        if now > horizon:
+            break
+        record_until(now)
+        if rng.uniform() * total < edge_rate:
+            v1 = draw_alive()
+            v2 = draw_alive()
+            while v2 == v1:
+                v2 = draw_alive()
+            ra, rb = find(v1), find(v2)
+            if ra == rb:
+                continue
+            absorbed = forest.link(ra, rb)
+            live_roots.discard(absorbed)
+            events.append((now, "merge", sizes[parent[absorbed]]))
+        else:
+            root = find(draw_alive())
+            burnt[root] = True
+            live_roots.discard(root)
+            alive -= sizes[root]
+            events.append((now, "delete", sizes[root]))
+    record_until(math.inf)
+    return FPTrajectory(sizes=tuple(records), events=tuple(events))
+
+
+def numbered_reference_replica_rows(
+    n_ref: int, lam: float, u: float, t_list, top_r: int, seed: int, r: int, delta: float
+) -> tuple[np.ndarray, int]:
+    """Oracle for ``reference_replica_rows``: the same draws, with the sizes
+    counted over the numbered labels of ``sample_critical_er``."""
+    rng = np.random.default_rng([seed, 1, r])
+    sizes = np.bincount(sample_critical_er(n_ref, u, rng))
+    sizes[::-1].sort()
+    masses = sizes.astype(np.float64) * n_ref ** (-2.0 / 3.0)
+    level = truncation.tail_truncation_index(masses, delta)
+    return _aggregate_mcld_top(masses[:level], lam, t_list, rng, top_r), level
+
+
 def components_from_edges(
     n: int, edge_i: np.ndarray, edge_j: np.ndarray, members: np.ndarray | None = None
 ) -> tuple[tuple[int, ...], ...]:
@@ -250,7 +347,9 @@ def components_from_edges(
         edge_i, edge_j = edge_i[keep], edge_j[keep]
     uf = _UnionFind([1] * (n + 1))
     for a, b in zip(edge_i.tolist(), edge_j.tolist()):
-        uf.union(a, b)
+        ra, rb = uf.find(a), uf.find(b)
+        if ra != rb:
+            uf.link(ra, rb)
     groups: dict[int, list[int]] = {}
     labels = range(1, n + 1) if members is None else np.flatnonzero(members).tolist()
     for v in labels:

@@ -27,7 +27,13 @@ from mcld.frozen_percolation import (
 from mcld.mass_state import ordered
 from mcld.truncation import feller_budget
 
-from helpers import brute_components, full_cumsum_aggregate_top, set_loop_gnp_labels
+from helpers import (
+    brute_components,
+    full_cumsum_aggregate_top,
+    numbered_reference_replica_rows,
+    set_loop_gnp_labels,
+    vertex_run_fp,
+)
 
 SEED = 90210
 
@@ -124,9 +130,11 @@ def deadline(seconds: float):
 
 
 class TestSamplersBitForBit:
-    """The vectorised G(n, p) dedup and the incremental prefix sums of the
-    reference sampler against their plain oracles in ``helpers``: the same
-    outputs, bit for bit, and the same generator state after every call."""
+    """The vectorised G(n, p) dedup, the component-level ``run_fp``, the
+    incremental prefix sums of the reference sampler and the reference's
+    sizes counted at least labels against their plain oracles in
+    ``helpers``: the same outputs, bit for bit, and the same generator state
+    after every call."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -156,6 +164,58 @@ class TestSamplersBitForBit:
             want = set_loop_gnp_labels(n, 1.0 / n, theirs)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        shape=st.sampled_from(["critical", "singletons", "one"]),
+        spread=st.booleans(),
+        lam=st.sampled_from([0.0, 0.05, 1.0]),
+        steps=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4, unique=True),
+        seed=st.integers(0, 2 ** 64 - 1),
+    )
+    @example(n=300, shape="critical", spread=True, lam=0.05, steps=[0.5, 2.0], seed=0)
+    @example(n=200, shape="singletons", spread=False, lam=0.0, steps=[1.0, 3.0], seed=1)
+    @example(n=200, shape="one", spread=False, lam=0.05, steps=[0.0, 2.0], seed=2)
+    @example(n=300, shape="critical", spread=False, lam=0.0, steps=[0.5, 1.0, 4.0], seed=3)
+    def test_run_fp_matches_vertex_oracle(self, n, shape, spread, lam, steps, seed):
+        # times and rate in units of n^(-1/3), the critical window's raw time
+        if shape == "critical":
+            labels = sample_critical_er(n, 0.0, np.random.default_rng([seed, n]))
+        elif shape == "singletons":
+            labels = np.arange(n, dtype=np.int64)
+        else:
+            labels = np.zeros(n, dtype=np.int64)
+        if spread:
+            labels = 7 * labels + 3
+        times = [step * n ** (-1.0 / 3.0) for step in sorted(steps)]
+        rate = lam * n ** (-1.0 / 3.0)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            got = run_fp(labels, rate, times, ours)
+            want = vertex_run_fp(labels, rate, times, theirs)
+            assert got.events == want.events
+            assert len(got.sizes) == len(want.sizes) == len(times)
+            for a, b in zip(got.sizes, want.sizes):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "u, t_list",
+        [(0.0, [1.0]), (-2.0, [0.5, 1.0]), (1.0, [0.0]), (-3.0, [0.0])],
+    )
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_reference_rows_match_the_numbered_path(self, u, t_list, seed):
+        # t_list [0.0] gives a zero budget, so the level is the whole
+        # positive support and every component's size enters the rows
+        lam = 1.0
+        delta = feller_budget(1.2, 2.0, t_list[-1], lam) if t_list[-1] > 0.0 else 0.0
+        for r in range(2):
+            args = (20_000, lam, u, t_list, 3, seed, r, delta)
+            rows, level = reference_replica_rows(*args)
+            want_rows, want_level = numbered_reference_replica_rows(*args)
+            assert level == want_level
+            assert rows.tobytes() == want_rows.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(
