@@ -28,7 +28,7 @@ import numpy as np
 
 from .clock_field import ClockField, edge_arrivals, strike_arrivals
 from .errors import InvalidInput
-from .mass_state import OrderedMassVector, mass_array, ordered, rate, time_list
+from .mass_state import OrderedMassVector, _state, mass_array, rate, time_list
 from .trajectory import Event, Trajectory
 
 __all__ = ["run_clocked", "deleted_mass_up_to"]
@@ -124,7 +124,7 @@ def run_clocked(masses, clocks: ClockField, lam: float, times) -> Trajectory:
             events.append(Event(time, "merge", (low, high), weight[root]))
         pos = end
         states.append(
-            ordered([weight[v] for v in range(1, n + 1) if parent[v] == v and not burnt[v]])
+            _state([weight[v] for v in range(1, n + 1) if parent[v] == v and not burnt[v]])
         )
 
     return Trajectory(times=times, states=tuple(states), events=tuple(events))

@@ -18,7 +18,7 @@ import numpy as np
 from .clock_field import ClockField
 from .errors import InvalidInput
 from .graphical import realize, truncated_realization
-from .mass_state import OrderedMassVector, dist, level_list, ordered
+from .mass_state import OrderedMassVector, count, dist, level_list, ordered
 
 __all__ = [
     "power_law_reference",
@@ -67,8 +67,7 @@ def feller_sweep(
     on its own while doing a fraction of the work.
     """
     n_list = level_list(n_list, len(reference))
-    if replicas < 1:
-        raise InvalidInput("need at least one replica")
+    replicas = count(replicas, "replica")
     base = ClockField(seed)
     samples: dict[int, list[float]] = {n: [] for n in n_list}
     child_seeds = []

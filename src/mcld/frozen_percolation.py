@@ -26,7 +26,7 @@ from .errors import InvalidInput
 from .events import _UnionFind
 from .feller import ks_two_sample
 from .graphical import _least_labels
-from .mass_state import rate, time_list
+from .mass_state import count, rate, time_list
 from .serialize import format_number
 from .truncation import feller_budget, tail_truncation_index
 
@@ -180,7 +180,8 @@ def run_fp(
     horizon = raw_times[-1]
     # with no lightning and one component left, every arrival is a no-op
     while lam > 0.0 or live > 1:
-        edge_rate = alive * (alive - 1) / (2.0 * n)
+        # below two alive vertices no pair is left, and n may be 0
+        edge_rate = alive * (alive - 1) / (2.0 * n) if alive > 1 else 0.0
         strike_rate = lam * alive
         total = edge_rate + strike_rate
         if total <= 0.0:
@@ -442,12 +443,9 @@ def fp_mcld_compare(
         raise InvalidInput("n_list must be nonempty with every size at least 1")
     if n_ref is None:
         n_ref = 4 * max(n_list)
-    for name, value, least in (
-        ("replicas", replicas, 1), ("top_r", top_r, 1), ("n_ref", n_ref, 1),
-        ("workers", workers, 1), ("seed", seed, 0),
-    ):
-        if value < least:
-            raise InvalidInput(f"{name} must be at least {least}")
+    replicas, top_r = count(replicas, "replica"), count(top_r, "rank")
+    n_ref, workers = count(n_ref, "reference vertex"), count(workers, "worker")
+    seed = count(seed, "seed", 0)
     for n in (*n_list, n_ref):
         if pair_count(n) >= 2 ** 53:
             raise InvalidInput(

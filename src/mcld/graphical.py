@@ -30,7 +30,7 @@ import numpy as np
 
 from .clock_field import ClockField, edge_arrivals, strike_arrivals
 from .errors import InvalidInput
-from .mass_state import OrderedMassVector, mass_array, ordered, rate, time_list
+from .mass_state import OrderedMassVector, _state, count, mass_array, rate, time_list
 
 __all__ = [
     "GraphRealization",
@@ -201,7 +201,7 @@ def _assemble(
     intact = _intact_after_strikes(
         len(masses), edge_i, edge_j, edge_t, _strike_order(strike_v, strike_t)
     )
-    state = ordered(_spanned_weights(masses, edge_i, edge_j, intact))
+    state = _state(_spanned_weights(masses, edge_i, edge_j, intact))
     masses = masses.copy()
     masses.flags.writeable = False
     return GraphRealization(
@@ -283,8 +283,7 @@ def s2_growth_estimate(masses, clocks: ClockField, t: float, replicas: int) -> S
             f"initial squared norm {s2_0} exceeds 1/(2t); the bound's "
             "hypothesis is unmet"
         )
-    if replicas < 1:
-        raise InvalidInput("need at least one replica")
+    replicas = count(replicas, "replica")
     everyone = np.arange(len(arr) + 1) > 0
     samples = []
     for r in range(replicas):

@@ -9,13 +9,15 @@ Every entry point checks its inputs here, before any work: a mass vector
 through :func:`mass_array` (an :class:`OrderedMassVector` is valid by
 construction and passes unchecked), unordered weights through
 :func:`weight_array`, a list of times through :func:`time_list` and a list
-of truncation levels through :func:`level_list` and a rate through
-:func:`rate`.
+of truncation levels through :func:`level_list`, a rate through
+:func:`rate` and a count through :func:`count`.  The states the package
+builds itself come from :func:`_state` and are not checked again.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import InvalidInput
 
 __all__ = ["OrderedMassVector", "mass_array", "weight_array", "time_list", "level_list",
-           "rate", "ordered", "dist", "truncate"]
+           "rate", "count", "ordered", "dist", "truncate"]
 
 
 def mass_array(masses) -> np.ndarray:
@@ -99,6 +101,19 @@ def rate(value, name: str) -> float:
     return out
 
 
+def count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int of at least ``least`` that ``operator.index`` takes
+    (1.5 and "3" are refused); ``name`` names one counted thing in the errors."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+    if out < least:
+        need = f"need at least one {name}" if least == 1 else f"{name} must be at least {least}"
+        raise InvalidInput(need)
+    return out
+
+
 @dataclass(frozen=True)
 class OrderedMassVector:
     """Canonical state: non-increasing positive masses, trailing zeros
@@ -141,6 +156,18 @@ def ordered(values: Iterable[float]) -> OrderedMassVector:
     return OrderedMassVector(tuple(sorted(values, reverse=True)))
 
 
+def _state(weights: Iterable[float]) -> OrderedMassVector:
+    """:func:`ordered` of floats the package built, finite and nonnegative by
+    construction: the same state, not checked again.  The weights come in
+    label order, nearly sorted, which Python's sort takes in about one pass."""
+    masses = sorted(weights, reverse=True)
+    while masses and not masses[-1]:
+        masses.pop()
+    state = object.__new__(OrderedMassVector)
+    object.__setattr__(state, "masses", tuple(masses))
+    return state
+
+
 def dist(a: OrderedMassVector, b: OrderedMassVector) -> float:
     """l2 distance between two states, padding the shorter with zeros."""
     n = max(len(a), len(b))
@@ -155,4 +182,4 @@ def truncate(v: OrderedMassVector, m: int) -> OrderedMassVector:
     """Keep the first ``m`` entries; truncating past the support is the identity."""
     if m < 0:
         raise InvalidInput("truncation index must be nonnegative")
-    return OrderedMassVector(v.masses[:m])
+    return _state(v.masses[:m])

@@ -34,57 +34,41 @@ from .graphical import _least_labels
 __all__ = ["ComponentMultigraph", "classify_bad", "classify_bad_bruteforce"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentMultigraph:
     """Bipartite multigraph on lower ids 0..n_lower-1 and upper ids 0..n_upper-1.
 
-    ``edges`` lists one (lower_id, upper_id) entry per parallel edge.
+    ``edges`` is an (E, 2) int64 array with one (lower id, upper id) row per
+    parallel edge, and the damage flags are bool arrays; any sequences given
+    are converted once and checked here.
     """
 
     n_lower: int
     n_upper: int
-    edges: tuple[tuple[int, int], ...]
-    damaged_lower: tuple[bool, ...]
-    damaged_upper: tuple[bool, ...]
+    edges: np.ndarray
+    damaged_lower: np.ndarray
+    damaged_upper: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.damaged_lower) != self.n_lower:
-            raise InvalidInput("need one damage flag per lower vertex")
-        if len(self.damaged_upper) != self.n_upper:
-            raise InvalidInput("need one damage flag per upper vertex")
-        for k, l in self.edges:
-            if not (0 <= k < self.n_lower and 0 <= l < self.n_upper):
-                raise InvalidInput(f"edge ({k}, {l}) outside vertex ranges")
-
-    # ---- flattened view: lower k -> k, upper l -> n_lower + l ----
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n_lower + self.n_upper
-
-    def flat_edges(self) -> list[tuple[int, int]]:
-        return [(k, self.n_lower + l) for k, l in self.edges]
-
-    def damaged(self, v: int) -> bool:
-        if v < self.n_lower:
-            return self.damaged_lower[v]
-        return self.damaged_upper[v - self.n_lower]
-
-
-def _adjacency(cm: ComponentMultigraph) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(cm.n_vertices)]
-    for eid, (u, v) in enumerate(cm.flat_edges()):
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    return adj
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
+        for side, n in (("lower", self.n_lower), ("upper", self.n_upper)):
+            flags = np.asarray(getattr(self, f"damaged_{side}"), dtype=bool)
+            if flags.shape != (n,):
+                raise InvalidInput(f"need one damage flag per {side} vertex")
+            object.__setattr__(self, f"damaged_{side}", flags)
+        outside = (edges < 0).any(axis=1) | (edges >= (self.n_lower, self.n_upper)).any(axis=1)
+        if outside.any():
+            k, l = edges[outside.argmax()].tolist()
+            raise InvalidInput(f"edge ({k}, {l}) outside vertex ranges")
+        object.__setattr__(self, "edges", edges)
 
 
 def classify_bad(cm: ComponentMultigraph) -> frozenset[int]:
     """Lower ids from which an edge-simple walk reaches damage."""
-    n, nl = cm.n_vertices - 1, cm.n_lower  # flat labels 0..n
-    edges = np.array(cm.edges, dtype=np.int64).reshape(-1, 2)
-    lower, upper = edges[:, 0], edges[:, 1] + nl
-    damage = np.array(cm.damaged_lower + cm.damaged_upper, dtype=bool)
+    nl = cm.n_lower
+    n = nl + cm.n_upper - 1  # flat labels 0..n: lower k -> k, upper l -> nl + l
+    lower, upper = cm.edges[:, 0], cm.edges[:, 1] + nl
+    damage = np.concatenate((cm.damaged_lower, cm.damaged_upper))
     least = _least_labels(n, lower, upper)
     per_block = np.bincount(least[damage], minlength=n + 1)
     bad = per_block[least[:nl]] > damage[:nl]  # damage beside k's own
@@ -98,7 +82,11 @@ def classify_bad(cm: ComponentMultigraph) -> frozenset[int]:
 
 def classify_bad_bruteforce(cm: ComponentMultigraph) -> frozenset[int]:
     """Direct trail enumeration; exponential, for certification only."""
-    adj = _adjacency(cm)
+    nl, damage = cm.n_lower, np.concatenate((cm.damaged_lower, cm.damaged_upper)).tolist()
+    adj: list[list[tuple[int, int]]] = [[] for _ in damage]  # flat labels
+    for eid, (k, l) in enumerate(cm.edges.tolist()):
+        adj[k].append((nl + l, eid))
+        adj[nl + l].append((k, eid))
 
     def reaches_damage(k: int) -> bool:
         # depth-first over (vertex, frozenset of used edge ids)
@@ -109,7 +97,7 @@ def classify_bad_bruteforce(cm: ComponentMultigraph) -> frozenset[int]:
             for w, eid in adj[u]:
                 if eid in used:
                     continue
-                if cm.damaged(w):
+                if damage[w]:
                     return True
                 nxt = (w, used | {eid})
                 if nxt not in seen:

@@ -26,7 +26,7 @@ from .graphical import (
     realize,
     truncated_realization,
 )
-from .mass_state import dist, level_list, mass_array, rate, time_list, weight_array
+from .mass_state import count, dist, level_list, mass_array, rate, time_list, weight_array
 from .multigraph import ComponentMultigraph
 from .multigraph import classify_bad as _classify_multigraph
 
@@ -99,18 +99,10 @@ def component_multigraph(sr: SplitRealization) -> ComponentMultigraph:
     component families; a component is damaged when any member was struck."""
     full, comp, k = sr.full, sr.component, sr.n_lower
     cross = (full.edge_i <= sr.level) & (full.edge_j > sr.level)
-    edges = tuple(
-        zip(comp[full.edge_i[cross]].tolist(), (comp[full.edge_j[cross]] - k).tolist())
-    )
+    edges = np.stack((comp[full.edge_i[cross]], comp[full.edge_j[cross]] - k), axis=1)
     damaged = np.zeros(int(comp.max()) + 1, dtype=bool)
     damaged[comp[full.strike_vertex]] = True
-    return ComponentMultigraph(
-        n_lower=k,
-        n_upper=len(damaged) - k,
-        edges=edges,
-        damaged_lower=tuple(damaged[:k].tolist()),
-        damaged_upper=tuple(damaged[k:].tolist()),
-    )
+    return ComponentMultigraph(k, len(damaged) - k, edges, damaged[:k], damaged[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +201,7 @@ def truncation_report(masses, seed: int, lam: float, t: float, levels, replicas:
     (t,) = time_list((t,), "horizon")
     lam = rate(lam, "deletion rate")
     levels = level_list(levels, len(arr))
-    if replicas < 1:
-        raise InvalidInput("need at least one replica")
+    replicas = count(replicas, "replica")
     base = ClockField(seed)
     for r in range(replicas):
         full = realize(arr, base.child(r), lam, t)
@@ -390,8 +381,7 @@ def bipartite_s2_samples(
     x = weight_array(x, "x", False)
     y = weight_array(y, "y", False)
     (t,) = time_list((t,), "t")
-    if replicas < 1:
-        raise InvalidInput("need at least one replica")
+    replicas = count(replicas, "replica")
     a = _squared_norm(x, "x")
     b = _squared_norm(y, "y")
     bound = bipartite_bound(a, b, t, len(x))
@@ -452,8 +442,7 @@ def frozen_split_gap_samples(
     (t,) = time_list((t,), "horizon")
     lam = rate(lam, "deletion rate")
     (m,) = level_list((m,), len(arr))
-    if replicas < 1:
-        raise InvalidInput("need at least one replica")
+    replicas = count(replicas, "replica")
     frozen = ClockField(base_seed)
     ei, ej, et = edge_arrivals(frozen, arr, t)
     side = ~((ei <= m) & (ej > m))

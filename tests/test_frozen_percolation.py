@@ -524,6 +524,16 @@ class TestRunFpInputs:
         with pytest.raises(InvalidInput, match="lightning rate"):
             run_fp(np.arange(8), rate, [1.0], _NoDraws())
 
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_empty_partition_records_nothing_at_every_time(self, rate):
+        # no vertex, so no pair and no strike: nothing is ever drawn
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        traj = run_fp(np.array([], dtype=np.int64), rate, [0.5, 1.0], rng)
+        assert traj.events == ()
+        assert [s.tolist() for s in traj.sizes] == [[], []]
+        assert rng.bit_generator.state == before
+
 
 class _NoDraws:
     """Stands in for a generator whose every draw fails, so that a refusal

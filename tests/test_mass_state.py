@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from mcld.clock_field import ClockField
 from mcld.errors import InvalidInput
 from mcld.events import run_clocked
+from mcld.feller import feller_sweep
 from mcld.graphical import realize, s2_growth_estimate
 from mcld.frozen_percolation import fp_mcld_compare, run_fp
 from mcld.mass_state import (
     OrderedMassVector,
+    _state,
+    count,
     dist,
     ordered,
     rate,
@@ -19,7 +22,13 @@ from mcld.mass_state import (
     truncate,
     weight_array,
 )
-from mcld.truncation import feller_budget, tail_truncation_index, truncation_report
+from mcld.truncation import (
+    bipartite_s2_samples,
+    feller_budget,
+    frozen_split_gap_samples,
+    tail_truncation_index,
+    truncation_report,
+)
 
 from helpers import (
     brute_components,
@@ -63,6 +72,87 @@ class TestOrdered:
 
 
 SUBNORMALS = st.lists(st.sampled_from([5e-324, 1e-310, 2.5e-308, 2.0 ** -1022]), max_size=4)
+
+
+@st.composite
+def hostile_weights(draw):
+    """Unordered finite nonnegative weights as the package builds them: a
+    pool of values (zeros of both signs, subnormals, magnitudes from 1e-300
+    to 1e300) drawn with repeats, so ties are common."""
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e300]),
+        st.floats(0.0, 2.2250738585072014e-308),
+        st.floats(1e-300, 1e300),
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), max_size=30))
+
+
+class TestPackageBuiltState:
+    """``_state`` gives what ``ordered`` gives on weights the package built,
+    without checking them again."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(hostile_weights())
+    @example([])
+    @example([0.0, -0.0, 0.0])
+    @example([-0.0, 5e-324, 1e300, 5e-324, 0.0, 1e300])
+    def test_same_masses_bit_for_bit_as_ordered(self, weights):
+        built, checked = _state(weights), ordered(weights)
+        assert [m.hex() for m in built.masses] == [m.hex() for m in checked.masses]
+        assert all(type(m) is float for m in built.masses)
+        assert built == checked
+
+
+class TestCount:
+    def test_integers_accepted(self):
+        assert count(3, "replica") == 3 and type(count(np.int64(3), "replica")) is int
+        assert count(0, "seed", 0) == 0
+
+    @pytest.mark.parametrize("value", [1.5, "3", None, 2.0])
+    def test_non_integers_refused(self, value):
+        with pytest.raises(InvalidInput, match=r"^replica must be an integer, got "):
+            count(value, "replica")
+
+    def test_below_the_bound_refused(self):
+        with pytest.raises(InvalidInput, match="^need at least one replica$"):
+            count(0, "replica")
+        with pytest.raises(InvalidInput, match="^seed must be at least 0$"):
+            count(-1, "seed", 0)
+
+    @staticmethod
+    def _entry_points(replicas):
+        v, x = ordered([0.25] * 4 + [0.05] * 4), np.full(4, 0.25)
+        return {
+            "s2_growth_estimate": lambda: s2_growth_estimate(v, ClockField(3), 1.0, replicas),
+            "feller_sweep": lambda: feller_sweep([2, 4], 1.0, 1.0, replicas, v, seed=3),
+            "truncation_report": lambda: list(truncation_report(v, 3, 1.0, 1.0, [4], replicas)),
+            "bipartite_s2_samples": lambda: bipartite_s2_samples(x, x, 1.0, 3, replicas),
+            "frozen_split_gap_samples": lambda: frozen_split_gap_samples(
+                v, 1.0, 1.0, 4, 3, replicas
+            ),
+            "fp_mcld_compare": lambda: fp_mcld_compare(
+                [10], 1.0, 0.0, [0.5], replicas, 1, n_ref=20
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "replicas, message",
+        [(1.5, "replica must be an integer, got 1.5"),
+         ("3", "replica must be an integer, got '3'"),
+         (0, "need at least one replica")],
+        ids=["float", "string", "zero"],
+    )
+    @pytest.mark.parametrize(
+        "entry", ["s2_growth_estimate", "feller_sweep", "truncation_report",
+                  "bipartite_s2_samples", "frozen_split_gap_samples", "fp_mcld_compare"],
+    )
+    def test_every_replica_count_refused_before_any_clock(
+        self, monkeypatch, entry, replicas, message
+    ):
+        make_clocks_unreadable(monkeypatch)
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            self._entry_points(replicas)[entry]()
 
 
 class TestDist:

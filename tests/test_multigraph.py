@@ -84,6 +84,47 @@ class TestClassifyBad:
             )
 
 
+class TestFields:
+    """Any sequences are converted once to arrays and checked on the way in."""
+
+    def test_tuples_and_arrays_give_the_same_arrays(self):
+        edges, lower, upper = ((0, 1), (1, 0), (0, 1)), (True, False), (False, False)
+        from_tuples = ComponentMultigraph(2, 2, edges, lower, upper)
+        from_arrays = ComponentMultigraph(
+            2, 2, np.array(edges, dtype=np.int32), np.array(lower), np.array([0, 0])
+        )
+        for cm in (from_tuples, from_arrays):
+            assert cm.edges.dtype == np.int64 and cm.edges.shape == (3, 2)
+            assert cm.edges.tolist() == [[0, 1], [1, 0], [0, 1]]
+            assert cm.damaged_lower.dtype == bool and cm.damaged_lower.tolist() == [True, False]
+            assert cm.damaged_upper.dtype == bool and cm.damaged_upper.tolist() == [False, False]
+            assert classify_bad(cm) == classify_bad_bruteforce(cm) == frozenset({0})
+
+    def test_no_edges_is_an_empty_two_column_array(self):
+        for edges in ((), [], np.empty((0, 2), dtype=np.int64)):
+            cm = ComponentMultigraph(1, 1, edges, (True,), (False,))
+            assert cm.edges.shape == (0, 2) and cm.edges.dtype == np.int64
+            assert classify_bad(cm) == frozenset()
+
+    @pytest.mark.parametrize(
+        "edge", [(-1, 0), (0, -1), (2, 0), (0, 3)],
+        ids=["negative_lower", "negative_upper", "lower_at_n_lower", "upper_at_n_upper"],
+    )
+    def test_edge_outside_the_ranges_refused(self, edge):
+        k, l = edge
+        with pytest.raises(InvalidInput, match=rf"^edge \({k}, {l}\) outside vertex ranges$"):
+            ComponentMultigraph(2, 3, [(0, 0), edge, (1, 2)], (False,) * 2, (False,) * 3)
+
+    @pytest.mark.parametrize(
+        "lower, upper, side",
+        [((False,), (False,) * 3, "lower"), ((False,) * 3, (False,) * 3, "lower"),
+         ((False,) * 2, (False,) * 2, "upper"), ((False,) * 2, (False,) * 4, "upper")],
+    )
+    def test_flag_list_of_the_wrong_length_refused(self, lower, upper, side):
+        with pytest.raises(InvalidInput, match=f"^need one damage flag per {side} vertex$"):
+            ComponentMultigraph(2, 3, [(0, 0)], lower, upper)
+
+
 def random_multigraph(rng) -> ComponentMultigraph:
     n_lower = int(rng.integers(1, 5))
     n_upper = int(rng.integers(0, 5 - min(n_lower, 4) + 4))

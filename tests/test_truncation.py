@@ -89,6 +89,25 @@ class TestSplit:
         assert (sr.component[13:] >= sr.n_lower).all()
 
 
+class TestComponentMultigraph:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_row_per_cross_edge_and_one_flag_per_component(self, seed):
+        # the lengths are what a traced run counts as cross edges and bad
+        # components
+        v = ordered(np.random.default_rng(seed).uniform(0.05, 1.0, 40).tolist())
+        full = realize(v, ClockField(SEED + seed), 1.0, 1.5)
+        for m in (0, 10, 25, 40):
+            sr = split_from_realization(full, m)
+            cm = component_multigraph(sr)
+            n_cross = int(np.count_nonzero((full.edge_i <= m) & (full.edge_j > m)))
+            assert len(cm.edges) == n_cross
+            assert cm.edges.shape == (n_cross, 2) and cm.edges.dtype == np.int64
+            assert cm.n_lower == sr.n_lower == len(cm.damaged_lower)
+            assert cm.n_lower + cm.n_upper == sr.component.max() + 1
+            bad = classify_bad(cm)
+            assert isinstance(bad, frozenset) and all(0 <= k < cm.n_lower for k in bad)
+
+
 class TestSandwich:
     def test_no_strikes_full_level_gives_zero_gap(self):
         v = ordered([1.0, 0.8, 0.5, 0.3])
@@ -149,8 +168,8 @@ class TestSandwich:
         assert np.flatnonzero(sr.full.intact).tolist() == []
         assert np.flatnonzero(sr.truncated.intact).tolist() == [3]
         cm = component_multigraph(sr)
-        assert cm.damaged_lower == (True,)
-        assert cm.damaged_upper == (False,)
+        assert cm.damaged_lower.tolist() == [True]
+        assert cm.damaged_upper.tolist() == [False]
         assert classify_bad(cm) == frozenset()
         rep = report_from_split(sr)
         assert rep.good_violations == 0
