@@ -14,6 +14,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import cache, partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -160,11 +161,12 @@ def cmd_simulate(args) -> int:
     lam = rate(args.lam, "--lambda")
     traj = run_clocked(initial, ClockField(seed), lam, grid)
     phi = deleted_mass_up_to(traj, grid[-1])
+    texts = serialize.FloatTexts()  # each distinct float formatted once per run
     with _writing(outdir):
         serialize.write_csv(
-            outdir / "trajectory.csv", ("time", "rank", "mass"), traj.csv_rows()
+            outdir / "trajectory.csv", ("time", "rank", "mass"), traj.csv_columns(), texts
         )
-        serialize.write_json(outdir / "events.json", traj.events_json())
+        serialize.write_json(outdir / "events.json", traj.events, texts)
         serialize.write_json(
             outdir / "summary.json",
             {
@@ -175,6 +177,7 @@ def cmd_simulate(args) -> int:
                 "deleted_mass": phi,
                 "events": len(traj.events),
             },
+            texts,
         )
     print(
         f"final state ranks={len(traj.states[-1])} "
@@ -230,13 +233,10 @@ def cmd_fp(args) -> int:
         n_ref=_number(args.n_ref, int, "--n-ref") if args.n_ref else None,
         workers=_number(args.workers, int, "--workers"),
     )
-    rows_out = [
-        (n, r, t, rank + 1, report.samples[n][r, k, rank])
-        for n in report.n_list
-        for r in range(report.replicas)
-        for k, t in enumerate(report.t_list)
-        for rank in range(report.top_r)
-    ]
+    # rows by size, replica, time and rank: each size's samples in row-major order
+    keys = product(report.n_list, range(report.replicas), report.t_list,
+                   range(1, report.top_r + 1))
+    masses = [m for n in report.n_list for m in report.samples[n].ravel().tolist()]
     with _writing(outdir):
         serialize.write_json(
             outdir / "config.json",
@@ -254,7 +254,9 @@ def cmd_fp(args) -> int:
             ],
         )
         serialize.write_csv(
-            outdir / "samples.csv", ("n", "replica", "t", "rank", "scaled_mass"), rows_out
+            outdir / "samples.csv",
+            ("n", "replica", "t", "rank", "scaled_mass"),
+            (*zip(*keys), masses),
         )
         serialize.write_json(outdir / "comparison.json", report.to_json_dict())
     print(f"wrote samples and comparison to {outdir}")

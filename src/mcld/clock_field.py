@@ -321,6 +321,8 @@ def strike_arrivals(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     _check_finite_rate(lam * float(masses[0]), "lambda * m_1")
     v = np.arange(1, n_pos + 1, dtype=np.int64)
-    times = field.vertex_exps(v) / (lam * masses[:n_pos])
+    # a time past the float range, or a rate below it, reads inf: never rings
+    with np.errstate(over="ignore", divide="ignore"):
+        times = field.vertex_exps(v) / (lam * masses[:n_pos])
     keep = times <= t
     return v[keep], times[keep]

@@ -434,7 +434,7 @@ def fp_mcld_compare(
     Replicas run serially, or in ``workers`` processes; every replica draws
     from its own keyed stream, so the report does not depend on ``workers``.
     """
-    n_list = tuple(int(n) for n in n_list)
+    n_list = tuple(count(n, "size", -math.inf) for n in n_list)
     t_list = time_list(t_list, "t_list")
     lam_rescaled, u = rate(lam_rescaled, "lam_rescaled"), float(u)
     if not math.isfinite(u):

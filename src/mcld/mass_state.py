@@ -80,8 +80,8 @@ def time_list(values, name: str) -> tuple[float, ...]:
 
 def level_list(levels, support: int) -> tuple[int, ...]:
     """``levels`` as a tuple of ints that is nonempty and distinct, each in
-    ``[0, support]``."""
-    levels = tuple(int(m) for m in levels)
+    ``[0, support]`` and taken by :func:`count` (1.5 is refused)."""
+    levels = tuple(count(m, "truncation level", -math.inf) for m in levels)
     if not levels or len(set(levels)) != len(levels):
         raise InvalidInput("truncation levels must be nonempty and distinct")
     if any(m < 0 or m > support for m in levels):

@@ -5,31 +5,30 @@ IEEE double, so every value round-trips exactly), dict keys keep insertion
 order, and rows are written in caller order.  Identical inputs therefore
 produce byte-identical files.
 
-Each distinct float is formatted once per file: within one call of
-:func:`dumps` or :func:`write_csv`, the text of a nonzero finite ``float``
-is kept in a dict for that call, and the bytes are those of formatting every
-value afresh.  Zeros are formatted each time, since ``0.0 == -0.0`` but they
-print as ``0`` and ``-0``; only exact floats use the dict, since ``1``,
-``1.0`` and ``True`` hash alike.  Values of the exact types ``float``,
-``int``, ``str``, ``dict``, ``list``, ``tuple``, ``None`` and ``bool`` are
-dispatched on their type; subclasses, ``np.float64`` among them, go through
-``isinstance`` tests.  :func:`write_csv` formats rows of one nonzero width
-column by column: a column of exact floats, none zero or non-finite, through
-the dict, one of exact ints by ``str``, and any other column, like rows of
-mixed width, cell by cell.
+Each distinct float is formatted once per :class:`FloatTexts` table, to
+the bytes of formatting every value afresh.  The writers make a table per
+call unless one is passed, so ``mcld simulate`` shares one over its three
+files.  Only exact floats are looked up in it, since ``1``, ``1.0`` and
+``True`` hash alike.  Values of the exact types ``float``, ``int``, ``str``,
+``dict``, ``list``, ``tuple``, ``None`` and ``bool`` are dispatched on their
+type, and a :class:`~mcld.trajectory.Event` is rendered from one record
+template; subclasses, ``np.float64`` among them, go through ``isinstance``
+tests.  :func:`write_csv` takes equal-length columns: a column of exact
+floats goes through the table, one of exact ints through ``str``, and any
+other cell by cell.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote  # as json.dumps(str)
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .errors import InvalidInput
+from .trajectory import Event
 
-__all__ = ["format_number", "dumps", "write_json", "write_csv"]
+__all__ = ["FloatTexts", "format_number", "dumps", "write_json", "write_csv"]
 
 
 def format_number(x: Any) -> str:
@@ -43,29 +42,43 @@ def format_number(x: Any) -> str:
     return "%.17g" % x
 
 
-def _float_text(x: float, memo: dict[float, str]) -> str:
-    """``format_number(x)`` of a float ``x`` not in ``memo``; a nonzero
-    ``x`` is entered there."""
-    if not math.isfinite(x):
-        raise InvalidInput("non-finite numbers cannot be serialized")
-    text = "%.17g" % x
-    if x:
-        memo[x] = text
-    return text
+class FloatTexts(dict):
+    """``format_number`` of each float looked up, formatted on its first
+    lookup.  Non-finite values are refused with :class:`InvalidInput`, and
+    zeros are formatted afresh each time, never stored: ``0.0 == -0.0``,
+    but they print as ``0`` and ``-0``."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        if not math.isfinite(x):
+            raise InvalidInput("non-finite numbers cannot be serialized")
+        text = "%.17g" % x
+        if x:
+            self[x] = text
+        return text
 
 
-def _encode(obj: Any, out: list[str], memo: dict[float, str]) -> None:
+# an Event as the dict time, kind, components, weight, for the package's
+# events: a float time and weight, int ids, a kind "merge" or "delete"
+_EVENT = '{"time": %s, "kind": "%s", "components": [%s], "weight": %s}'
+
+
+def _encode(obj: Any, out: list[str], texts: FloatTexts) -> None:
     kind = type(obj)
     if kind is float:
-        out.append(memo.get(obj) or _float_text(obj, memo))
+        out.append(texts[obj])
     elif kind is str:
         out.append(_quote(obj))
     elif kind is int:
         out.append(str(obj))
     elif kind is dict:
-        _encode_dict(obj, out, memo)
+        _encode_dict(obj, out, texts)
+    elif kind is Event:
+        time, what, ids, weight = obj
+        out.append(_EVENT % (texts[time], what, ", ".join(map(str, ids)), texts[weight]))
     elif kind is list or kind is tuple:
-        _encode_items(obj, out, memo)
+        _encode_items(obj, out, texts)
     elif obj is None:
         out.append("null")
     elif kind is bool:
@@ -75,9 +88,9 @@ def _encode(obj: Any, out: list[str], memo: dict[float, str]) -> None:
     elif isinstance(obj, (bool, int, float)):
         out.append(format_number(obj))
     elif isinstance(obj, dict):
-        _encode_dict(obj, out, memo)
+        _encode_dict(obj, out, texts)
     elif isinstance(obj, (list, tuple)):
-        _encode_items(obj, out, memo)
+        _encode_items(obj, out, texts)
     else:
         raise InvalidInput(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -86,16 +99,16 @@ def _encode(obj: Any, out: list[str], memo: dict[float, str]) -> None:
 # closing bracket.
 
 
-def _encode_dict(obj: dict, out: list[str], memo: dict[float, str]) -> None:
+def _encode_dict(obj: dict, out: list[str], texts: FloatTexts) -> None:
     start = len(out)
     out.append("{")
     for key, value in obj.items():
         out.append(_quote(key if type(key) is str else str(key)))
         out.append(": ")
         if type(value) is float:
-            out.append(memo.get(value) or _float_text(value, memo))
+            out.append(texts[value])
         else:
-            _encode(value, out, memo)
+            _encode(value, out, texts)
         out.append(", ")
     if len(out) > start + 1:
         out[-1] = "}"
@@ -103,14 +116,14 @@ def _encode_dict(obj: dict, out: list[str], memo: dict[float, str]) -> None:
         out.append("}")
 
 
-def _encode_items(obj: list | tuple, out: list[str], memo: dict[float, str]) -> None:
+def _encode_items(obj: list | tuple, out: list[str], texts: FloatTexts) -> None:
     start = len(out)
     out.append("[")
     for value in obj:
         if type(value) is float:
-            out.append(memo.get(value) or _float_text(value, memo))
+            out.append(texts[value])
         else:
-            _encode(value, out, memo)
+            _encode(value, out, texts)
         out.append(", ")
     if len(out) > start + 1:
         out[-1] = "]"
@@ -118,21 +131,26 @@ def _encode_items(obj: list | tuple, out: list[str], memo: dict[float, str]) -> 
         out.append("]")
 
 
-def dumps(obj: Any) -> str:
+def dumps(obj: Any, texts: FloatTexts | None = None) -> str:
     out: list[str] = []
-    _encode(obj, out, {})
+    _encode(obj, out, FloatTexts() if texts is None else texts)
     return "".join(out)
 
 
-def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(dumps(obj) + "\n", encoding="utf-8")
+def write_json(path: str | Path, obj: Any, texts: FloatTexts | None = None) -> None:
+    Path(path).write_text(dumps(obj, texts) + "\n", encoding="utf-8")
 
 
-def _cells(cells: Iterable[Any], memo: dict[float, str]) -> list[str]:
-    """The CSV text of each of ``cells``, one at a time."""
-    known = memo.get
+def _column(cells: Sequence[Any], texts: FloatTexts) -> list[str]:
+    """The CSV text of each of ``cells``: a column of exact floats or of
+    exact ints in one pass, any other cell by cell."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return list(map(texts.__getitem__, cells))
+    if kinds == {int}:
+        return list(map(str, cells))
     return [
-        (known(c) or _float_text(c, memo)) if type(c) is float
+        texts[c] if type(c) is float
         else str(c) if type(c) is int
         else c if isinstance(c, str)
         else format_number(c)
@@ -140,39 +158,16 @@ def _cells(cells: Iterable[Any], memo: dict[float, str]) -> list[str]:
     ]
 
 
-def _column(cells: list, memo: dict[float, str]) -> list[str]:
-    """``_cells(cells, memo)``, formatting each distinct value of a column of
-    exact nonzero finite floats once, and a column of exact ints by ``str``."""
-    kinds = set(map(type, cells))
-    if kinds == {float}:
-        fresh = set(cells).difference(memo)
-        # a non-finite sum (a non-finite value, or finite ones past the float
-        # range) sends the column, like a zero, to the per-cell rules
-        if 0.0 not in fresh and math.isfinite(sum(fresh)):
-            memo.update(zip(fresh, map("%.17g".__mod__, fresh)))
-            return list(map(memo.__getitem__, cells))
-    elif kinds == {int}:
-        return list(map(str, cells))
-    return _cells(cells, memo)
-
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    """Write ``header`` and ``rows``; rows of one nonzero width are formatted
-    column by column, others row by row, to the same bytes."""
-    memo: dict[float, str] = {}
-    # the cells in one flat list and each row's width, so that no row is
-    # kept: a file's worth of live rows would set off the garbage collector
-    flat: list = []
-    widths: list[int] = []
-    for row in rows:
-        widths.append(len(row))
-        flat.extend(row)
+def write_csv(
+    path: str | Path,
+    header: Sequence[str],
+    columns: Sequence[Sequence[Any]],
+    texts: FloatTexts | None = None,
+) -> None:
+    """Write ``header`` and one line per row of the equal-length ``columns``."""
+    if len(set(map(len, columns))) > 1:
+        raise InvalidInput("CSV columns must be of equal length")
+    texts = FloatTexts() if texts is None else texts
     lines = [",".join(header)]
-    width = widths[0] if widths else 0
-    if width and widths.count(width) == len(widths):
-        columns = [_column(flat[k::width], memo) for k in range(width)]
-        lines.extend(map(",".join, zip(*columns)))
-    else:
-        cells = iter(flat)
-        lines.extend(",".join(_cells(islice(cells, n), memo)) for n in widths)
+    lines.extend(map(",".join, zip(*[_column(c, texts) for c in columns])))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,15 +1,17 @@
-"""Time-stamped state sequences and their export formats.
+"""Time-stamped state sequences and their export columns.
 
 A trajectory holds the states recorded at a caller-supplied list of times,
 the last of which ends the run, with the complete merge/delete event log.
 Paths are piecewise constant and right-continuous: the state recorded at an
-event time already includes the event.
+event time already includes the event.  ``mcld simulate`` writes the states
+as :meth:`Trajectory.csv_columns` and the events as they are, each rendered
+by :mod:`mcld.serialize` from one record template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvalidInput
 from .mass_state import OrderedMassVector
@@ -24,21 +26,14 @@ class Event(NamedTuple):
     pre-merge ids, for a deletion the deleted component's id.  Ids are the
     smallest vertex label of the component (rank position for samplers that
     have no vertex labels).  ``weight`` is the merged weight respectively
-    the deleted weight.
+    the deleted weight.  In JSON an event is the object with the keys
+    ``time``, ``kind``, ``components`` and ``weight``.
     """
 
     time: float
     kind: str  # "merge" | "delete"
     components: tuple[int, ...]
     weight: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "kind": self.kind,
-            "components": list(self.components),
-            "weight": self.weight,
-        }
 
 
 @dataclass(frozen=True)
@@ -51,11 +46,12 @@ class Trajectory:
         if len(self.times) != len(self.states):
             raise InvalidInput("one state per grid time required")
 
-    def csv_rows(self) -> Iterator[tuple[float, int, float]]:
-        """Rows (time, rank, mass); empty states emit no rows."""
+    def csv_columns(self) -> tuple[list[float], list[int], list[float]]:
+        """The columns time, rank and mass, one row per mass of each state;
+        empty states give no rows."""
+        times, ranks, masses = [], [], []
         for t, state in zip(self.times, self.states):
-            for rank, mass in enumerate(state, start=1):
-                yield (t, rank, mass)
-
-    def events_json(self) -> list[dict]:
-        return [e.to_json_dict() for e in self.events]
+            times += [t] * len(state)
+            ranks += range(1, len(state) + 1)
+            masses += state.masses
+        return times, ranks, masses

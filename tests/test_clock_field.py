@@ -204,6 +204,15 @@ class TestRateOverflow:
             ei, _, et = edge_arrivals(ClockField(SEED), np.array([1e150, 1e150]), t=1.0)
         assert len(ei) == 1 and 0.0 < et[0] <= 1.0
 
+    @pytest.mark.parametrize("lam", [1.0, 0.5], ids=["time-overflows", "rate-underflows"])
+    def test_subnormal_strike_rates_never_ring(self, lam):
+        # 1/(lam * 5e-324) is past the float range, and 0.5 * 5e-324 rounds
+        # to 0: the strike times read inf, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sv, st_ = strike_arrivals(ClockField(SEED), np.array([1.0, 5e-324]), lam, t=1e300)
+        assert sv.tolist() == [1] and st_[0] <= 1e300
+
 
 class TestChildFields:
     def test_children_distinct_and_deterministic(self):

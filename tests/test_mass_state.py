@@ -16,6 +16,7 @@ from mcld.mass_state import (
     _state,
     count,
     dist,
+    level_list,
     ordered,
     rate,
     time_list,
@@ -153,6 +154,30 @@ class TestCount:
         make_clocks_unreadable(monkeypatch)
         with pytest.raises(InvalidInput, match=f"^{message}$"):
             self._entry_points(replicas)[entry]()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (lambda: level_list([1.5, 2.9], 4), "truncation level must be an integer, got 1.5"),
+            (lambda: list(truncation_report([1.0, 0.5, 0.25], 1, 1.0, 1.0, [1.5], 1)),
+             "truncation level must be an integer, got 1.5"),
+            (lambda: fp_mcld_compare([100.7], 1.0, 0.0, [0.5], 1, 1, n_ref=200),
+             "size must be an integer, got 100.7"),
+        ],
+        ids=["level_list", "truncation_report", "fp_mcld_compare"],
+    )
+    def test_non_integer_levels_and_sizes_refused(self, monkeypatch, entry, message):
+        make_clocks_unreadable(monkeypatch)
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            entry()
+
+    def test_numpy_integer_levels_and_sizes_accepted(self):
+        levels = level_list([np.int64(1), np.int64(3)], 4)
+        assert levels == (1, 3) and all(type(m) is int for m in levels)
+        (_, m, _), = truncation_report([1.0, 0.5, 0.25], 1, 1.0, 1.0, [np.int64(2)], 1)
+        assert m == 2 and type(m) is int
+        report = fp_mcld_compare([np.int64(10)], 1.0, 0.0, [0.5], 1, 1, n_ref=20)
+        assert report.n_list == (10,) and type(report.n_list[0]) is int
 
 
 class TestDist:
