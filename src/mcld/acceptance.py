@@ -102,12 +102,10 @@ def _pathwise_case(k: int, corrupt: bool) -> dict:
         for a, b in zip_longest(graphical_state, clocked_state, fillvalue=0.0):
             max_err = max(max_err, abs(a - b))
 
-    balance_err = 0.0
-    for g, st in zip(grid, traj.states):
-        phi = deleted_mass_up_to(traj, g)
-        balance_err = max(
-            balance_err, abs(masses.total_mass() - st.total_mass() - phi)
-        )
+    balance_err = max(
+        abs(masses.total_mass() - st.total_mass() - deleted_mass_up_to(traj, g))
+        for g, st in zip(grid, traj.states)
+    )
 
     constant = True
     for k2, g in enumerate(grid[:-1]):

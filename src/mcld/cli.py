@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import platform
 import sys
 from contextlib import contextmanager
 from functools import cache, partial
@@ -220,8 +221,6 @@ def cmd_truncation(args) -> int:
 def cmd_fp(args) -> int:
     outdir = _out_dir(args.out_dir)
     seed = _seed_of(args)
-    if args.t is None:
-        raise InvalidInput("--t is required")
     report = fp_mcld_compare(
         _int_list(args.n_list, "--n-list"),
         rate(args.lam, "--lambda"),
@@ -263,6 +262,22 @@ def cmd_fp(args) -> int:
     return EXIT_OK
 
 
+def _environment() -> dict:
+    """What the pinned digests depend on: the Python and numpy versions and
+    the SIMD target of numpy's float64 ``log1p`` (None where not reported)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+
+        log1p = opt_func_info("^log1p$", "float64")["log1p"]["dd"]["current"]
+    except (ImportError, KeyError):
+        log1p = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "log1p_float64": log1p,
+    }
+
+
 def cmd_selftest(args) -> int:
     out_dir = args.out_dir
     if out_dir is None and args.suite == "full":
@@ -286,6 +301,7 @@ def cmd_selftest(args) -> int:
                         }
                         for r in results
                     ],
+                    "environment": _environment(),
                 },
             )
     return EXIT_OK if all(r.passed for r in results) else EXIT_TEST_FAILURE
@@ -336,7 +352,7 @@ def _parser() -> argparse.ArgumentParser:
     p_fp.add_argument("--n-list", required=True, help="comma-separated sizes")
     p_fp.add_argument("--lambda", dest="lam", default="1", help="rescaled rate")
     p_fp.add_argument("--u", default="0", help="critical window parameter")
-    p_fp.add_argument("--t", help="comma-separated rescaled times")
+    p_fp.add_argument("--t", required=True, help="comma-separated rescaled times")
     p_fp.add_argument("--replicas", default="100")
     p_fp.add_argument("--top-r", default="3")
     p_fp.add_argument("--n-ref", help="reference graph size (default 4*max n)")

@@ -7,6 +7,11 @@ component process, so the simulator tracks components only and treats
 intra-component arrivals as rate-preserving no-ops; that keeps the event
 loop at O(n^(2/3)) events in the critical window instead of O(n^2) clocks.
 
+A partition of the vertices 0..n-1 has one form here, least labels: each
+vertex is labelled by the least vertex of its component.
+:func:`sample_critical_er` returns it, :func:`run_fp` takes it, and the
+reference counts its component sizes from it with ``np.bincount``.
+
 Component sizes scaled by n^(-2/3) at times scaled by n^(-1/3) are
 comparable, rank by rank, to the coalescent-with-deletion run from scaled
 critical component masses; the comparison report of :func:`fp_mcld_compare`
@@ -32,7 +37,6 @@ from .truncation import feller_budget, tail_truncation_index
 
 __all__ = [
     "FPTrajectory",
-    "gnp_component_labels",
     "sample_critical_er",
     "run_fp",
     "FPCompareReport",
@@ -84,27 +88,16 @@ def _gnp_least_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return _least_labels(n - 1, i - 1, j - 1)
 
 
-def gnp_component_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Component labels of one G(n, p) draw (see ``_gnp_least_labels``),
-    numbered 0, 1, ... in the order of their least vertices."""
-    least = _gnp_least_labels(n, p, rng)
-    return (np.cumsum(least == np.arange(n)) - 1)[least]
-
-
-def _critical_p(n: int, u: float) -> float:
-    """Edge probability (1 + u*n^(-1/3))/n of the critical window, floored
-    at 0; refused above 1."""
+def sample_critical_er(n: int, u: float, rng: np.random.Generator) -> np.ndarray:
+    """Least labels of one G(n, p) draw in the critical window (see
+    ``_gnp_least_labels``): edge probability p = (1 + u*n^(-1/3))/n,
+    floored at 0; refused above 1."""
     if n < 1:
         raise InvalidInput("n must be at least 1")
     p = (1.0 + u * n ** (-1.0 / 3.0)) / n
     if p > 1.0:
         raise InvalidInput(f"edge probability {p} exceeds 1")
-    return max(p, 0.0)
-
-
-def sample_critical_er(n: int, u: float, rng: np.random.Generator) -> np.ndarray:
-    """Initial component partition: edge probability (1 + u*n^(-1/3))/n."""
-    return gnp_component_labels(n, _critical_p(n, u), rng)
+    return _gnp_least_labels(n, max(p, 0.0), rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +117,10 @@ def run_fp(
     unit raw time; it ends at the last of ``raw_times`` and records the alive
     component sizes at each.
 
-    ``raw_times`` must be a :func:`~mcld.mass_state.time_list` and the rate
-    finite and nonnegative; both are checked before any draw.  Randomness
+    ``initial_labels`` must be least labels, an integer array with ``0 <=
+    labels[v] <= v`` and ``labels[labels] == labels``; ``raw_times`` must be
+    a :func:`~mcld.mass_state.time_list` and the rate finite and
+    nonnegative.  All three are checked before any draw.  Randomness
     draw order per event (fixed so that reference simulators can replay the
     stream): holding time (``exponential``), channel (``random()``), then
     vertex draws (``integers``), each vertex draw rejecting burnt vertices;
@@ -137,18 +132,25 @@ def run_fp(
     component's size at its root.
     """
     labels = np.asarray(initial_labels)
-    n = len(labels)
+    n = labels.size
+    if (labels.ndim != 1 or labels.dtype.kind not in "iu"
+            or not np.all((labels >= 0) & (labels <= np.arange(n)))
+            or np.any(labels[labels] != labels)):
+        raise InvalidInput(
+            "initial labels must be least labels: a 1-D integer array with "
+            "0 <= labels[v] <= v and labels[labels] == labels"
+        )
     raw_times = time_list(raw_times, "recording times")
     lam = rate(lightning_rate, "lightning rate")
 
     # the initial components, numbered in label order, are the forest's labels
-    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    comp, sizes = inverse.item, counts.tolist()  # comp(v): v's component
+    numbered = (np.cumsum(labels == np.arange(n)) - 1)[labels]
+    held = np.bincount(numbered)  # live components' sizes at their roots, 0 elsewhere
+    comp, sizes = numbered.item, held.tolist()  # comp(v): v's component
     forest = _UnionFind(sizes)
     find, link, parent = forest.find, forest.link, forest.parent
     burnt = [False] * len(sizes)
     live = len(sizes)  # components neither absorbed nor burnt
-    held = counts.astype(np.int64)  # their sizes at their roots, 0 elsewhere
     alive = n
     integers, random, exponential = rng.integers, rng.random, rng.exponential
 
@@ -383,14 +385,13 @@ def reference_replica_rows(
     """One reference replica: scaled critical components, truncated at tail
     squared-norm budget ``delta``, coalescent-with-deletion evolution over
     the time list."""
-    scale = n_ref ** (-2.0 / 3.0)
     rng = np.random.default_rng([seed, 1, r])
     # each size is counted at its component's least vertex; the zero counts of
     # the other vertices are dropped before the sort (no level counts a zero)
-    sizes = np.bincount(_gnp_least_labels(n_ref, _critical_p(n_ref, u), rng))
+    sizes = np.bincount(sample_critical_er(n_ref, u, rng))
     sizes = sizes[sizes > 0]
     sizes[::-1].sort()
-    masses = sizes.astype(np.float64) * scale
+    masses = sizes.astype(np.float64) * n_ref ** (-2.0 / 3.0)
     level = tail_truncation_index(masses, delta)
     return _aggregate_mcld_top(masses[:level], lam, t_list, rng, top_r), level
 
@@ -441,11 +442,9 @@ def fp_mcld_compare(
         raise InvalidInput("u must be finite")
     if not n_list or min(n_list) < 1:
         raise InvalidInput("n_list must be nonempty with every size at least 1")
-    if n_ref is None:
-        n_ref = 4 * max(n_list)
     replicas, top_r = count(replicas, "replica"), count(top_r, "rank")
-    n_ref, workers = count(n_ref, "reference vertex"), count(workers, "worker")
-    seed = count(seed, "seed", 0)
+    n_ref = count(4 * max(n_list) if n_ref is None else n_ref, "reference vertex")
+    workers, seed = count(workers, "worker"), count(seed, "seed", 0)
     for n in (*n_list, n_ref):
         if pair_count(n) >= 2 ** 53:
             raise InvalidInput(

@@ -193,9 +193,10 @@ def _squared_norm(w: np.ndarray, what: str) -> float:
 def truncation_report(masses, seed: int, lam: float, t: float, levels, replicas: int):
     """Sandwich reports at every level of every replica, after every input
     is checked and before any clock is read.  Replica ``r`` is realized once,
-    on ``ClockField(seed).child(r)``, for every level.  Yields ``(r, m,
-    report)``; a report that raised :class:`InvariantViolation` is yielded as
-    that exception, for the caller to count."""
+    on ``ClockField(seed).child(r)``, for every level.  Returns the list of
+    ``(r, m, report)``; a report that raised :class:`InvariantViolation` is
+    listed as that exception, without its traceback, for the caller to
+    count."""
     arr = mass_array(masses)
     _squared_norm(arr, "the masses")
     (t,) = time_list((t,), "horizon")
@@ -203,14 +204,16 @@ def truncation_report(masses, seed: int, lam: float, t: float, levels, replicas:
     levels = level_list(levels, len(arr))
     replicas = count(replicas, "replica")
     base = ClockField(seed)
+    reports = []
     for r in range(replicas):
         full = realize(arr, base.child(r), lam, t)
         for m in levels:
             try:
                 report = report_from_split(split_from_realization(full, m))
             except InvariantViolation as exc:
-                report = exc
-            yield r, m, report
+                report = exc.with_traceback(None)
+            reports.append((r, m, report))
+    return reports
 
 
 def report_from_split(sr: SplitRealization) -> TruncationReport:
@@ -325,17 +328,13 @@ def truncation_bound(alpha: float, beta: float, t: float, lam: float) -> float:
     return b1 + b2
 
 
-def _budget_constant(lam: float, t: float) -> float:
-    return 2.0 * max(1.0, lam * t * t)
-
-
 def feller_budget(eps: float, M: float, t: float, lam: float) -> float:
     """Largest tail squared-norm budget compatible with both constraints of
     the truncation argument at accuracy ``eps`` and head bound ``M``."""
     if not all(v > 0 for v in (eps, M, t)):
         raise InvalidInput("eps, M, t must be positive")
     lam = rate(lam, "deletion rate")
-    c = _budget_constant(lam, t)
+    c = 2.0 * max(1.0, lam * t * t)
     # a product below the float range leaves the first constraint unbounded
     first = 0.5 / (t * t * M) if t * t * M > 0 else math.inf
     try:

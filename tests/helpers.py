@@ -148,8 +148,10 @@ def all_pairs_edge_arrivals(field, masses, t):
 
 
 def set_loop_gnp_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Oracle for ``gnp_component_labels``: the same batched draws, with the
-    first distinct values collected one at a time through a Python set."""
+    """Oracle for ``_gnp_least_labels``: the same batched draws, with the
+    first distinct values collected one at a time through a Python set and
+    the components found by scipy, each vertex labelled by its component's
+    first vertex."""
     if n == 1 or p == 0.0:
         return np.arange(n, dtype=np.int64)
     total = pair_count(n)
@@ -169,7 +171,8 @@ def set_loop_gnp_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarra
     i, j = pair_index_decode(np.asarray(chosen, dtype=np.int64), n)
     graph = coo_matrix((np.ones(len(chosen)), (i - 1, j - 1)), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
-    return labels.astype(np.int64)
+    _, first = np.unique(labels, return_index=True)
+    return first[labels].astype(np.int64)
 
 
 def full_cumsum_aggregate_top(
@@ -325,10 +328,12 @@ def vertex_run_fp(
 def numbered_reference_replica_rows(
     n_ref: int, lam: float, u: float, t_list, top_r: int, seed: int, r: int, delta: float
 ) -> tuple[np.ndarray, int]:
-    """Oracle for ``reference_replica_rows``: the same draws, with the sizes
-    counted over the numbered labels of ``sample_critical_er``."""
+    """Oracle for ``reference_replica_rows``: the same draws, with the least
+    labels of ``sample_critical_er`` numbered 0, 1, ... by ``np.unique`` and
+    the sizes counted over those numbers."""
     rng = np.random.default_rng([seed, 1, r])
-    sizes = np.bincount(sample_critical_er(n_ref, u, rng))
+    _, numbered = np.unique(sample_critical_er(n_ref, u, rng), return_inverse=True)
+    sizes = np.bincount(numbered)
     sizes[::-1].sort()
     masses = sizes.astype(np.float64) * n_ref ** (-2.0 / 3.0)
     level = truncation.tail_truncation_index(masses, delta)

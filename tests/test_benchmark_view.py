@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from mcld import acceptance, graphical, mass_state
+from mcld import acceptance, frozen_percolation, graphical, mass_state
 from mcld.feller import CouplingReport
 from mcld.frozen_percolation import FPTrajectory
 
@@ -38,6 +38,21 @@ def test_every_traced_site_is_found(tracing):
         tracer.uninstall()
     # uninstalling puts every original back
     assert not hasattr(graphical.realize, "__wrapped__")
+
+
+def test_reference_draw_is_traced(tracing):
+    # the fp reference draws its G(n, p) through sample_critical_er, so the
+    # tracer's span and vertex count cover it
+    n_ref = 2000
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(tracing.SITES)
+        frozen_percolation.reference_replica_rows(n_ref, 1.0, 0.0, [1.0], 3, 0, 0, 0.0)
+    finally:
+        tracer.uninstall()
+    calls, _ = tracer.totals()
+    assert calls["frozen_percolation.sample_critical_er"] == 1
+    assert tracer.counts["frozen_percolation.er_vertices"] == n_ref
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -279,11 +280,8 @@ class TestTruncation:
         assert cli.main([*argv, "--out-dir", str(out)]) == 2
         assert "[0, 4096]" in capsys.readouterr().err
         assert not out.exists()
-        reports = truncation_report(
-            power_law_reference(0.6, 4096), 0, 1.0, 1.0, [16, 5000], 3
-        )
         with pytest.raises(InvalidInput):
-            list(reports)
+            truncation_report(power_law_reference(0.6, 4096), 0, 1.0, 1.0, [16, 5000], 3)
 
     def test_cancelled_gap_is_not_a_violation(self, tmp_path):
         # s2_check = 1e58 + 9 rounds to s2_hat = 1e58; the gap is 9, not 0
@@ -739,6 +737,26 @@ class TestSelftest:
         assert results["all_passed"] is False
         passed = {c["name"]: c["passed"] for c in results["criteria"]}
         assert passed["1-pathwise-equivalence"] is False
+
+    def test_environment_written_beside_the_criteria(self, tmp_path, monkeypatch):
+        # the write is what is tested, not the criteria
+        monkeypatch.setattr(cli.acceptance, "run_criteria", lambda *a, **k: [])
+        code = cli.main(["selftest", "--suite", "quick", "--out-dir", str(tmp_path)])
+        assert code == 0
+        results = json.loads((tmp_path / "selftest.json").read_text())
+        from numpy.lib.introspect import opt_func_info
+
+        log1p = opt_func_info("log1p", "float64")["log1p"]["dd"]["current"]
+        assert results["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "log1p_float64": log1p,
+        }
+
+    def test_environment_without_the_dispatch_report(self, monkeypatch):
+        # numpy before 2.0 has no numpy.lib.introspect
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
+        assert cli._environment()["log1p_float64"] is None
 
 
 class TestParsing:

@@ -293,3 +293,57 @@ def test_trajectory_state_lookup_requires_grid_time():
     traj = run_clocked(ordered([1.0]), ClockField(1), 0.0, [0.5, 1.0])
     with pytest.raises(ValueError):
         recorded_state(traj, 0.25)
+
+
+# c a power of two: every product, quotient and comparison of the engines
+# scales by a power of two, without rounding
+SCALING_CASES = given(
+    masses=hostile_masses(),
+    lam=HOSTILE_LAMBDAS,
+    t=st.sampled_from([0.3, 1.0, 3.0]),
+    c=st.sampled_from([2.0 ** -3, 2.0, 2.0 ** 4]),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+
+
+class TestScalingCovariance:
+    """The paper's rates (a pair merges at x_i x_j, a cluster is deleted at
+    lam x_i) give X^{c x, lam}(t) = c X^{x, lam/c}(c^2 t).  On one clock
+    field, or one generator seed, this holds path by path and, for c a power
+    of two, bit for bit.  A rate law that is not homogeneous of degree 2 in
+    a merging pair and 1 in a deleted cluster breaks it."""
+
+    @settings(max_examples=150, deadline=None)
+    @SCALING_CASES
+    def test_realize(self, masses, lam, t, c, seed):
+        x = np.array(masses)
+        big = realize(c * x, ClockField(seed), lam, t)
+        small = realize(x, ClockField(seed), lam / c, c * c * t)
+        assert big.state.masses == tuple(c * m for m in small.state.masses)
+        assert np.array_equal(big.intact, small.intact)
+        assert np.array_equal(big.edge_i, small.edge_i)
+        assert np.array_equal(big.edge_j, small.edge_j)
+        assert np.array_equal(c * c * big.edge_time, small.edge_time)
+        assert np.array_equal(big.strike_vertex, small.strike_vertex)
+        assert np.array_equal(c * c * big.strike_time, small.strike_time)
+
+    @settings(max_examples=150, deadline=None)
+    @SCALING_CASES
+    def test_run_clocked(self, masses, lam, t, c, seed):
+        x = np.array(masses)
+        big = run_clocked(c * x, ClockField(seed), lam, [t])
+        small = run_clocked(x, ClockField(seed), lam / c, [c * c * t])
+        assert list(big.events) == [
+            (e.time / (c * c), e.kind, e.components, c * e.weight) for e in small.events
+        ]
+        assert big.states[-1].masses == tuple(c * m for m in small.states[-1].masses)
+
+    @settings(max_examples=150, deadline=None)
+    @SCALING_CASES
+    def test_aggregated_sampler(self, masses, lam, t, c, seed):
+        x = np.array(masses)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        big = _aggregate_mcld_top(c * x, lam, [t], ours, 4)
+        small = _aggregate_mcld_top(x, lam / c, [c * c * t], theirs, 4)
+        assert big.tobytes() == (c * small).tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state

@@ -17,8 +17,8 @@ from mcld.events import run_clocked
 from mcld.frozen_percolation import (
     FPTrajectory,
     _aggregate_mcld_top,
+    _gnp_least_labels,
     fp_mcld_compare,
-    gnp_component_labels,
     fp_replica_rows,
     reference_replica_rows,
     run_fp,
@@ -55,8 +55,12 @@ class TestSampleCriticalEr:
         assert labels[0] == labels[1]
 
     def test_probability_above_one_rejected(self):
-        with pytest.raises(InvalidInput):
-            sample_critical_er(2, 10.0, np.random.default_rng(SEED))
+        with pytest.raises(InvalidInput, match="exceeds 1"):
+            sample_critical_er(2, 10.0, _NoDraws())
+
+    def test_no_vertex_rejected(self):
+        with pytest.raises(InvalidInput, match="at least 1"):
+            sample_critical_er(0, 0.0, _NoDraws())
 
     def test_gnp_matches_dense_bernoulli_law(self):
         # small n: compare component-count distribution of the sparse
@@ -64,7 +68,7 @@ class TestSampleCriticalEr:
         n, p, reps = 12, 0.12, 4000
         rng = np.random.default_rng(SEED)
         sparse_counts = [
-            len(np.unique(gnp_component_labels(n, p, rng))) for _ in range(reps)
+            len(np.unique(_gnp_least_labels(n, p, rng))) for _ in range(reps)
         ]
         rng2 = np.random.default_rng(SEED + 1)
         dense_counts = []
@@ -148,7 +152,7 @@ class TestSamplersBitForBit:
     def test_gnp_labels_match_set_loop(self, n, p, seed):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):
-            got = gnp_component_labels(n, p, ours)
+            got = _gnp_least_labels(n, p, ours)
             want = set_loop_gnp_labels(n, p, theirs)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -160,7 +164,7 @@ class TestSamplersBitForBit:
         # few rounds; critical draws here need many
         ours, theirs = np.random.default_rng(SEED), np.random.default_rng(SEED)
         for _ in range(3):
-            got = gnp_component_labels(n, 1.0 / n, ours)
+            got = _gnp_least_labels(n, 1.0 / n, ours)
             want = set_loop_gnp_labels(n, 1.0 / n, theirs)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -169,16 +173,15 @@ class TestSamplersBitForBit:
     @given(
         n=st.integers(1, 400),
         shape=st.sampled_from(["critical", "singletons", "one"]),
-        spread=st.booleans(),
         lam=st.sampled_from([0.0, 0.05, 1.0]),
         steps=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4, unique=True),
         seed=st.integers(0, 2 ** 64 - 1),
     )
-    @example(n=300, shape="critical", spread=True, lam=0.05, steps=[0.5, 2.0], seed=0)
-    @example(n=200, shape="singletons", spread=False, lam=0.0, steps=[1.0, 3.0], seed=1)
-    @example(n=200, shape="one", spread=False, lam=0.05, steps=[0.0, 2.0], seed=2)
-    @example(n=300, shape="critical", spread=False, lam=0.0, steps=[0.5, 1.0, 4.0], seed=3)
-    def test_run_fp_matches_vertex_oracle(self, n, shape, spread, lam, steps, seed):
+    @example(n=300, shape="critical", lam=0.05, steps=[0.5, 2.0], seed=0)
+    @example(n=200, shape="singletons", lam=0.0, steps=[1.0, 3.0], seed=1)
+    @example(n=200, shape="one", lam=0.05, steps=[0.0, 2.0], seed=2)
+    @example(n=300, shape="critical", lam=0.0, steps=[0.5, 1.0, 4.0], seed=3)
+    def test_run_fp_matches_vertex_oracle(self, n, shape, lam, steps, seed):
         # times and rate in units of n^(-1/3), the critical window's raw time
         if shape == "critical":
             labels = sample_critical_er(n, 0.0, np.random.default_rng([seed, n]))
@@ -186,8 +189,6 @@ class TestSamplersBitForBit:
             labels = np.arange(n, dtype=np.int64)
         else:
             labels = np.zeros(n, dtype=np.int64)
-        if spread:
-            labels = 7 * labels + 3
         times = [step * n ** (-1.0 / 3.0) for step in sorted(steps)]
         rate = lam * n ** (-1.0 / 3.0)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -328,15 +329,6 @@ class TestRunFp:
         assert a == a and a != b
         assert len({a, b}) == 2
 
-    def test_partition_labels_need_not_be_contiguous(self):
-        # only the partition matters: any label values name the same run
-        labels = sample_critical_er(300, 0.0, np.random.default_rng(SEED))
-        times = [2.0 * 300 ** (-1 / 3)]
-        dense = run_fp(labels, 0.02, times, np.random.default_rng(SEED))
-        sparse = run_fp(7 * labels + 3, 0.02, times, np.random.default_rng(SEED))
-        assert sparse.events == dense.events
-        assert np.array_equal(sparse.sizes[0], dense.sizes[0])
-
     def test_component_law_matches_static_gnp_when_deletion_free(self):
         # from the empty graph, the component process at raw time s has the
         # same law as a G(n, 1 - exp(-s/n)) snapshot
@@ -350,7 +342,7 @@ class TestRunFp:
             largest_dyn.append(int(raw.sizes[0][0]))
         rng = np.random.default_rng([2, SEED])
         largest_static = [
-            int(component_sizes(gnp_component_labels(n, p, rng))[0])
+            int(component_sizes(_gnp_least_labels(n, p, rng))[0])
             for _ in range(reps)
         ]
         bins = np.arange(1, n + 2)
@@ -363,7 +355,7 @@ class TestRunFp:
     def test_first_event_law_from_fixed_partition(self):
         # sizes (3,2,1), lam=0.7: cross-pair merge rate (3*2+3*1+2*1)/6 =
         # 11/6 (intra arrivals are no-ops), deletions 2.1/1.4/0.7
-        labels = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
+        labels = np.array([0, 0, 0, 3, 3, 5], dtype=np.int64)
         lam = 0.7
         counts = {"merge": 0, 3: 0, 2: 0, 1: 0}
         reps = 8000
@@ -508,7 +500,36 @@ class TestScaleTrajectory:
 
 
 class TestRunFpInputs:
-    """``run_fp`` checks its recording times and its rate before any draw."""
+    """``run_fp`` checks its initial labels, its recording times and its
+    rate before any draw."""
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            7 * sample_critical_er(300, 0.0, np.random.default_rng(SEED)) + 3,
+            np.array([0, 0, 0, 1, 1, 2]),  # numbered components
+            np.array([0, 0, 1]),  # 2's label is no component's least vertex
+            np.array([0, 2, 2]),  # a label above its vertex
+            np.array([-1, 1]),
+            np.array([0.0, 1.0]),
+            np.array([True, True]),
+            np.zeros((2, 2), dtype=np.int64),
+        ],
+        ids=["spread", "numbered", "not-a-root", "above", "negative", "float",
+             "bool", "2-D"],
+    )
+    def test_labels_not_in_least_form_refused(self, labels):
+        with pytest.raises(InvalidInput, match="initial labels"):
+            run_fp(labels, 1.0, [1.0], _NoDraws())
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+    def test_any_integer_dtype_is_taken(self, dtype):
+        labels = sample_critical_er(300, 0.0, np.random.default_rng(SEED))
+        times = [2.0 * 300 ** (-1 / 3)]
+        want = run_fp(labels, 0.02, times, np.random.default_rng(SEED))
+        got = run_fp(labels.astype(dtype), 0.02, times, np.random.default_rng(SEED))
+        assert got.events == want.events
+        assert np.array_equal(got.sizes[0], want.sizes[0])
 
     @pytest.mark.parametrize(
         "times",

@@ -320,6 +320,11 @@ class TestTruncationReportLoop:
         with pytest.raises(InvalidInput):
             list(truncation_report(**{**args, **changes}))
 
+    def test_bad_input_raises_at_the_call(self):
+        # the reports come back as a list, so nothing waits for a first next()
+        with pytest.raises(InvalidInput, match="nonnegative"):
+            truncation_report([-1.0], 0, 1.0, 1.0, [1], 1)
+
     def test_invariant_violation_is_yielded_not_raised(self, monkeypatch):
         fail_sandwich_at(monkeypatch, 8)
         v = power_law_reference(0.6, 32)
