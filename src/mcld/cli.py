@@ -24,8 +24,9 @@ from . import acceptance, serialize
 from .clock_field import ClockField
 from .errors import InvalidInput, InvariantViolation
 from .events import deleted_mass_up_to, run_clocked
+from .feller import power_law_reference
 from .frozen_percolation import fp_mcld_compare
-from .mass_state import OrderedMassVector, rate, time_list
+from .mass_state import OrderedMassVector, count, rate, time_list
 from .truncation import truncation_report
 
 __all__ = ["main"]
@@ -45,21 +46,18 @@ def _parse_masses_text(text: str) -> OrderedMassVector:
 
 
 def _parse_gen(rule: str, seed: int) -> OrderedMassVector:
-    parts = rule.split(":")
+    """The state of a ``--gen`` rule; every rule reads its support N through
+    :func:`count`, so N = 0 gives the empty state."""
+    kind, *params = rule.split(":")
     try:
-        if parts[0] == "powerlaw" and len(parts) == 3:
-            exponent, n = float(parts[1]), int(parts[2])
-            return OrderedMassVector(
-                tuple(float(i) ** (-exponent) for i in range(1, n + 1))
-            )
-        if parts[0] == "constant" and len(parts) == 3:
-            value, n = float(parts[1]), int(parts[2])
-            return OrderedMassVector((value,) * n)
-        if parts[0] == "uniform" and len(parts) == 2:
-            n = int(parts[1])
+        if kind == "powerlaw" and len(params) == 2:
+            return power_law_reference(float(params[0]), int(params[1]))
+        if kind == "constant" and len(params) == 2:
+            return OrderedMassVector((float(params[0]),) * count(int(params[1]), "support", 0))
+        if kind == "uniform" and len(params) == 1:
             rng = np.random.default_rng([seed, 0xEEC])
-            draws = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
-            return OrderedMassVector(tuple(draws))
+            draws = rng.uniform(0.0, 1.0, count(int(params[0]), "support", 0))
+            return OrderedMassVector(tuple(np.sort(draws)[::-1]))
     except (ValueError, OverflowError, InvalidInput) as exc:
         raise InvalidInput(f"bad generator rule {rule!r}: {exc}") from None
     raise InvalidInput(

@@ -72,6 +72,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInput
+from .mass_state import count
 
 __all__ = [
     "ClockField",
@@ -135,7 +136,7 @@ class ClockField:
     __slots__ = ("seed", "_seed_u64", "_corrupt", "_corrupt_counter")
 
     def __init__(self, seed: int, _corrupt: bool = False):
-        self.seed = int(seed)
+        self.seed = count(seed, "seed", -math.inf)
         self._seed_u64 = np.uint64(self.seed % (1 << 64))
         # test hook: when corrupted, a hidden query counter leaks into the
         # hash, violating purity so that coupled runs diverge
@@ -148,8 +149,8 @@ class ClockField:
     def child(self, k: int) -> "ClockField":
         """Derived field for replica ``k``; independent of the parent's clocks."""
         base = np.array([self._seed_u64 ^ _CHILD_DOMAIN], dtype=np.uint64)
-        h = _mix64(_mix64(base) ^ np.uint64(int(k) % (1 << 64)))
-        return ClockField(int(h[0]), _corrupt=self._corrupt)
+        h = _mix64(_mix64(base) ^ np.uint64(count(k, "replica index", -math.inf) % (1 << 64)))
+        return ClockField(h[0], _corrupt=self._corrupt)
 
     def _finalize(self, h: np.ndarray) -> np.ndarray:
         if self._corrupt:

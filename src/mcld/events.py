@@ -131,7 +131,9 @@ def run_clocked(masses, clocks: ClockField, lam: float, times) -> Trajectory:
 
 
 def deleted_mass_up_to(traj: Trajectory, t: float) -> float:
-    """Total weight removed by deletions with event time <= t."""
+    """Total weight removed by deletions with event time <= t, a
+    :func:`~mcld.mass_state.time_list` time."""
+    (t,) = time_list((t,), "query time")
     if t > traj.times[-1]:
         raise InvalidInput("query beyond the trajectory horizon")
     return math.fsum(e.weight for e in traj.events if e.kind == "delete" and e.time <= t)

@@ -18,7 +18,7 @@ import numpy as np
 from .clock_field import ClockField
 from .errors import InvalidInput
 from .graphical import realize, truncated_realization
-from .mass_state import OrderedMassVector, count, dist, level_list, ordered
+from .mass_state import OrderedMassVector, count, dist, level_list
 
 __all__ = [
     "power_law_reference",
@@ -29,14 +29,18 @@ __all__ = [
 
 
 def power_law_reference(exponent: float, support: int) -> OrderedMassVector:
-    """Masses i**(-exponent), i = 1..support.
+    """Masses i**(-exponent), i = 1..support, for a :func:`count` support of
+    at least 0.  They must be an :class:`OrderedMassVector` as they come, not
+    sorted: an increasing vector (a negative exponent) is refused.
 
     With exponent in (1/2, 1] this is square-summable but not summable, the
     infinite-total-mass regime where the truncation machinery earns its keep.
     """
-    if support < 1:
-        raise InvalidInput("support must be positive")
-    return ordered(float(i) ** (-exponent) for i in range(1, support + 1))
+    support = count(support, "support", 0)
+    try:
+        return OrderedMassVector(tuple(float(i) ** (-exponent) for i in range(1, support + 1)))
+    except (TypeError, OverflowError) as exc:
+        raise InvalidInput(f"bad power law exponent {exponent!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -91,8 +92,8 @@ def _gnp_least_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 def sample_critical_er(n: int, u: float, rng: np.random.Generator) -> np.ndarray:
     """Least labels of one G(n, p) draw in the critical window (see
     ``_gnp_least_labels``): edge probability p = (1 + u*n^(-1/3))/n,
-    floored at 0; refused above 1."""
-    if n < 1:
+    floored at 0; refused above 1.  ``n`` is a :func:`count`."""
+    if count(n, "n", -math.inf) < 1:
         raise InvalidInput("n must be at least 1")
     p = (1.0 + u * n ** (-1.0 / 3.0)) / n
     if p > 1.0:
@@ -396,11 +397,6 @@ def reference_replica_rows(
     return _aggregate_mcld_top(masses[:level], lam, t_list, rng, top_r), level
 
 
-def _run_task(task):
-    replica_rows, args = task
-    return replica_rows(*args)
-
-
 def _ks_table(a: np.ndarray, b: np.ndarray) -> tuple[tuple[float, ...], ...]:
     """KS statistic per (time, rank) between two replicas x times x ranks
     sample arrays."""
@@ -424,24 +420,27 @@ def fp_mcld_compare(
     """Rank-wise two-sample KS tables at every requested rescaled time: each
     n against the next and against the coalescent reference.
 
-    ``t_list`` must be a :func:`~mcld.mass_state.time_list`.  The arguments,
-    and the reference's tail budget at the last time, are checked before any
-    replica runs; only the edge probability that ``u`` gives each size is
-    left to :func:`sample_critical_er`, each replica's first step.  The
+    ``t_list`` must be a :func:`~mcld.mass_state.time_list`, and every size
+    at least 2: an fp replica of size 1 would draw the reference's stream
+    ``[seed, 1, r]``.  The arguments, and the reference's tail budget at the
+    last time, are checked before any replica runs; only the edge
+    probability that ``u`` gives each size is left to
+    :func:`sample_critical_er`, each replica's first step.  The
     reference is truncated at the budget
     ``feller_budget(BUDGET_EPS, BUDGET_M, t_list[-1], lam_rescaled)``, or
     not at all when ``t_list`` is ``[0.0]``.
 
-    Replicas run serially, or in ``workers`` processes; every replica draws
-    from its own keyed stream, so the report does not depend on ``workers``.
+    Each kind of replica is mapped over ``range(replicas)``, serially or on
+    a pool of ``workers`` processes; every replica draws from its own keyed
+    stream, so the report does not depend on ``workers``.
     """
-    n_list = tuple(count(n, "size", -math.inf) for n in n_list)
+    n_list = tuple(count(n, "size", 2) for n in n_list)
     t_list = time_list(t_list, "t_list")
     lam_rescaled, u = rate(lam_rescaled, "lam_rescaled"), float(u)
     if not math.isfinite(u):
         raise InvalidInput("u must be finite")
-    if not n_list or min(n_list) < 1:
-        raise InvalidInput("n_list must be nonempty with every size at least 1")
+    if not n_list:
+        raise InvalidInput("n_list must be nonempty")
     replicas, top_r = count(replicas, "replica"), count(top_r, "rank")
     n_ref = count(4 * max(n_list) if n_ref is None else n_ref, "reference vertex")
     workers, seed = count(workers, "worker"), count(seed, "seed", 0)
@@ -456,30 +455,21 @@ def fp_mcld_compare(
         if t_list[-1] > 0.0
         else 0.0
     )
-    tasks = [
-        (fp_replica_rows, (n, lam_rescaled, u, t_list, top_r, seed, r))
-        for n in n_list
-        for r in range(replicas)
-    ]
-    tasks += [
-        (reference_replica_rows,
-         (n_ref, lam_rescaled, u, t_list, top_r, seed, r, delta))
-        for r in range(replicas)
-    ]
+    kinds = [partial(fp_replica_rows, n, lam_rescaled, u, t_list, top_r, seed)
+             for n in n_list]
+    kinds.append(partial(reference_replica_rows, n_ref, lam_rescaled, u, t_list, top_r,
+                         seed, delta=delta))
     if workers > 1:
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_task, tasks, chunksize=8))
+            # every map is submitted before any result is read
+            maps = [pool.map(kind, range(replicas), chunksize=8) for kind in kinds]
+            *fp_rows, ref_outcomes = [list(m) for m in maps]
     else:
-        outcomes = [_run_task(task) for task in tasks]
-    split = len(n_list) * replicas
-    fp_rows, ref_outcomes = outcomes[:split], outcomes[split:]
-    samples = {
-        n: np.stack(fp_rows[k * replicas : (k + 1) * replicas])
-        for k, n in enumerate(n_list)
-    }
+        *fp_rows, ref_outcomes = [list(map(kind, range(replicas))) for kind in kinds]
+    samples = {n: np.stack(rows) for n, rows in zip(n_list, fp_rows)}
     reference = np.stack([rows for rows, _ in ref_outcomes])
     return FPCompareReport(
         n_list=n_list,

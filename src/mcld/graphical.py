@@ -30,7 +30,8 @@ import numpy as np
 
 from .clock_field import ClockField, edge_arrivals, strike_arrivals
 from .errors import InvalidInput
-from .mass_state import OrderedMassVector, _state, count, mass_array, rate, time_list
+from .mass_state import OrderedMassVector, _squared_norm, _state, count, mass_array
+from .mass_state import rate, time_list
 
 __all__ = [
     "GraphRealization",
@@ -277,7 +278,7 @@ def s2_growth_estimate(masses, clocks: ClockField, t: float, replicas: int) -> S
     """
     arr = mass_array(masses)
     (t,) = time_list((t,), "horizon")
-    s2_0 = float(np.sum(arr * arr))
+    s2_0 = _squared_norm(arr, "the masses")
     if t > 0 and s2_0 > 1.0 / (2.0 * t) + 1e-12:
         raise InvalidInput(
             f"initial squared norm {s2_0} exceeds 1/(2t); the bound's "

@@ -10,8 +10,9 @@ through :func:`mass_array` (an :class:`OrderedMassVector` is valid by
 construction and passes unchecked), unordered weights through
 :func:`weight_array`, a list of times through :func:`time_list` and a list
 of truncation levels through :func:`level_list`, a rate through
-:func:`rate` and a count through :func:`count`.  The states the package
-builds itself come from :func:`_state` and are not checked again.
+:func:`rate`, a count or a seed through :func:`count`, and a squared norm
+through :func:`_squared_norm`.  The states the package builds itself come
+from :func:`_state` and are not checked again.
 """
 
 from __future__ import annotations
@@ -76,6 +77,15 @@ def time_list(values, name: str) -> tuple[float, ...]:
             f"{name} must be nonempty, finite, nonnegative and strictly increasing"
         )
     return out
+
+
+def _squared_norm(w: np.ndarray, what: str) -> float:
+    """``np.sum(w * w)``, refused when it is past the float range."""
+    with np.errstate(over="ignore"):
+        s2 = float(np.sum(w * w))
+    if not math.isfinite(s2):
+        raise InvalidInput(f"the squared norm of {what} overflows")
+    return s2
 
 
 def level_list(levels, support: int) -> tuple[int, ...]:

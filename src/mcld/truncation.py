@@ -26,7 +26,8 @@ from .graphical import (
     realize,
     truncated_realization,
 )
-from .mass_state import count, dist, level_list, mass_array, rate, time_list, weight_array
+from .mass_state import _squared_norm, count, dist, level_list, mass_array, rate
+from .mass_state import time_list, weight_array
 from .multigraph import ComponentMultigraph
 from .multigraph import classify_bad as _classify_multigraph
 
@@ -179,15 +180,6 @@ class TruncationReport:
             "bound_terms": list(self.bound_terms) if self.bound_terms else None,
             "holds": self.holds,
         }
-
-
-def _squared_norm(w: np.ndarray, what: str) -> float:
-    """``np.sum(w * w)``, refused when it is past the float range."""
-    with np.errstate(over="ignore"):
-        s2 = float(np.sum(w * w))
-    if not math.isfinite(s2):
-        raise InvalidInput(f"the squared norm of {what} overflows")
-    return s2
 
 
 def truncation_report(masses, seed: int, lam: float, t: float, levels, replicas: int):

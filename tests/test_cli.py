@@ -97,6 +97,11 @@ class TestSimulate:
             ["simulate", "--gen", "nope:1", "--t", "1", "--out-dir", str(tmp_path)]
         ) == 2
 
+    def test_powerlaw_rule_is_the_power_law_reference(self):
+        state = cli._parse_gen("powerlaw:0.6:512", 0)
+        assert state == power_law_reference(0.6, 512)
+        assert state.masses == tuple(float(i) ** -0.6 for i in range(1, 513))
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MCLD_SEED", "0x2A")
         code = cli.main(
@@ -537,6 +542,10 @@ class TestCheckedNumbers:
             ("truncation", "--truncate 4,4"),
             ("truncation", "--gen constant:1e200:4"),
             ("truncation", "--gen powerlaw:-1000:5"),
+            # a generator's support is a count of at least 0
+            ("truncation", "--gen constant:1:-1"),
+            ("truncation", "--gen powerlaw:0.6:-3"),
+            ("truncation", "--gen uniform:-1"),
             # the bad-set term, about 2e430, is past the float range
             ("truncation", "--masses 1e150,1e-160 --lambda 1 --t 1 --truncate 1"),
             # the squared norm of the masses overflows, with no rate to check

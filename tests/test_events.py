@@ -288,6 +288,12 @@ class TestDeletedMass:
         with pytest.raises(InvalidInput):
             deleted_mass_up_to(traj, 2.0)
 
+    @pytest.mark.parametrize("t", [math.nan, -0.5, "x"])
+    def test_query_time_is_a_time_list_time(self, t):
+        traj = run_clocked(ordered([1.0]), ClockField(1), 0.0, [1.0])
+        with pytest.raises(InvalidInput, match="^query time must be"):
+            deleted_mass_up_to(traj, t)
+
 
 def test_trajectory_state_lookup_requires_grid_time():
     traj = run_clocked(ordered([1.0]), ClockField(1), 0.0, [0.5, 1.0])

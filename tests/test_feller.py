@@ -58,6 +58,24 @@ class TestCoupledDistance:
         ) + 1e-9
 
 
+class TestPowerLawReference:
+    def test_support_zero_is_the_empty_state(self):
+        assert power_law_reference(0.6, 0).masses == ()
+
+    @pytest.mark.parametrize(
+        "exponent, support, message",
+        [
+            (-1000, 5, "^bad power law exponent -1000: "),  # 3.0 ** 1000 overflows
+            (-1, 3, "non-increasing"),  # an increasing vector is refused, not sorted
+            (0.6, 2.5, "^support must be an integer, got 2.5$"),
+            (0.6, -1, "^support must be at least 0$"),
+        ],
+    )
+    def test_bad_arguments_refused(self, exponent, support, message):
+        with pytest.raises(InvalidInput, match=message):
+            power_law_reference(exponent, support)
+
+
 class TestFellerSweep:
     def test_full_level_distance_zero(self):
         ref = power_law_reference(0.6, 64)

@@ -62,6 +62,10 @@ class TestSampleCriticalEr:
         with pytest.raises(InvalidInput, match="at least 1"):
             sample_critical_er(0, 0.0, _NoDraws())
 
+    def test_non_integer_vertex_count_rejected(self):
+        with pytest.raises(InvalidInput, match="^n must be an integer, got 1.5$"):
+            sample_critical_er(1.5, 0.0, _NoDraws())
+
     def test_gnp_matches_dense_bernoulli_law(self):
         # small n: compare component-count distribution of the sparse
         # sampler against direct per-pair Bernoulli sampling
@@ -778,6 +782,8 @@ class TestCompareReport:
         [
             {"n_list": []},
             {"n_list": [0]},
+            # an fp replica of size 1 would draw the reference's stream
+            {"n_list": [1]},
             {"lam_rescaled": math.nan},
             {"u": -math.inf},
             {"t_list": []},

@@ -518,6 +518,11 @@ class TestS2Growth:
         with pytest.raises(InvalidInput):
             s2_growth_estimate(v, ClockField(SEED), 1.0, 2)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_overflowing_squared_norm_refused(self, t):
+        with pytest.raises(InvalidInput, match="squared norm of the masses overflows"):
+            s2_growth_estimate([1e200], ClockField(SEED), t, 1)
+
     def test_doubling_bound_small_run(self):
         # scaled-down version of the acceptance check: 50 masses of 0.1
         v = ordered([0.1] * 50)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,20 +123,25 @@ class TestCount:
             count(-1, "seed", 0)
 
     @staticmethod
-    def _entry_points(replicas):
+    def _entry_points(replicas, seed=3):
         v, x = ordered([0.25] * 4 + [0.05] * 4), np.full(4, 0.25)
         return {
-            "s2_growth_estimate": lambda: s2_growth_estimate(v, ClockField(3), 1.0, replicas),
-            "feller_sweep": lambda: feller_sweep([2, 4], 1.0, 1.0, replicas, v, seed=3),
-            "truncation_report": lambda: list(truncation_report(v, 3, 1.0, 1.0, [4], replicas)),
-            "bipartite_s2_samples": lambda: bipartite_s2_samples(x, x, 1.0, 3, replicas),
+            "s2_growth_estimate": lambda: s2_growth_estimate(v, ClockField(seed), 1.0, replicas),
+            "feller_sweep": lambda: feller_sweep([2, 4], 1.0, 1.0, replicas, v, seed=seed),
+            "truncation_report": lambda: list(
+                truncation_report(v, seed, 1.0, 1.0, [4], replicas)
+            ),
+            "bipartite_s2_samples": lambda: bipartite_s2_samples(x, x, 1.0, seed, replicas),
             "frozen_split_gap_samples": lambda: frozen_split_gap_samples(
-                v, 1.0, 1.0, 4, 3, replicas
+                v, 1.0, 1.0, 4, seed, replicas
             ),
             "fp_mcld_compare": lambda: fp_mcld_compare(
-                [10], 1.0, 0.0, [0.5], replicas, 1, n_ref=20
+                [10], 1.0, 0.0, [0.5], replicas, 1, seed=seed, n_ref=20
             ),
         }
+
+    ENTRIES = ["s2_growth_estimate", "feller_sweep", "truncation_report",
+               "bipartite_s2_samples", "frozen_split_gap_samples", "fp_mcld_compare"]
 
     @pytest.mark.parametrize(
         "replicas, message",
@@ -144,16 +150,22 @@ class TestCount:
          (0, "need at least one replica")],
         ids=["float", "string", "zero"],
     )
-    @pytest.mark.parametrize(
-        "entry", ["s2_growth_estimate", "feller_sweep", "truncation_report",
-                  "bipartite_s2_samples", "frozen_split_gap_samples", "fp_mcld_compare"],
-    )
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_every_replica_count_refused_before_any_clock(
         self, monkeypatch, entry, replicas, message
     ):
         make_clocks_unreadable(monkeypatch)
         with pytest.raises(InvalidInput, match=f"^{message}$"):
             self._entry_points(replicas)[entry]()
+
+    @pytest.mark.parametrize("seed", [1.5, "3"], ids=["float", "string"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_every_seed_refused_before_any_clock(self, monkeypatch, entry, seed):
+        # a seed is an integer, taken mod 2**64; 1.5 is not rounded to 1
+        make_clocks_unreadable(monkeypatch)
+        message = re.escape(f"seed must be an integer, got {seed!r}")
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            self._entry_points(1, seed)[entry]()
 
     @pytest.mark.parametrize(
         "entry, message",
