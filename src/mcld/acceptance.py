@@ -22,7 +22,7 @@ from .errors import InvariantViolation
 from .events import deleted_mass_up_to, run_clocked
 from .feller import feller_sweep, power_law_reference
 from .frozen_percolation import fp_mcld_compare
-from .graphical import _least_labels, s2_growth_estimate, state_at
+from .graphical import _least_labels, realize, s2_growth_estimate, truncated_realization
 from .mass_state import dist, ordered, truncate
 from .multigraph import ComponentMultigraph, classify_bad_bruteforce
 from .multigraph import classify_bad as classify_multigraph
@@ -93,10 +93,12 @@ def _pathwise_case(k: int, corrupt: bool) -> dict:
         | {t}
     )
     traj = run_clocked(masses, field, lam, grid)
+    # one horizon-t table serves every grid time, as in run_clocked
+    full = realize(masses, field, lam, t)
 
     max_err = 0.0
     for g, clocked_state in zip(grid, traj.states):
-        graphical_state = state_at(masses, field, lam, g)
+        graphical_state = truncated_realization(full, full.n, horizon=g).state
         # zero-padded, as in dist: a missing component is an error of its
         # whole mass, which keeps the detail finite and serializable
         for a, b in zip_longest(graphical_state, clocked_state, fillvalue=0.0):

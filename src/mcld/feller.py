@@ -18,7 +18,7 @@ import numpy as np
 from .clock_field import ClockField
 from .errors import InvalidInput
 from .graphical import realize, truncated_realization
-from .mass_state import OrderedMassVector, count, dist, level_list
+from .mass_state import OrderedMassVector, count, dist, level_list, weight_array
 
 __all__ = [
     "power_law_reference",
@@ -98,9 +98,10 @@ def feller_sweep(
 
 
 def ks_two_sample(samples_a, samples_b) -> float:
-    """Sup distance between the two empirical CDFs."""
-    a = np.sort(np.asarray(samples_a, dtype=np.float64))
-    b = np.sort(np.asarray(samples_b, dtype=np.float64))
+    """Sup distance between the two empirical CDFs of two
+    :func:`~mcld.mass_state.weight_array` samples."""
+    a = np.sort(weight_array(samples_a, "samples_a", False))
+    b = np.sort(weight_array(samples_b, "samples_b", False))
     if len(a) == 0 or len(b) == 0:
         raise InvalidInput("both samples must be nonempty")
     grid = np.concatenate([a, b])

@@ -32,7 +32,7 @@ from .errors import InvalidInput
 from .events import _UnionFind
 from .feller import ks_two_sample
 from .graphical import _least_labels
-from .mass_state import count, rate, time_list
+from .mass_state import _real, count, rate, time_list
 from .serialize import format_number
 from .truncation import feller_budget, tail_truncation_index
 
@@ -92,10 +92,11 @@ def _gnp_least_labels(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 def sample_critical_er(n: int, u: float, rng: np.random.Generator) -> np.ndarray:
     """Least labels of one G(n, p) draw in the critical window (see
     ``_gnp_least_labels``): edge probability p = (1 + u*n^(-1/3))/n,
-    floored at 0; refused above 1.  ``n`` is a :func:`count`."""
+    floored at 0; refused above 1.  ``n`` is a :func:`count` and ``u`` a
+    finite real, both checked before any draw."""
     if count(n, "n", -math.inf) < 1:
         raise InvalidInput("n must be at least 1")
-    p = (1.0 + u * n ** (-1.0 / 3.0)) / n
+    p = (1.0 + _real(u, "u") * n ** (-1.0 / 3.0)) / n
     if p > 1.0:
         raise InvalidInput(f"edge probability {p} exceeds 1")
     return _gnp_least_labels(n, max(p, 0.0), rng)
@@ -436,9 +437,7 @@ def fp_mcld_compare(
     """
     n_list = tuple(count(n, "size", 2) for n in n_list)
     t_list = time_list(t_list, "t_list")
-    lam_rescaled, u = rate(lam_rescaled, "lam_rescaled"), float(u)
-    if not math.isfinite(u):
-        raise InvalidInput("u must be finite")
+    lam_rescaled, u = rate(lam_rescaled, "lam_rescaled"), _real(u, "u")
     if not n_list:
         raise InvalidInput("n_list must be nonempty")
     replicas, top_r = count(replicas, "replica"), count(top_r, "rank")

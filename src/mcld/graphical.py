@@ -234,23 +234,35 @@ def realize(masses, clocks: ClockField, lam: float, t: float) -> GraphRealizatio
     return _assemble(arr, lam, t, ei, ej, et, sv, st)
 
 
-def truncated_realization(real: GraphRealization, m: int) -> GraphRealization:
-    """Realization for the initial vector truncated at ``m``, same clocks.
+def truncated_realization(
+    real: GraphRealization, m: int, horizon: float | None = None
+) -> GraphRealization:
+    """Realization for the initial vector truncated at ``m`` and run to
+    ``horizon`` (default ``real.horizon``), same clocks.
 
     Under the shared field the truncated run's edges and strikes are exactly
     the full run's tables filtered to labels <= m (zero masses push every
-    other clock to infinity), so no re-evaluation is needed.
+    other clock to infinity), and an arrival's time does not depend on the
+    horizon, so the tables are also filtered to times <= ``horizon``: the
+    filter ``run_clocked`` applies at each of its recording times.  No clock
+    is read again.  ``m`` is a :func:`~mcld.mass_state.count` in ``[0,
+    real.n]`` and ``horizon`` a :func:`~mcld.mass_state.time_list` time no
+    later than ``real.horizon``.
     """
-    if m < 0 or m > real.n:
+    m = count(m, "truncation level", 0)
+    if m > real.n:
         raise InvalidInput(f"truncation level must be in [0, {real.n}]")
+    (g,) = time_list((real.horizon if horizon is None else horizon,), "horizon")
+    if g > real.horizon:
+        raise InvalidInput(f"horizon {g} is past the realization's {real.horizon}")
     arr = real.masses.copy()
     arr[m:] = 0.0
-    ekeep = real.edge_j <= m  # edges store i < j
-    skeep = real.strike_vertex <= m
+    ekeep = (real.edge_j <= m) & (real.edge_time <= g)  # edges store i < j
+    skeep = (real.strike_vertex <= m) & (real.strike_time <= g)
     return _assemble(
         arr,
         real.lam,
-        real.horizon,
+        g,
         real.edge_i[ekeep],
         real.edge_j[ekeep],
         real.edge_time[ekeep],

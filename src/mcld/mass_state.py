@@ -10,8 +10,9 @@ through :func:`mass_array` (an :class:`OrderedMassVector` is valid by
 construction and passes unchecked), unordered weights through
 :func:`weight_array`, a list of times through :func:`time_list` and a list
 of truncation levels through :func:`level_list`, a rate through
-:func:`rate`, a count or a seed through :func:`count`, and a squared norm
-through :func:`_squared_norm`.  The states the package builds itself come
+:func:`rate`, a finite real of either sign through :func:`_real`, a count
+or a seed through :func:`count`, and a squared norm through
+:func:`_squared_norm`.  The states the package builds itself come
 from :func:`_state` and are not checked again.
 """
 
@@ -99,14 +100,23 @@ def level_list(levels, support: int) -> tuple[int, ...]:
     return levels
 
 
-def rate(value, name: str) -> float:
-    """``value`` as a float that is finite and nonnegative; ``name`` names
+def _real(value, name: str) -> float:
+    """``value`` as a float that is finite, of either sign; ``name`` names
     the input in the error."""
     try:
         out = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"{name} must be a number: {exc}") from None
-    if not 0.0 <= out < math.inf:
+    if not math.isfinite(out):
+        raise InvalidInput(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def rate(value, name: str) -> float:
+    """``value`` as a float that is finite and nonnegative; ``name`` names
+    the input in the error."""
+    out = _real(value, name)
+    if out < 0.0:
         raise InvalidInput(f"{name} must be finite and nonnegative, got {value!r}")
     return out
 
@@ -189,7 +199,6 @@ def dist(a: OrderedMassVector, b: OrderedMassVector) -> float:
 
 
 def truncate(v: OrderedMassVector, m: int) -> OrderedMassVector:
-    """Keep the first ``m`` entries; truncating past the support is the identity."""
-    if m < 0:
-        raise InvalidInput("truncation index must be nonnegative")
-    return _state(v.masses[:m])
+    """Keep the first ``m`` entries, a :func:`count` of at least 0;
+    truncating past the support is the identity."""
+    return _state(v.masses[: count(m, "truncation index", 0)])

@@ -5,7 +5,7 @@ speed-up or refactor that moves any of them changes behaviour."""
 
 import dataclasses
 
-from mcld import acceptance
+from mcld import acceptance, events, graphical
 from mcld.multigraph import classify_bad
 
 from helpers import fail_sandwich_at
@@ -21,6 +21,28 @@ def test_criterion_1_pathwise_equivalence():
     details = _check(acceptance.criterion_pathwise())
     assert details["cases"] == 1000
     assert details["max_entrywise_error"] == 1.0658141036401503e-14
+
+
+def test_pathwise_case_reads_the_pair_clocks_three_times(monkeypatch):
+    # the probe run, the grid run and one horizon-t realization, whose
+    # tables serve every grid time; the grid grows with the event count
+    calls = []
+
+    def counted(read):
+        def wrapper(*args):
+            calls.append(args)
+            return read(*args)
+
+        return wrapper
+
+    for module in (events, graphical):
+        monkeypatch.setattr(module, "edge_arrivals", counted(module.edge_arrivals))
+    event_counts = set()
+    for k in range(6):
+        calls.clear()
+        event_counts.add(acceptance._pathwise_case(k, False)["events"])
+        assert len(calls) == 3
+    assert len(event_counts) > 1 and max(event_counts) >= 5
 
 
 def test_criterion_2_sandwich_inequality():

@@ -171,11 +171,20 @@ class TestKsTwoSample:
         with pytest.raises(InvalidInput):
             ks_two_sample([], [1.0])
 
+    @pytest.mark.parametrize("bad", [[math.nan], [math.inf], [-1.0], ["a"], [[1.0]]])
+    def test_samples_go_through_weight_array(self, bad):
+        # the samples are nonnegative scaled masses: a NaN read as a
+        # statistic of 1.0 before it was refused
+        with pytest.raises(InvalidInput, match="samples_a"):
+            ks_two_sample(bad, [1.0])
+        with pytest.raises(InvalidInput, match="samples_b"):
+            ks_two_sample([1.0], bad)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_scipy(self, seed):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=40)
-        b = rng.normal(loc=0.3, size=55)
+        a = rng.exponential(size=40)
+        b = rng.exponential(scale=1.3, size=55)
         ours = ks_two_sample(a, b)
         theirs = scipy.stats.ks_2samp(a, b).statistic
         assert ours == pytest.approx(theirs, abs=1e-12)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import math
 import signal
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -65,6 +66,11 @@ class TestSampleCriticalEr:
     def test_non_integer_vertex_count_rejected(self):
         with pytest.raises(InvalidInput, match="^n must be an integer, got 1.5$"):
             sample_critical_er(1.5, 0.0, _NoDraws())
+
+    @pytest.mark.parametrize("u", ["x", None, math.nan, math.inf, -math.inf])
+    def test_bad_window_parameter_rejected(self, u):
+        with pytest.raises(InvalidInput, match="^u must be"):
+            sample_critical_er(5, u, _NoDraws())
 
     def test_gnp_matches_dense_bernoulli_law(self):
         # small n: compare component-count distribution of the sparse
@@ -376,6 +382,34 @@ class TestRunFp:
         expected = np.array([cross_rate, 2.1, 1.4, 0.7]) / total_rate * reps
         observed = np.array([counts["merge"], counts[3], counts[2], counts[1]])
         chi = scipy.stats.chisquare(observed, expected)
+        assert chi.pvalue > 0.01
+
+    def test_embeds_in_the_coalescent_with_deletion(self):
+        # n = 6 vertices in components (3, 2, 1): components of sizes a and b
+        # merge at rate a*b/n and one of size a is struck at lam_raw * a,
+        # which are the rates x_i * x_j and lam * x_i of the coalescent from
+        # x = (3, 2, 1)/sqrt(n) at lam = lam_raw * sqrt(n), on one time axis
+        n, lam_raw, t, reps = 6, 0.5, 0.4, 8000
+        root_n = math.sqrt(n)
+        labels = np.array([0, 0, 0, 3, 3, 5], dtype=np.int64)
+        fp = Counter()
+        for r in range(reps):
+            raw = run_fp(labels, lam_raw, [t], np.random.default_rng([6, r]))
+            fp[tuple(raw.sizes[-1].tolist())] += 1
+        x = ordered([3 / root_n, 2 / root_n, 1 / root_n])
+        base = ClockField(SEED + 6)
+        clocked = Counter()
+        for r in range(reps):
+            state = run_clocked(x, base.child(r), lam_raw * root_n, [t]).states[-1]
+            sizes = [m * root_n for m in state]
+            assert all(abs(s - round(s)) < 1e-9 for s in sizes)
+            clocked[tuple(round(s) for s in sizes)] += 1
+        keys = sorted(fp.keys() | clocked.keys())
+        a = np.array([fp[k] for k in keys])
+        b = np.array([clocked[k] for k in keys])
+        keep = (a + b) >= 10
+        assert keep.sum() >= 8
+        chi = scipy.stats.chi2_contingency(np.vstack([a[keep], b[keep]]))
         assert chi.pvalue > 0.01
 
     def test_fullgraph_oracle_dual_run(self):
@@ -786,6 +820,8 @@ class TestCompareReport:
             {"n_list": [1]},
             {"lam_rescaled": math.nan},
             {"u": -math.inf},
+            {"u": math.nan},
+            {"u": "x"},
             {"t_list": []},
             {"t_list": [-0.1]},
             {"t_list": [0.5, 0.5]},

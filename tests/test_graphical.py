@@ -10,7 +10,6 @@ from mcld.errors import InvalidInput
 from mcld.events import run_clocked
 from mcld.feller import power_law_reference
 from mcld.graphical import (
-    _assemble,
     _grouped_weights,
     _intact_after_strikes,
     _least_labels,
@@ -21,7 +20,7 @@ from mcld.graphical import (
     state_at,
     truncated_realization,
 )
-from mcld.mass_state import mass_array, ordered
+from mcld.mass_state import ordered
 
 from helpers import (
     HOSTILE_HORIZONS,
@@ -36,6 +35,16 @@ from helpers import (
 )
 
 SEED = 31415
+
+
+def assert_same_realization(got, want):
+    for name in ("edge_i", "edge_j", "edge_time", "strike_vertex", "strike_time"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.horizon == want.horizon
+    assert np.array_equal(got.masses, want.masses)
+    assert np.array_equal(got.intact, want.intact)
+    assert got.state == want.state
 
 
 def graph_components(masses, field, t):
@@ -455,12 +464,7 @@ class TestPrefixCoupling:
         for m in range(len(masses) + 1):
             zeroed = masses[:m] + [0.0] * (len(masses) - m)
             got, want = truncated_realization(full, m), realize(zeroed, f, lam, t)
-            for name in ("edge_i", "edge_j", "edge_time", "strike_vertex", "strike_time"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
-            assert np.array_equal(got.masses, want.masses)
-            assert np.array_equal(got.intact, want.intact)
-            assert got.state == want.state
+            assert_same_realization(got, want)
 
 
 class TestTimePrefixCoupling:
@@ -481,25 +485,48 @@ class TestTimePrefixCoupling:
         f = ClockField(seed)
         full = realize(masses, f, lam, t)
         for g in sorted({0.0, *full.edge_time.tolist(), *full.strike_time.tolist()}):
-            e, s = full.edge_time <= g, full.strike_time <= g
             got = realize(masses, f, lam, g)
-            want = _assemble(
-                mass_array(masses),
-                lam,
-                g,
-                full.edge_i[e],
-                full.edge_j[e],
-                full.edge_time[e],
-                full.strike_vertex[s],
-                full.strike_time[s],
-            )
-            for name in ("edge_i", "edge_j", "edge_time", "strike_vertex", "strike_time"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
-            assert got.horizon == want.horizon
-            assert np.array_equal(got.masses, want.masses)
-            assert np.array_equal(got.intact, want.intact)
-            assert got.state == want.state
+            want = truncated_realization(full, full.n, horizon=g)
+            assert_same_realization(got, want)
+
+
+class TestRestriction:
+    """``truncated_realization`` restricts by label and by time at once."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_label_and_time_prefix_is_the_zeroed_run_to_that_time(self, seed):
+        masses = list(power_law_reference(0.6, 48).masses)
+        f = ClockField(seed)
+        full = realize(masses, f, 1.0, 1.0)
+        for m in (0, 1, 7, 30, 48):
+            zeroed = masses[:m] + [0.0] * (len(masses) - m)
+            for g in (0.0, 0.25, 0.6, 1.0):
+                got = truncated_realization(full, m, horizon=g)
+                assert_same_realization(got, realize(zeroed, f, 1.0, g))
+
+    def test_default_horizon_is_the_realization_s_own(self):
+        full = realize([1.0, 0.8, 0.5], ClockField(SEED), 1.0, 2.0)
+        got = truncated_realization(full, 2)
+        assert_same_realization(got, truncated_realization(full, 2, horizon=2.0))
+        assert got.horizon == 2.0
+
+    @pytest.mark.parametrize(
+        "m, horizon",
+        [
+            (1.5, None),
+            ("1", None),
+            (-1, None),
+            (4, None),  # n + 1
+            (3, 2.5),  # past the realization's horizon
+            (3, -0.1),
+            (3, math.nan),
+            (3, "x"),
+        ],
+    )
+    def test_bad_level_or_horizon_refused(self, m, horizon):
+        full = realize([1.0, 0.8, 0.5], ClockField(SEED), 1.0, 2.0)
+        with pytest.raises(InvalidInput):
+            truncated_realization(full, m, horizon=horizon)
 
 
 class TestS2Growth:

@@ -275,9 +275,10 @@ class TestTruncate:
     def test_to_empty(self):
         assert truncate(ordered([4, 3, 2]), 0).masses == ()
 
-    def test_negative_rejected(self):
+    @pytest.mark.parametrize("m", [-1, 1.5, "1"])
+    def test_bad_level_rejected(self, m):
         with pytest.raises(InvalidInput):
-            truncate(ordered([1.0]), -1)
+            truncate(ordered([1.0, 0.5]), m)
 
 
 class TestCompareViaS2:
