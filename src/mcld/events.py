@@ -102,6 +102,7 @@ def run_clocked(masses, clocks: ClockField, lam: float, times) -> Trajectory:
     burnt = [False] * (n + 1)
     minlabel = list(range(n + 1))
     events: list[Event] = []
+    new = tuple.__new__  # an Event without the named tuple's Python __new__
     states: list[OrderedMassVector] = []
     pos = 0
     for end in ends:
@@ -111,7 +112,7 @@ def run_clocked(masses, clocks: ClockField, lam: float, times) -> Trajectory:
                 if burnt[root]:
                     continue
                 burnt[root] = True
-                events.append(Event(time, "delete", (minlabel[root],), weight[root]))
+                events.append(new(Event, (time, "delete", (minlabel[root],), weight[root])))
                 continue
             ri, rj = find(i), find(j)
             if ri == rj or burnt[ri] or burnt[rj]:
@@ -121,7 +122,7 @@ def run_clocked(masses, clocks: ClockField, lam: float, times) -> Trajectory:
                 low, high = high, low
             root = parent[link(ri, rj)]
             minlabel[root] = low
-            events.append(Event(time, "merge", (low, high), weight[root]))
+            events.append(new(Event, (time, "merge", (low, high), weight[root])))
         pos = end
         states.append(
             _state([weight[v] for v in range(1, n + 1) if parent[v] == v and not burnt[v]])

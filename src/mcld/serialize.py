@@ -11,17 +11,22 @@ call unless one is passed, so ``mcld simulate`` shares one over its three
 files.  Only exact floats are looked up in it, since ``1``, ``1.0`` and
 ``True`` hash alike.  Values of the exact types ``float``, ``int``, ``str``,
 ``dict``, ``list``, ``tuple``, ``None`` and ``bool`` are dispatched on their
-type, and a :class:`~mcld.trajectory.Event` is rendered from one record
-template; subclasses, ``np.float64`` among them, go through ``isinstance``
-tests.  :func:`write_csv` takes equal-length columns: a column of exact
-floats goes through the table, one of exact ints through ``str``, and any
-other cell by cell.
+type; subclasses, ``np.float64`` among them, go through ``isinstance``
+tests.  A list or tuple of events (:class:`~mcld.trajectory.Event`), such
+as the event log of ``mcld simulate``, is rendered with one ``%`` over its
+kinds' record templates, and a lone event through the same renderer; the
+bytes are those of each event's dict.  :func:`write_csv` takes equal-length
+columns: a column of exact floats formats its new values with one ``%``
+into the table and is then looked up, one of exact ints goes through
+``str``, and any other cell by cell.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote  # as json.dumps(str)
+from operator import add
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -59,9 +64,42 @@ class FloatTexts(dict):
         return text
 
 
-# an Event as the dict time, kind, components, weight, for the package's
-# events: a float time and weight, int ids, a kind "merge" or "delete"
-_EVENT = '{"time": %s, "kind": "%s", "components": [%s], "weight": %s}'
+# The record of an Event is the dict time, kind, components, weight.  The
+# package's events (a float time and weight, a tuple of int ids, and the
+# kind "merge" with two ids or "delete" with one) take their kind's template
+# of _RECORD; any other Event goes through the dict.
+_RECORD = '{"time": %%.17g, "kind": "%s", "components": [%s], "weight": %%.17g}'
+_TEMPLATES = {(kind, n): _RECORD % (kind, ", ".join(["%d"] * n))
+              for kind, n in (("merge", 2), ("delete", 1))}
+
+
+def _encode_events(events: Sequence[Event], out: list[str], texts: FloatTexts) -> None:
+    """Append the records of the nonempty ``events``, joined by ", ": the
+    package's events with one ``%`` over one flat tuple of their time, ids
+    and weight, any other event through the dict form."""
+    times, kinds, ids, weights = zip(*events)
+    if (
+        set(map(type, times)) == set(map(type, weights)) == {float}
+        and set(map(type, kinds)) == {str}
+        and set(map(type, ids)) == {tuple}
+        and set(map(type, chain.from_iterable(ids))) <= {int}
+    ):
+        templates = list(map(_TEMPLATES.get, zip(kinds, map(len, ids))))
+        if None not in templates:
+            if not (all(map(math.isfinite, times)) and all(map(math.isfinite, weights))):
+                raise InvalidInput("non-finite numbers cannot be serialized")
+            # the tuples (time, *ids, weight), end to end
+            values = chain.from_iterable(map(add, map(add, zip(times), ids), zip(weights)))
+            out.append(", ".join(templates) % tuple(values))
+            return
+    if len(events) == 1:
+        time, kind, ids, weight = events[0]
+        _encode_dict({"time": time, "kind": kind, "components": ids, "weight": weight}, out, texts)
+        return
+    for event in events:
+        _encode_events((event,), out, texts)
+        out.append(", ")
+    out.pop()
 
 
 def _encode(obj: Any, out: list[str], texts: FloatTexts) -> None:
@@ -75,8 +113,7 @@ def _encode(obj: Any, out: list[str], texts: FloatTexts) -> None:
     elif kind is dict:
         _encode_dict(obj, out, texts)
     elif kind is Event:
-        time, what, ids, weight = obj
-        out.append(_EVENT % (texts[time], what, ", ".join(map(str, ids)), texts[weight]))
+        _encode_events((obj,), out, texts)
     elif kind is list or kind is tuple:
         _encode_items(obj, out, texts)
     elif obj is None:
@@ -117,6 +154,11 @@ def _encode_dict(obj: dict, out: list[str], texts: FloatTexts) -> None:
 
 
 def _encode_items(obj: list | tuple, out: list[str], texts: FloatTexts) -> None:
+    if obj and type(obj[0]) is Event and set(map(type, obj)) == {Event}:
+        out.append("[")
+        _encode_events(obj, out, texts)
+        out.append("]")
+        return
     start = len(out)
     out.append("[")
     for value in obj:
@@ -146,6 +188,15 @@ def _column(cells: Sequence[Any], texts: FloatTexts) -> list[str]:
     exact ints in one pass, any other cell by cell."""
     kinds = set(map(type, cells))
     if kinds == {float}:
+        # the column's new nonzero values, formatted with one % and stored
+        # only once all of them are finite
+        new = set(cells).difference(texts)
+        new.discard(0.0)  # and -0.0
+        if new:
+            if not all(map(math.isfinite, new)):
+                raise InvalidInput("non-finite numbers cannot be serialized")
+            new = tuple(new)
+            texts.update(zip(new, ("\n".join(["%.17g"] * len(new)) % new).split("\n")))
         return list(map(texts.__getitem__, cells))
     if kinds == {int}:
         return list(map(str, cells))

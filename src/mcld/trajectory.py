@@ -4,8 +4,8 @@ A trajectory holds the states recorded at a caller-supplied list of times,
 the last of which ends the run, with the complete merge/delete event log.
 Paths are piecewise constant and right-continuous: the state recorded at an
 event time already includes the event.  ``mcld simulate`` writes the states
-as :meth:`Trajectory.csv_columns` and the events as they are, each rendered
-by :mod:`mcld.serialize` from one record template.
+as :meth:`Trajectory.csv_columns` and the events as they are, all records
+rendered by :mod:`mcld.serialize` with one formatting operation.
 """
 
 from __future__ import annotations
