@@ -270,11 +270,37 @@ def fp_replica_rows(
     return out
 
 
+def _refresh_prefix(w: np.ndarray, prefix: np.ndarray, low: int, high: int) -> None:
+    """Bring ``prefix[1:]``, the prefix sums of ``w`` before writes to its
+    indices ``low`` to ``high`` only, to ``np.cumsum(w)`` bit for bit;
+    ``prefix[0]`` is -0.0.
+
+    ``[low, high]`` is redone with one ``cumsum`` that carries the sum
+    before it, then the entries past ``high`` in blocks of 256, doubling,
+    until a stretch, the first included, ends on its old value.  Past
+    ``high`` each sum is the sum before it plus an unchanged weight, so once
+    the new chain equals the old one at or past ``high``, every later sum is
+    the same bits.  No sum is -0.0, so ``==`` is the test.
+    """
+    cum = prefix[1:]
+    start, stop, block = low, high + 1, 256
+    while True:
+        # w[start] carries the sum before it through one cumsum, then is restored
+        old = cum[stop - 1]
+        head = w[start]
+        w[start] = head + prefix[start]
+        np.cumsum(w[start:stop], out=cum[start:stop])
+        w[start] = head
+        if stop == len(w) or cum[stop - 1] == old:
+            return
+        start, stop, block = stop, min(stop + block, len(w)), 2 * block
+
+
 def _aggregate_mcld_top(
     weights: np.ndarray, lam: float, t_list, rng: np.random.Generator, top_r: int
 ) -> np.ndarray:
     """The package's only aggregated-rate coalescent-with-deletion sampler,
-    O(support - lowest changed index) per event.
+    O(entries whose prefix sum changed) per event.
 
     Law-identical to the clocked engines (merge rate = product of weights,
     deletion rate = lam times weight) but needs no pair clocks, so it stays
@@ -286,9 +312,12 @@ def _aggregate_mcld_top(
     Returns the top weights at each requested time, one row per time.
 
     Dead entries hold exactly 0.0, so the prefix sums of ``w`` are those of
-    the alive weights.  They are kept across events and redone from the
-    lowest index an event wrote, continuing from the sum before it: the same
-    additions in the same order as a full ``cumsum``.
+    the alive weights.  They are kept across events, and each event redoes
+    only those that changed, through :func:`_refresh_prefix`: the entries it
+    wrote, from its lowest to its highest (a merge its two indices, a
+    deletion from its index to the end), and past them up to where the new
+    chain of sums meets the old one.  The sums are those of a full
+    ``cumsum``, bit for bit.
 
     Below two alive components of positive weight the merge rate is 0, and
     with none the deletion rate is 0: the rounding residues of
@@ -306,7 +335,8 @@ def _aggregate_mcld_top(
     # prefix[0] is -0.0, which adds nothing: -0.0 + x is x for every x
     prefix = np.full(len(w) + 1, -0.0)
     cum = prefix[1:]
-    low = 0  # lowest index of w written since cum was last redone
+    # lowest and highest index of w written since cum was last refreshed
+    low, high = 0, len(w) - 1
     count = int(np.count_nonzero(w))  # alive components of positive weight
     # c * random() is uniform(0.0, c) bit for bit: numpy's uniform(low, high)
     # draws low + (high - low) * random()
@@ -336,11 +366,7 @@ def _aggregate_mcld_top(
             next_rec += 1
         if now > t_list[-1]:
             break
-        # w[low] carries the sum before it through one cumsum, then is restored
-        head = w[low]
-        w[low] = head + prefix[low]
-        np.cumsum(w[low:], out=cum[low:])
-        w[low] = head
+        _refresh_prefix(w, prefix, low, high)
         if random() * total < merge_rate:
             if w2 <= 0.5 * w1 * w1:
                 while True:
@@ -358,7 +384,7 @@ def _aggregate_mcld_top(
             w[a] = wa + wb
             alive[b] = False
             w[b] = 0.0
-            low = min(a, b)
+            low, high = min(a, b), max(a, b)
         else:
             a = pick(cum)
             wa = w.item(a)
@@ -367,7 +393,7 @@ def _aggregate_mcld_top(
             w2 -= wa * wa
             alive[a] = False
             w[a] = 0.0
-            low = a
+            low, high = a, len(w) - 1
     while next_rec < len(t_list):
         rows[next_rec] = snapshot()
         next_rec += 1

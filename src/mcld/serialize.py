@@ -14,11 +14,11 @@ files.  Only exact floats are looked up in it, since ``1``, ``1.0`` and
 type; subclasses, ``np.float64`` among them, go through ``isinstance``
 tests.  A list or tuple of events (:class:`~mcld.trajectory.Event`), such
 as the event log of ``mcld simulate``, is rendered with one ``%`` over its
-kinds' record templates, and a lone event through the same renderer; the
-bytes are those of each event's dict.  :func:`write_csv` takes equal-length
-columns: a column of exact floats formats its new values with one ``%``
-into the table and is then looked up, one of exact ints goes through
-``str``, and any other cell by cell.
+kinds' record templates, and a lone event, of ``Event`` or of a subclass,
+through the same renderer; the bytes are those of each event's dict.
+:func:`write_csv` takes equal-length columns: a column of exact floats
+formats its new values with one ``%`` into the table and is then looked
+up, one of exact ints goes through ``str``, and any other cell by cell.
 """
 
 from __future__ import annotations
@@ -112,8 +112,6 @@ def _encode(obj: Any, out: list[str], texts: FloatTexts) -> None:
         out.append(str(obj))
     elif kind is dict:
         _encode_dict(obj, out, texts)
-    elif kind is Event:
-        _encode_events((obj,), out, texts)
     elif kind is list or kind is tuple:
         _encode_items(obj, out, texts)
     elif obj is None:
@@ -126,6 +124,8 @@ def _encode(obj: Any, out: list[str], texts: FloatTexts) -> None:
         out.append(format_number(obj))
     elif isinstance(obj, dict):
         _encode_dict(obj, out, texts)
+    elif isinstance(obj, Event):
+        _encode_events((obj,), out, texts)
     elif isinstance(obj, (list, tuple)):
         _encode_items(obj, out, texts)
     else:

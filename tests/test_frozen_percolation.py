@@ -19,6 +19,7 @@ from mcld.frozen_percolation import (
     FPTrajectory,
     _aggregate_mcld_top,
     _gnp_least_labels,
+    _refresh_prefix,
     fp_mcld_compare,
     fp_replica_rows,
     reference_replica_rows,
@@ -240,6 +241,12 @@ class TestSamplersBitForBit:
         seed=st.integers(0, 2 ** 64 - 1),
     )
     @example(weights=np.array([2.0]), lam=0.5, steps=[1.0], top_r=2, seed=0)
+    # a dust-heavy state like the reference's: about a third of its ~250
+    # refreshes after a merge run past the first block
+    @example(
+        weights=np.sort(10.0 ** np.random.default_rng(2400).uniform(-4.0, 0.0, 2400))[::-1],
+        lam=0.5, steps=[100.0, 500.0], top_r=3, seed=1,
+    )
     def test_reference_sampler_matches_full_cumsum(self, weights, lam, steps, top_r, seed):
         # times in units of 1 / w1^2, the scale of the largest merge rate,
         # so that events happen at every spread of weights
@@ -301,6 +308,41 @@ class TestSamplersBitForBit:
         with deadline(20):
             rows = assert_same_reference_runs(weights, 0.5, [1e9], 1, seed)
         assert not rows.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(support=st.integers(300, 5000), seed=st.integers(0, 2 ** 64 - 1))
+    @example(support=5000, seed=0)
+    def test_refresh_prefix_matches_full_cumsum(self, support, seed):
+        # Stale sums past a merge differ from the true ones by a few ulps,
+        # which almost never moves a pick, so the sampler's outputs cannot
+        # show a refresh that stops too early; the sums are checked here.
+        # Weights: a few magnitudes over 16 decades, each repeated (ties),
+        # zero entries, in drawn or non-increasing order
+        rng = np.random.default_rng(seed)
+        w = rng.choice(10.0 ** rng.uniform(-8.0, 8.0, rng.integers(2, 7)), support)
+        w[rng.integers(0, support, rng.integers(1, 20))] = 0.0
+        if rng.random() < 0.5:
+            w[::-1].sort()
+        prefix = np.full(support + 1, -0.0)
+        _refresh_prefix(w, prefix, 0, support - 1)
+        assert prefix[1:].tobytes() == np.cumsum(w).tobytes()
+        for k in range(60):
+            if k % 4 == 3:
+                # a deletion: every sum from a to the end drops
+                a = int(rng.integers(0, support))
+                w[a] = 0.0
+                low, high = a, support - 1
+            else:
+                # a merge, every other one in the first quarter, so that the
+                # new chain can run on past several blocks before it meets
+                # the old one
+                span = support // 4 if k % 2 else support
+                a, b = (int(i) for i in rng.choice(span, 2, replace=False))
+                w[a] += w[b]
+                w[b] = 0.0
+                low, high = min(a, b), max(a, b)
+            _refresh_prefix(w, prefix, low, high)
+            assert prefix[1:].tobytes() == np.cumsum(w).tobytes()
 
     def test_reference_replica_rows_pin(self):
         # criterion 8's reference replica 0: its rows and truncation level

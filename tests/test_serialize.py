@@ -167,6 +167,20 @@ class TestAgainstOracle:
             else:
                 assert dumps(obj) == text
 
+    def test_an_event_of_a_subclass_is_written_as_the_event(self):
+        class Sub(Event):
+            pass
+
+        events = [Event(1.0, "merge", (1, 2), 2.0), Event(0.5, "delete", (3,), 0.25),
+                  Event(2.0, 'a"b', (True,), 1.5)]
+        subs = [Sub(*e) for e in events]
+        for sub, event in zip(subs, events):
+            assert dumps(sub) == dumps(event)
+            assert dumps([sub]) == dumps([event])
+        assert dumps(subs) == dumps(events)
+        assert dumps(tuple(subs)) == dumps(tuple(events))
+        assert dumps([events[0], subs[1]]) == dumps(events[:2])
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.nan)])
     def test_non_finite_refused_deep_after_equal_finite_values(self, tmp_path, bad):
         obj = {"a": [1.5, 1.5, {"b": [(1.5, -0.0, [bad])]}]}
